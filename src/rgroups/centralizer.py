@@ -61,7 +61,7 @@ class CentralizerDescriptor:
     condition at all (even orthogonal and unitary targets); an empty tuple
     means the condition exists but is vacuous or already resolved.
     Descriptors produced by :func:`centralizer` always come fully
-    resolved; live constraints appear only on hand-built descriptors.
+    resolved; :func:`unresolved_centralizer` keeps the condition live.
     """
 
     factors: tuple[Factor, ...]
@@ -117,21 +117,11 @@ def constrained_indices(desc: CentralizerDescriptor) -> tuple[int, ...]:
     return tuple(idx for idx, _ in desc.det_constraint or ())
 
 
-def centralizer(psi: Parameter, group: GroupSpec) -> CentralizerDescriptor:
-    """Centralizer descriptor of a valid parameter, constraint resolved.
-
-    One factor per canonical entry, in classification order: a dual pair
-    of multiplicity m centralizes to GL(m); an opposite-type summand of
-    multiplicity m (necessarily even) to Sp(m); a same-type summand of
-    multiplicity m to O(m).  For symplectic and odd orthogonal targets the
-    factors are cut by the condition that the product of determinants,
-    each raised to its summand's dimension, is 1.  Odd orthogonal targets
-    make the condition vacuous (every same-type summand has even
-    dimension).  For a symplectic target the total dimension is odd, so
-    some same-type factor has odd size and odd source dimension; fixing
-    the determinant of one such factor solves the condition and turns that
-    factor into SO, leaving every other factor free.
-    """
+def _centralizer_factors(psi: Parameter, group: GroupSpec) -> list[Factor]:
+    """One factor per canonical entry of a valid parameter, in
+    classification order: a dual pair of multiplicity m centralizes to
+    GL(m); an opposite-type summand of multiplicity m (necessarily even)
+    to Sp(m); a same-type summand of multiplicity m to O(m)."""
     validate_parameter(psi, group).require(InvalidParameter, "centralizer")
     buckets = classify(psi, group)
     factors: list[Factor] = []
@@ -147,15 +137,36 @@ def centralizer(psi: Parameter, group: GroupSpec) -> CentralizerDescriptor:
         factors.append(
             Factor(FactorKind.FULL_ORTHOGONAL, entry.multiplicity, entry.summand.dim)
         )
+    return factors
 
-    if group.family is Family.EVEN_ORTHOGONAL:
-        return CentralizerDescriptor(tuple(factors), None)
 
-    constrained = [
+def _odd_source_orthogonal(factors: list[Factor]) -> list[int]:
+    """Indices of the factors the determinant condition constrains."""
+    return [
         i
         for i, f in enumerate(factors)
         if f.kind is FactorKind.FULL_ORTHOGONAL and f.source_dim % 2
     ]
+
+
+def centralizer(psi: Parameter, group: GroupSpec) -> CentralizerDescriptor:
+    """Centralizer descriptor of a valid parameter, constraint resolved.
+
+    The factors are those of :func:`unresolved_centralizer`.  For
+    symplectic and odd orthogonal targets the factors are cut by the
+    condition that the product of determinants, each raised to its
+    summand's dimension, is 1.  Odd orthogonal targets make the condition
+    vacuous (every same-type summand has even dimension).  For a
+    symplectic target the total dimension is odd, so some same-type factor
+    has odd size and odd source dimension; fixing the determinant of one
+    such factor solves the condition and turns that factor into SO,
+    leaving every other factor free.
+    """
+    factors = _centralizer_factors(psi, group)
+    if group.family is Family.EVEN_ORTHOGONAL:
+        return CentralizerDescriptor(tuple(factors), None)
+
+    constrained = _odd_source_orthogonal(factors)
     if constrained:
         demotable = [i for i in constrained if factors[i].size % 2]
         if not demotable:
@@ -168,6 +179,24 @@ def centralizer(psi: Parameter, group: GroupSpec) -> CentralizerDescriptor:
             FactorKind.SPECIAL_ORTHOGONAL, factors[i].size, factors[i].source_dim
         )
     return CentralizerDescriptor(tuple(factors), ())
+
+
+def unresolved_centralizer(
+    psi: Parameter, group: GroupSpec
+) -> CentralizerDescriptor:
+    """Centralizer descriptor of a valid parameter, constraint left live.
+
+    The same factors as :func:`centralizer`, with no factor demoted to SO:
+    for symplectic and odd orthogonal targets every O factor of odd source
+    dimension is listed in a live ``det_constraint``, which the
+    brute-force quotient then enumerates.  Even orthogonal targets impose
+    no condition.
+    """
+    factors = _centralizer_factors(psi, group)
+    if group.family is Family.EVEN_ORTHOGONAL:
+        return CentralizerDescriptor(tuple(factors), None)
+    live = tuple((i, 1) for i in _odd_source_orthogonal(factors))
+    return CentralizerDescriptor(tuple(factors), live)
 
 
 def arthur_r_group(psi: Parameter, group: GroupSpec) -> ElementaryTwoGroup:

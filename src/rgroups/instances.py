@@ -60,6 +60,11 @@ def _expect(condition: bool, message: str) -> None:
         raise ParseError(message)
 
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer; booleans are ints in Python but not in the schema."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _expect_keys(obj: dict, allowed: set[str], context: str) -> None:
     extra = set(obj) - allowed
     _expect(not extra, f"unknown keys {sorted(extra)} in {context}")
@@ -68,7 +73,7 @@ def _expect_keys(obj: dict, allowed: set[str], context: str) -> None:
 def _parse_symbol(label: str, spec: Any) -> CuspidalSymbol | UnitaryCuspidalSymbol:
     _expect(isinstance(spec, dict), f"symbol {label!r} must be an object")
     _expect(
-        isinstance(spec.get("dim"), int) and spec["dim"] >= 1,
+        _is_int(spec.get("dim")) and spec["dim"] >= 1,
         f"symbol {label!r} needs a positive integer dim",
     )
     duality = spec.get("duality")
@@ -95,7 +100,10 @@ def _parse_symbol(label: str, spec: Any) -> CuspidalSymbol | UnitaryCuspidalSymb
                 f"symbol {label!r}",
             )
             lam = spec.get("lambda")
-            _expect(lam in (1, -1), f"symbol {label!r} needs lambda +1 or -1")
+            _expect(
+                _is_int(lam) and lam in (1, -1),
+                f"symbol {label!r} needs lambda +1 or -1",
+            )
             matches = spec.get("lambda_matches", True)
             _expect(
                 isinstance(matches, bool),
@@ -170,13 +178,13 @@ def parse_instance(text: str) -> Instance:
     _expect(isinstance(sigma_doc, dict), "sigma must be an object")
     _expect_keys(sigma_doc, {"rank", "blocks"}, "sigma")
     rank = sigma_doc.get("rank")
-    _expect(isinstance(rank, int) and rank >= 0, "sigma.rank must be a non-negative integer")
+    _expect(_is_int(rank) and rank >= 0, "sigma.rank must be a non-negative integer")
     blocks_doc = sigma_doc.get("blocks")
     _expect(isinstance(blocks_doc, list), "sigma.blocks must be a list")
 
     def resolve(label: Any, a: Any, context: str):
         _expect(isinstance(label, str) and label in symbols, f"{context}: unknown label {label!r}")
-        _expect(isinstance(a, int) and a >= 1, f"{context}: a must be a positive integer")
+        _expect(_is_int(a) and a >= 1, f"{context}: a must be a positive integer")
         return symbols[label], a
 
     deltas_doc = doc.get("deltas")
@@ -188,7 +196,7 @@ def parse_instance(text: str) -> Instance:
         rho, a = resolve(entry.get("rho"), entry.get("a"), f"delta #{i}")
         mult = entry.get("mult", 1)
         _expect(
-            isinstance(mult, int) and mult >= 1,
+            _is_int(mult) and mult >= 1,
             f"delta #{i}: mult must be a positive integer",
         )
         parsed_deltas.append((rho, a, mult))

@@ -3,8 +3,19 @@
 Independent verification path for the closed-form R-group rank: realize
 the Weyl group W = N(T)/Z(T) of each classical factor concretely as a
 group of signed permutations, assemble the whole-descriptor W under the
-determinant condition by explicit enumeration, and compute the quotient
-by the identity-component Weyl group.
+determinant condition, and compute the quotient by the identity-component
+Weyl group.
+
+What is enumerated.  The determinant condition reads only the factors
+listed in ``det_constraint`` (the live factors).  Every other factor
+splits off as a direct factor of W and contributes its own rank; its
+checks (W0 inside W, every element squaring into W0) run once per
+(kind, size, element cap) and are cached beside the factor's Weyl
+groups.  Only the product of the live factors' Weyl groups is enumerated
+element by element, so a descriptor without live factors enumerates
+nothing.  The torus-degree bound applies to the whole descriptor; the
+element cap applies to each factor's Weyl group and to the live product.
+Nothing is cached per descriptor.
 
 Conventions.  A signed permutation of degree k is a pair
 (perm, signs) with perm a tuple giving i -> perm[i] and signs in
@@ -216,6 +227,28 @@ def weyl_of_factor(
     return _weyl_of_factor_cached(kind, size, element_cap)
 
 
+@dataclass(frozen=True)
+class _FactorQuotient:
+    """One factor's W, in a fixed order, with what the quotient needs of W0."""
+
+    elements: tuple[SignedPerm, ...]
+    w0: frozenset[SignedPerm]
+    squares_into_w0: bool
+
+
+@lru_cache(maxsize=None)
+def _factor_quotient(kind: FactorKind, size: int, element_cap: int) -> _FactorQuotient:
+    """The per-factor checks, which depend only on (kind, size): W0 must lie
+    in W, and whether every element of W squares into W0 is recorded."""
+    full, ident = weyl_of_factor(kind, size, element_cap)
+    if not ident.is_subgroup_of(full):
+        raise NonElementaryQuotient(
+            "identity-component Weyl group is not contained in W"
+        )
+    squares = all(compose(g, g) in ident.elements for g in full.elements)
+    return _FactorQuotient(tuple(sorted(full.elements)), ident.elements, squares)
+
+
 def _det_class(factor: Factor, element: SignedPerm) -> tuple[int, ...]:
     """Determinants achievable by torus-normalizer lifts of the element.
 
@@ -231,20 +264,17 @@ def _det_class(factor: Factor, element: SignedPerm) -> tuple[int, ...]:
     return (1,)
 
 
-def _liftable(
-    factors: tuple[Factor, ...],
-    live: tuple[int, ...],
-    element: tuple[SignedPerm, ...],
-) -> bool:
-    """Whether a tuple of Weyl elements lifts into the constrained group.
+def _liftable(live: list[Factor], element: tuple[SignedPerm, ...]) -> bool:
+    """Whether a tuple of Weyl elements of the live factors lifts into the
+    constrained group.
 
     The condition is that some choice of lift determinants multiplies to
     1 over the constrained factors; a factor with both signs available
     absorbs any imbalance.
     """
     forced = 1
-    for i in live:
-        classes = _det_class(factors[i], element[i])
+    for factor, coord in zip(live, element):
+        classes = _det_class(factor, coord)
         if len(classes) == 2:
             return True
         forced *= classes[0]
@@ -276,48 +306,54 @@ def weyl_quotient(
     checked to be elementary abelian of exponent 2: every element must
     square into W0 (exponent 2 forces commutativity), and the index must
     be a power of 2.
+
+    The condition reads only the coordinates of the live factors (those
+    in ``det_constraint``), so W is the direct product of the free
+    factors' Weyl groups and the liftable part of the live factors'
+    product.  Each free factor contributes its own rank from checks made
+    once per (kind, size, element_cap).  Only the product of the live
+    factors' Weyl groups is enumerated, element by element; without live
+    factors it is the one-element empty product.
+
+    Bounds: the descriptor's torus degree (sum of size // 2 over all
+    factors) may not exceed ``max_torus_degree``; ``element_cap`` bounds
+    each factor's Weyl group and the size of the enumerated live product.
+    Either overflow raises :class:`BoundExceeded`.
     """
     factors = desc.factors
     if sum(f.size // 2 for f in factors) > max_torus_degree:
         raise BoundExceeded(
             f"total torus degree exceeds the bound {max_torus_degree}"
         )
-    pairs = [weyl_of_factor(f.kind, f.size, element_cap) for f in factors]
-    live = constrained_indices(desc)
+    live_indices = constrained_indices(desc)
+    rank = 0
+    live: list[Factor] = []
+    live_quotients: list[_FactorQuotient] = []
+    for i, factor in enumerate(factors):
+        quotient = _factor_quotient(factor.kind, factor.size, element_cap)
+        if i in live_indices:
+            live.append(factor)
+            live_quotients.append(quotient)
+            continue
+        if not quotient.squares_into_w0:
+            raise NonElementaryQuotient("an element fails to square into W0")
+        rank += _quotient_rank(len(quotient.elements), len(quotient.w0))
 
-    if not live:
-        # The condition is absent or vacuous, so W is the direct product
-        # and the quotient splits factorwise.
-        rank = 0
-        for full, ident in pairs:
-            if not ident.is_subgroup_of(full):
-                raise NonElementaryQuotient(
-                    "identity-component Weyl group is not contained in W"
-                )
-            for g in full.elements:
-                if compose(g, g) not in ident.elements:
-                    raise NonElementaryQuotient(
-                        "an element fails to square into W0"
-                    )
-            rank += _quotient_rank(full.order, ident.order)
-        return ElementaryTwoGroup(rank)
-
-    total = prod(full.order for full, _ in pairs)
+    total = prod(len(q.elements) for q in live_quotients)
     if total > element_cap:
         raise BoundExceeded(
             f"constrained descriptor needs {total} candidate elements,"
             f" above the cap {element_cap}"
         )
-    w_elements = [
-        element
-        for element in iter_product(*(sorted(full.elements) for full, _ in pairs))
-        if _liftable(factors, live, element)
-    ]
-    w0_order = prod(ident.order for _, ident in pairs)
-    for element in w_elements:
-        for coord, (_, ident) in zip(element, pairs):
-            if compose(coord, coord) not in ident.elements:
+    w_order = 0
+    for element in iter_product(*(q.elements for q in live_quotients)):
+        if not _liftable(live, element):
+            continue
+        for coord, quotient in zip(element, live_quotients):
+            if compose(coord, coord) not in quotient.w0:
                 raise NonElementaryQuotient("an element fails to square into W0")
+        w_order += 1
     # W0 consists of connected-component elements, whose lifts all have
     # determinant 1, so W0 is automatically inside W.
-    return ElementaryTwoGroup(_quotient_rank(len(w_elements), w0_order))
+    w0_order = prod(len(q.w0) for q in live_quotients)
+    return ElementaryTwoGroup(rank + _quotient_rank(w_order, w0_order))

@@ -26,6 +26,7 @@ from rgroups import (
     random_instance,
     unitary_centralizer,
     unitary_maximal_levi_r_group,
+    unresolved_centralizer,
     validate_parameter,
     verify_theorem,
     weyl_quotient,
@@ -140,7 +141,10 @@ def test_criterion_1_single_entry_case_table():
 def test_criterion_2_closed_form_equals_oracle_exhaustively():
     """Closed-form rank equals the brute-force Weyl quotient on every
     valid parameter with at most 4 canonical entries, multiplicities at
-    most 4 and summand dimensions at most 5, in each family."""
+    most 4 and summand dimensions at most 5, in each family.  For
+    symplectic and odd orthogonal targets the oracle also enumerates the
+    unresolved centralizer, so the determinant condition is checked rather
+    than resolved by hand; every symplectic descriptor carries it live."""
     for family in CLASSICAL_FAMILIES:
         count = 0
         for psi, group in exhaustive_valid_parameters(family):
@@ -148,6 +152,13 @@ def test_criterion_2_closed_form_equals_oracle_exhaustively():
             closed = arthur_r_group(psi, group)
             oracle = weyl_quotient(centralizer(psi, group))
             assert closed == oracle, (family, psi.describe(), closed, oracle)
+            if family is not Family.EVEN_ORTHOGONAL:
+                unresolved = unresolved_centralizer(psi, group)
+                assert unresolved.has_live_constraint == (
+                    family is Family.SYMPLECTIC
+                ), (family, psi.describe())
+                live = weyl_quotient(unresolved)
+                assert closed == live, (family, psi.describe(), closed, live)
             count += 1
         assert count > 10_000, family
 

@@ -50,6 +50,20 @@ def test_validate_exit_two_on_unknown_label(tmp_path, capsys):
     assert main(["validate", str(path)]) == 2
 
 
+def test_validate_exit_two_on_boolean_integer(tmp_path, capsys):
+    doc = {
+        "format_version": "1",
+        "family": "sp",
+        "symbols": {"st": {"dim": True, "duality": "orthogonal"}},
+        "sigma": {"rank": 1, "blocks": [["st", 3]]},
+        "deltas": [],
+    }
+    path = tmp_path / "boolean.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    assert "positive integer dim" in capsys.readouterr().err
+
+
 def test_validate_missing_file_exit_two(capsys):
     assert main(["validate", str(CORPUS / "nope.json")]) == 2
 

@@ -103,6 +103,46 @@ def test_parse_errors(mutate):
         parse_instance(json.dumps(doc))
 
 
+def unitary_doc():
+    return {
+        "format_version": "1",
+        "family": "unitary",
+        "symbols": {"x": {"dim": 1, "duality": "conjugate-self-dual", "lambda": 1}},
+        "sigma": {"rank": 1, "blocks": [["x", 1]]},
+        "deltas": [{"rho": "x", "a": 1, "mult": 1}],
+    }
+
+
+# JSON booleans are ints in Python (True == 1), so each field must refuse
+# them explicitly.
+BOOLEAN_IN_INTEGER_FIELD = {
+    "symbol dim": (minimal_doc, lambda d: d["symbols"]["st"].update(dim=True)),
+    "sigma.rank": (minimal_doc, lambda d: d["sigma"].update(rank=True)),
+    "sigma.rank false": (minimal_doc, lambda d: d["sigma"].update(rank=False)),
+    "block a": (minimal_doc, lambda d: d["sigma"].update(blocks=[["st", True]])),
+    "delta a": (
+        minimal_doc,
+        lambda d: d["deltas"].append({"rho": "st", "a": True, "mult": 1}),
+    ),
+    "delta mult": (
+        minimal_doc,
+        lambda d: d["deltas"].append({"rho": "st", "a": 1, "mult": True}),
+    ),
+    "unitary lambda": (unitary_doc, lambda d: d["symbols"]["x"].update({"lambda": True})),
+}
+
+
+@pytest.mark.parametrize(
+    "make,mutate", BOOLEAN_IN_INTEGER_FIELD.values(), ids=BOOLEAN_IN_INTEGER_FIELD
+)
+def test_parse_rejects_booleans_in_integer_fields(make, mutate):
+    doc = make()
+    parse_instance(json.dumps(doc))  # the unmutated document parses
+    mutate(doc)
+    with pytest.raises(ParseError, match="integer|lambda"):
+        parse_instance(json.dumps(doc))
+
+
 def test_parse_error_on_bad_json():
     with pytest.raises(ParseError):
         parse_instance("{not json")

@@ -2,9 +2,10 @@
 brute-force quotient."""
 
 import math
+from itertools import product as iter_product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rgroups import (
     CentralizerDescriptor,
@@ -19,7 +20,9 @@ from rgroups import (
     weyl_of_factor,
     weyl_quotient,
 )
-from rgroups.errors import BoundExceeded
+from rgroups import weyl
+from rgroups.centralizer import ElementaryTwoGroup, constrained_indices
+from rgroups.errors import BoundExceeded, NonElementaryQuotient
 from rgroups.weyl import (
     SignedPermGroup,
     compose,
@@ -202,3 +205,118 @@ def test_oracle_matches_closed_form_on_resolved_descriptors():
 def test_signed_perm_group_requires_identity_for_closure():
     group = SignedPermGroup(1, frozenset({((0,), (-1,))}))
     assert not group.is_closed()
+
+
+def _reference_quotient(desc):
+    """The full-product enumeration: every factor's Weyl group enters the
+    product whenever any factor is constrained."""
+    factors = desc.factors
+    pairs = [weyl_of_factor(f.kind, f.size) for f in factors]
+    live = constrained_indices(desc)
+    if not live:
+        rank = 0
+        for full, ident in pairs:
+            assert ident.is_subgroup_of(full)
+            for g in full.elements:
+                assert compose(g, g) in ident.elements
+            rank += (full.order // ident.order).bit_length() - 1
+        return ElementaryTwoGroup(rank)
+
+    def det_classes(factor, element):
+        if factor.kind is O:
+            return (1, -1) if factor.size % 2 else (sign_product(element),)
+        return (1,)
+
+    def liftable(element):
+        forced = 1
+        for i in live:
+            classes = det_classes(factors[i], element[i])
+            if len(classes) == 2:
+                return True
+            forced *= classes[0]
+        return forced == 1
+
+    w_elements = [
+        element
+        for element in iter_product(*(sorted(full.elements) for full, _ in pairs))
+        if liftable(element)
+    ]
+    for element in w_elements:
+        for coord, (_, ident) in zip(element, pairs):
+            assert compose(coord, coord) in ident.elements
+    w0_order = math.prod(ident.order for _, ident in pairs)
+    assert len(w_elements) % w0_order == 0
+    index = len(w_elements) // w0_order
+    assert index & (index - 1) == 0
+    return ElementaryTwoGroup(index.bit_length() - 1)
+
+
+@st.composite
+def descriptors(draw):
+    factors = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from((GL, SP, O, SO)))
+        size = draw(st.sampled_from((2, 4) if kind is SP else (1, 2, 3, 4)))
+        factors.append(Factor(kind, size, draw(st.integers(1, 3))))
+    candidates = [
+        i for i, f in enumerate(factors) if f.kind is O and f.source_dim % 2
+    ]
+    live = [i for i in candidates if draw(st.booleans())]
+    if live:
+        constraint = tuple((i, 1) for i in live)
+    else:
+        constraint = draw(st.sampled_from((None, ())))
+    return CentralizerDescriptor(tuple(factors), constraint)
+
+
+@settings(max_examples=300, deadline=None)
+@given(descriptors())
+def test_weyl_quotient_matches_full_product_enumeration(desc):
+    assert weyl_quotient(desc) == _reference_quotient(desc)
+
+
+def test_element_cap_counts_the_live_product():
+    # O(6) is free: its 48 elements fit the cap on their own, and only the
+    # 8 x 8 live product is enumerated.  The full product (3,072 elements)
+    # would exceed the cap.
+    desc = CentralizerDescriptor(
+        (Factor(O, 6, 2), Factor(O, 4, 1), Factor(O, 4, 3)), ((1, 1), (2, 1))
+    )
+    assert weyl_quotient(desc, element_cap=100).rank == 2
+    # Every factor still fits a cap of 50, but the live product does not.
+    with pytest.raises(BoundExceeded, match="needs 64 candidate elements"):
+        weyl_quotient(desc, element_cap=50)
+
+
+@pytest.fixture
+def cyclic_weyl_group(monkeypatch):
+    """Give O(5) the cyclic Weyl group of order 4 generated by
+    e_0 -> e_1 -> -e_0, over a trivial W0: its index is a power of 2, but
+    the quotient is not elementary abelian."""
+    g = ((1, 0), (1, -1))
+    elements = {identity_element(2), g}
+    while len(elements) < 4:
+        elements = {compose(x, g) for x in elements} | elements
+    full = SignedPermGroup(2, frozenset(elements))
+    trivial = SignedPermGroup(2, frozenset({identity_element(2)}))
+    real = weyl.weyl_of_factor
+
+    def patched(kind, size, element_cap=weyl.DEFAULT_ELEMENT_CAP):
+        if (kind, size) == (O, 5):
+            return full, trivial
+        return real(kind, size, element_cap)
+
+    monkeypatch.setattr(weyl, "weyl_of_factor", patched)
+    weyl._factor_quotient.cache_clear()
+    yield
+    weyl._factor_quotient.cache_clear()
+
+
+@pytest.mark.parametrize("constraint", [None, ((0, 1),)])
+def test_weyl_quotient_rejects_elements_not_squaring_into_w0(
+    cyclic_weyl_group, constraint
+):
+    # free (None) and live (a constrained odd-size factor lifts every element)
+    desc = CentralizerDescriptor((Factor(O, 5, 1),), constraint)
+    with pytest.raises(NonElementaryQuotient, match="square"):
+        weyl_quotient(desc)
