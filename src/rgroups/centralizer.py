@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InvalidParameter, UnresolvedConstraint
-from .params import Family, GroupSpec, Parameter, classify, validate_parameter
+from .params import Classification, Family, GroupSpec, Parameter, checked
 
 
 class FactorKind(Enum):
@@ -117,27 +117,24 @@ def constrained_indices(desc: CentralizerDescriptor) -> tuple[int, ...]:
     return tuple(idx for idx, _ in desc.det_constraint or ())
 
 
-def _centralizer_factors(psi: Parameter, group: GroupSpec) -> list[Factor]:
+_BUCKET_KINDS = (
+    FactorKind.GENERAL_LINEAR,
+    FactorKind.SYMPLECTIC,
+    FactorKind.FULL_ORTHOGONAL,
+    FactorKind.FULL_ORTHOGONAL,
+)
+
+
+def _centralizer_factors(buckets: Classification) -> list[Factor]:
     """One factor per canonical entry of a valid parameter, in
     classification order: a dual pair of multiplicity m centralizes to
     GL(m); an opposite-type summand of multiplicity m (necessarily even)
     to Sp(m); a same-type summand of multiplicity m to O(m)."""
-    validate_parameter(psi, group).require(InvalidParameter, "centralizer")
-    buckets = classify(psi, group)
-    factors: list[Factor] = []
-    for entry in buckets.dual_pairs:
-        factors.append(
-            Factor(FactorKind.GENERAL_LINEAR, entry.multiplicity, entry.summand.dim)
-        )
-    for entry in buckets.opposite_type:
-        factors.append(
-            Factor(FactorKind.SYMPLECTIC, entry.multiplicity, entry.summand.dim)
-        )
-    for entry in buckets.same_type_odd_mult + buckets.same_type_even_mult:
-        factors.append(
-            Factor(FactorKind.FULL_ORTHOGONAL, entry.multiplicity, entry.summand.dim)
-        )
-    return factors
+    return [
+        Factor(kind, entry.multiplicity, entry.summand.dim)
+        for kind, bucket in zip(_BUCKET_KINDS, buckets.buckets)
+        for entry in bucket
+    ]
 
 
 def _odd_source_orthogonal(factors: list[Factor]) -> list[int]:
@@ -162,7 +159,9 @@ def centralizer(psi: Parameter, group: GroupSpec) -> CentralizerDescriptor:
     such factor solves the condition and turns that factor into SO,
     leaving every other factor free.
     """
-    factors = _centralizer_factors(psi, group)
+    report, buckets = checked(psi, group)
+    report.require(InvalidParameter, "centralizer")
+    factors = _centralizer_factors(buckets)
     if group.family is Family.EVEN_ORTHOGONAL:
         return CentralizerDescriptor(tuple(factors), None)
 
@@ -192,7 +191,9 @@ def unresolved_centralizer(
     brute-force quotient then enumerates.  Even orthogonal targets impose
     no condition.
     """
-    factors = _centralizer_factors(psi, group)
+    report, buckets = checked(psi, group)
+    report.require(InvalidParameter, "unresolved_centralizer")
+    factors = _centralizer_factors(buckets)
     if group.family is Family.EVEN_ORTHOGONAL:
         return CentralizerDescriptor(tuple(factors), None)
     live = tuple((i, 1) for i in _odd_source_orthogonal(factors))
@@ -207,7 +208,8 @@ def arthur_r_group(psi: Parameter, group: GroupSpec) -> ElementaryTwoGroup:
     nothing (their reflection component centralizes the torus), and each
     even-size full orthogonal factor contributes one Z/2.
     """
-    buckets = classify(psi, group)
+    report, buckets = checked(psi, group)
+    report.require(InvalidParameter, "arthur_r_group")
     return ElementaryTwoGroup(buckets.d)
 
 

@@ -4,8 +4,9 @@ Commands: ``validate`` an instance file, ``rgroup`` to compute one or both
 R-groups (optionally cross-checked by the brute-force oracle), ``explain``
 to pretty-print the classification buckets of the assembled parameter,
 and ``fuzz`` to run the two-sided check over randomly generated
-instances.  Exit codes: 0 success/agreement, 1 domain violation or
-disagreement, 2 usage or parse errors.
+instances.  Exit codes: 0 success/agreement, 1 domain violation,
+disagreement or an oracle skipped at its size bound, 2 usage or parse
+errors.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .centralizer import centralizer, descriptor_rank
-from .errors import BoundsInfeasible, ParseError, RGroupError
+from .errors import BoundExceeded, BoundsInfeasible, ParseError, RGroupError
 from .instances import (
     ClassicalInstance,
     Instance,
@@ -82,7 +83,8 @@ def _unitary_descriptor(inst: UnitaryInstance):
     return phi, ambient, unitary_centralizer(phi, ambient)
 
 
-def _rgroup_results(inst: Instance, oracle: bool) -> dict:
+def _rgroup_results(inst: Instance, oracle: bool) -> tuple[dict, str | None]:
+    """The results block, and the bound message if the oracle was skipped."""
     if isinstance(inst, ClassicalInstance):
         result = verify_theorem(inst.data)
         _, _, desc = _classical_descriptor(inst)
@@ -118,11 +120,16 @@ def _rgroup_results(inst: Instance, oracle: bool) -> dict:
             for row in rows
         ],
     }
+    bound = None
     if oracle:
-        oracle_rank = weyl_quotient(desc).rank
-        out["oracle_rank"] = oracle_rank
-        out["agree"] = out["agree"] and oracle_rank == arthur
-    return out
+        try:
+            out["oracle_rank"] = weyl_quotient(desc).rank
+            out["agree"] = out["agree"] and out["oracle_rank"] == arthur
+        except BoundExceeded as exc:
+            bound = str(exc)
+            out["oracle_rank"] = None
+            out["oracle"] = "skipped (bound)"
+    return out, bound
 
 
 def cmd_rgroup(args: argparse.Namespace) -> int:
@@ -133,7 +140,8 @@ def cmd_rgroup(args: argparse.Namespace) -> int:
         for violation in report.violations:
             print(f"violation [{violation.rule}] {violation.message}", file=sys.stderr)
         return 1
-    results = _rgroup_results(inst, args.oracle)
+    results, bound = _rgroup_results(inst, args.oracle)
+    code = 1 if bound or (args.side == "both" and not results["agree"]) else 0
     if args.json:
         doc = instance_document(inst)
         if args.side == "ks":
@@ -144,7 +152,9 @@ def cmd_rgroup(args: argparse.Namespace) -> int:
             }
         doc["results"] = results
         print(json.dumps(doc, indent=2))
-        return 0 if results.get("agree", True) else 1
+        if bound:
+            print(f"oracle skipped: {bound}", file=sys.stderr)
+        return code
 
     if results["witness"]:
         for line in _witness_table_rows(results["witness"]):
@@ -154,12 +164,13 @@ def cmd_rgroup(args: argparse.Namespace) -> int:
     if args.side in ("both", "arthur"):
         print(f"arthur rank: {results['arthur_rank']}")
         print(f"centralizer: {results['centralizer']}")
-    if args.oracle:
+    if bound:
+        print(f"oracle: skipped (bound: {bound})")
+    elif args.oracle:
         print(f"oracle rank: {results['oracle_rank']}")
     if args.side == "both":
         print(f"agree: {'yes' if results['agree'] else 'NO'}")
-        return 0 if results["agree"] else 1
-    return 0
+    return code
 
 
 def _witness_table_rows(rows: list[dict]) -> list[str]:

@@ -329,10 +329,6 @@ def load_instance(path: str | Path) -> Instance:
     return parse_instance(text)
 
 
-def dump_instance(inst: Instance, path: str | Path) -> None:
-    Path(path).write_text(serialize_instance(inst))
-
-
 def validate_instance(inst: Instance) -> ValidationReport:
     """Domain validation of a parsed instance."""
     if isinstance(inst, ClassicalInstance):

@@ -10,7 +10,6 @@ parabolic induction from GL x G_m.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import InvalidJordanData, NotSelfDualInput
 from .params import (
@@ -41,15 +40,8 @@ class JordanData:
         ordered = tuple(sorted(set(self.blocks), key=Summand.sort_key))
         object.__setattr__(self, "blocks", ordered)
 
-    @staticmethod
-    def of(group: GroupSpec, blocks: Iterable[tuple[CuspidalSymbol, int]]) -> "JordanData":
-        return JordanData(group, tuple(Summand(rho, a) for rho, a in blocks))
-
     def total_dimension(self) -> int:
         return sum(b.dim for b in self.blocks)
-
-    def block_lengths(self, rho_label: str) -> tuple[int, ...]:
-        return tuple(b.a for b in self.blocks if b.rho.label == rho_label)
 
 
 def jordan_parity_ok(rho: CuspidalSymbol, a: int, group: GroupSpec) -> bool:
@@ -134,6 +126,11 @@ def is_reducible(rho: CuspidalSymbol, a: int, sigma: JordanData) -> bool:
     if not rho.self_dual:
         raise NotSelfDualInput(f"{rho.label!r} is not self-dual")
     validate_jordan(sigma).require(InvalidJordanData, "is_reducible")
+    return _is_reducible(rho, a, sigma)
+
+
+def _is_reducible(rho: CuspidalSymbol, a: int, sigma: JordanData) -> bool:
+    """:func:`is_reducible` for a self-dual rho and validated sigma."""
     return jordan_parity_ok(rho, a, sigma.group) and Summand(rho, a) not in sigma.blocks
 
 

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 from .centralizer import ElementaryTwoGroup, arthur_r_group
 from .errors import BoundsInfeasible, InvalidInducingData
-from .jordan import JordanData, is_reducible, jordan_parity_ok, validate_jordan
+from .jordan import JordanData, _is_reducible, jordan_parity_ok, validate_jordan
 from .params import (
     CuspidalSymbol,
     DualityType,
@@ -27,34 +27,11 @@ from .params import (
     GroupSpec,
     Summand,
     canonicalize,
-    validate_parameter,
 )
 from .validation import ValidationReport, Violation
 
 if TYPE_CHECKING:
     from .unitary import UnitarySummand
-
-
-@dataclass(frozen=True)
-class LeviShape:
-    """Block shape GL(n_1) x ... x GL(n_r) x G_m inside G_n."""
-
-    gl_blocks: tuple[int, ...]
-    residual_rank: int
-    group: GroupSpec
-
-    def __post_init__(self) -> None:
-        if any(n < 1 for n in self.gl_blocks):
-            raise ValueError("GL block sizes must be positive")
-        if self.residual_rank < 0:
-            raise ValueError("residual rank must be non-negative")
-        if sum(self.gl_blocks) + self.residual_rank != self.group.rank:
-            raise ValueError("block sizes must add up to the ambient rank")
-        if self.group.family is Family.EVEN_ORTHOGONAL and self.residual_rank == 1:
-            raise ValueError(
-                "standard Levi subgroups of even orthogonal groups have"
-                " residual rank other than 1"
-            )
 
 
 @dataclass(frozen=True)
@@ -82,17 +59,10 @@ class InducingData:
         gl_rank = sum(d.summand.dim * d.multiplicity for d in self.deltas)
         return GroupSpec(self.sigma.group.family, self.sigma.group.rank + gl_rank)
 
-    def levi_shape(self) -> LeviShape:
-        blocks: list[int] = []
-        for d in self.deltas:
-            blocks.extend([d.summand.dim] * d.multiplicity)
-        return LeviShape(tuple(blocks), self.sigma.group.rank, self.ambient_group())
 
-
-def validate_inducing(pi: InducingData) -> ValidationReport:
-    """Report violations: invalid residual data or repeated delta factors."""
-    report = validate_jordan(pi.sigma)
-    violations = list(report.violations)
+def _repeated_deltas(pi: InducingData) -> ValidationReport:
+    """The delta-level rule: equivalent delta factors must be merged."""
+    violations = []
     seen: set[tuple[str, int]] = set()
     for d in pi.deltas:
         key = d.summand.sort_key()
@@ -108,6 +78,11 @@ def validate_inducing(pi: InducingData) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
+def validate_inducing(pi: InducingData) -> ValidationReport:
+    """Report violations: invalid residual data or repeated delta factors."""
+    return validate_jordan(pi.sigma) + _repeated_deltas(pi)
+
+
 def knapp_stein_r_group(pi: InducingData) -> ElementaryTwoGroup:
     """Knapp-Stein R-group rank from reducibility counts.
 
@@ -120,7 +95,7 @@ def knapp_stein_r_group(pi: InducingData) -> ElementaryTwoGroup:
         1
         for d in pi.deltas
         if d.summand.self_dual
-        and is_reducible(d.summand.rho, d.summand.a, pi.sigma)
+        and _is_reducible(d.summand.rho, d.summand.a, pi.sigma)
     )
     return ElementaryTwoGroup(rank)
 
@@ -187,20 +162,20 @@ def verify_theorem(pi: InducingData) -> VerificationResult:
         same_type = self_dual and jordan_parity_ok(
             d.summand.rho, d.summand.a, pi.sigma.group
         )
-        in_jordan = d.summand in pi.sigma.blocks
         rows.append(
             WitnessRow(
                 summand=d.summand,
                 multiplicity=d.multiplicity,
                 self_dual=self_dual,
                 same_type=same_type,
-                in_jordan=in_jordan,
-                counted=self_dual and same_type and not in_jordan,
+                in_jordan=d.summand in pi.sigma.blocks,
+                counted=self_dual
+                and _is_reducible(d.summand.rho, d.summand.a, pi.sigma),
             )
         )
-    ks = knapp_stein_r_group(pi)
-    arthur = arthur_r_group_of_induced(pi)
-    return VerificationResult(ks.rank, arthur.rank, tuple(rows))
+    ks = sum(row.counted for row in rows)
+    arthur = arthur_r_group(parameter_of_induced(pi), pi.ambient_group())
+    return VerificationResult(ks, arthur.rank, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -353,7 +328,7 @@ def random_instance(seed: int, bounds: FuzzBounds = FuzzBounds()) -> InducingDat
             used.add(summand.sort_key())
             deltas.append(DeltaFactor(summand, rng.randint(1, bounds.max_mult)))
         pi = InducingData(tuple(deltas), sigma)
-        if validate_inducing(pi).ok:
+        if _repeated_deltas(pi).ok:  # sigma was validated by _draw_jordan
             return pi
     raise BoundsInfeasible(
         f"no valid instance found within {_MAX_ATTEMPTS} attempts for {bounds}"

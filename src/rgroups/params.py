@@ -235,6 +235,8 @@ class Parameter:
     """
 
     entries: tuple[ParameterEntry, ...]
+    # Checking passes by group (see `checked`): not a field, so not in ==/hash/repr.
+    _checked = None
 
     def __post_init__(self) -> None:
         keys = [e.summand.sort_key() for e in self.entries]
@@ -346,43 +348,6 @@ def canonicalize(entries: Iterable[tuple[Summand, int]]) -> Parameter:
     return Parameter(tuple(canonical))
 
 
-def validate_parameter(psi: Parameter, group: GroupSpec) -> ValidationReport:
-    """Check a canonical parameter against a target dual group.
-
-    Violations are reported as data; an empty report means valid.  A
-    self-dual summand whose type differs from the dual group's must occur
-    with even multiplicity, and the total dimension must fill the dual
-    group exactly.
-    """
-    if group.family not in _CLASSICAL_FAMILIES:
-        raise ValueError(
-            "unitary parameters are handled by the unitary module"
-        )
-    violations: list[Violation] = []
-    total = psi.total_dimension
-    if total != group.dual_dimension:
-        violations.append(
-            Violation(
-                "dimension",
-                f"parameter has dimension {total}, dual group of"
-                f" {group.describe()} needs {group.dual_dimension}",
-            )
-        )
-    for entry in psi.entries:
-        duality = entry.summand.duality
-        if duality is DualityType.NOT_SELF_DUAL:
-            continue
-        if duality is not group.dual_type and entry.multiplicity % 2:
-            violations.append(
-                Violation(
-                    "odd-multiplicity",
-                    f"{entry.summand.describe()} has type opposite to the"
-                    f" dual group but odd multiplicity {entry.multiplicity}",
-                )
-            )
-    return ValidationReport(tuple(violations))
-
-
 @dataclass(frozen=True)
 class Classification:
     """Partition of canonical entries into the four centralizer buckets.
@@ -410,28 +375,83 @@ class Classification:
             self.same_type_even_mult,
         )
 
-    @property
-    def entry_count(self) -> int:
-        return sum(len(b) for b in self.buckets)
+
+_Checked = tuple[ValidationReport, Classification]
 
 
-def classify(psi: Parameter, group: GroupSpec) -> Classification:
-    """Partition a valid parameter's entries into the four buckets."""
-    validate_parameter(psi, group).require(InvalidParameter, "classify")
+def _check_entries(psi: Parameter, group: GroupSpec) -> _Checked:
+    """The checking pass: one loop that fills the buckets and collects violations."""
+    if group.family not in _CLASSICAL_FAMILIES:
+        raise ValueError("unitary parameters are handled by the unitary module")
+    dual_type = group.dual_type
+    violations: list[Violation] = []
     pairs, opposite, same_odd, same_even = [], [], [], []
+    total = 0
     for entry in psi.entries:
-        duality = entry.summand.duality
+        summand, mult = entry.summand, entry.multiplicity
+        duality = summand.duality
         if duality is DualityType.NOT_SELF_DUAL:
+            total += 2 * mult * summand.dim
             pairs.append(entry)
-        elif duality is not group.dual_type:
+            continue
+        total += mult * summand.dim
+        if duality is not dual_type:
             opposite.append(entry)
-        elif entry.multiplicity % 2:
+            if mult % 2:
+                violations.append(
+                    Violation(
+                        "odd-multiplicity",
+                        f"{summand.describe()} has type opposite to the"
+                        f" dual group but odd multiplicity {mult}",
+                    )
+                )
+        elif mult % 2:
             same_odd.append(entry)
         else:
             same_even.append(entry)
-    return Classification(
+    if total != group.dual_dimension:
+        violations.insert(
+            0,
+            Violation(
+                "dimension",
+                f"parameter has dimension {total}, dual group of"
+                f" {group.describe()} needs {group.dual_dimension}",
+            ),
+        )
+    buckets = Classification(
         dual_pairs=tuple(pairs),
         opposite_type=tuple(opposite),
         same_type_odd_mult=tuple(same_odd),
         same_type_even_mult=tuple(same_even),
     )
+    return ValidationReport(tuple(violations)), buckets
+
+
+def checked(psi: Parameter, group: GroupSpec) -> _Checked:
+    """The checking pass of ``psi`` against ``group``, run once and kept on ``psi``."""
+    done = psi._checked
+    if done is None:
+        done = {}
+        object.__setattr__(psi, "_checked", done)
+    result = done.get(group)
+    if result is None:
+        result = done[group] = _check_entries(psi, group)
+    return result
+
+
+def validate_parameter(psi: Parameter, group: GroupSpec) -> ValidationReport:
+    """Check a canonical parameter against a target dual group.
+
+    Violations are reported as data; an empty report means valid.  A
+    self-dual summand whose type differs from the dual group's must occur
+    with even multiplicity, and the total dimension must fill the dual
+    group exactly.
+    """
+    return checked(psi, group)[0]
+
+
+def classify(psi: Parameter, group: GroupSpec) -> Classification:
+    """Partition a valid parameter's entries into the four buckets."""
+    report, buckets = checked(psi, group)
+    report.require(InvalidParameter, "classify")
+    return buckets

@@ -120,6 +120,43 @@ def test_rgroup_unitary_cases(capsys):
     assert "oracle rank: 0" in out
 
 
+def _above_oracle_bound(tmp_path) -> str:
+    """A valid sp instance whose centralizer GL(22) x SO(1) has torus
+    degree 11, one above the oracle's default bound."""
+    doc = {
+        "format_version": "1",
+        "family": "sp",
+        "symbols": {
+            "a": {"dim": 1, "duality": "orthogonal"},
+            "p": {"dim": 1, "duality": "not-self-dual", "dual": "pt"},
+            "pt": {"dim": 1, "duality": "not-self-dual", "dual": "p"},
+        },
+        "sigma": {"rank": 0, "blocks": [["a", 1]]},
+        "deltas": [{"rho": "p", "a": 1, "mult": 22}],
+    }
+    path = tmp_path / "above-bound.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_rgroup_oracle_above_bound_still_reports_the_closed_form(tmp_path, capsys):
+    path = _above_oracle_bound(tmp_path)
+    assert main(["rgroup", "--oracle", path]) == 1
+    out = capsys.readouterr().out
+    assert "knapp-stein rank: 0" in out and "arthur rank: 0" in out
+    assert "oracle: skipped (bound: total torus degree exceeds the bound 10)" in out
+    assert "agree: yes" in out
+    assert main(["rgroup", "--oracle", "--json", path]) == 1
+    captured = capsys.readouterr()
+    results = json.loads(captured.out)["results"]
+    assert results["oracle_rank"] is None
+    assert results["oracle"] == "skipped (bound)"
+    assert results["ks_rank"] == results["arthur_rank"] == 0
+    assert results["agree"] is True
+    assert "exceeds the bound 10" in captured.err
+    assert main(["rgroup", path]) == 0  # without --oracle nothing is skipped
+
+
 def test_rgroup_invalid_instance_exit_one(capsys):
     assert main(["rgroup", str(CORPUS / "o-even-m1-invalid.json")]) == 1
     assert "violation" in capsys.readouterr().err

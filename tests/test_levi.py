@@ -10,7 +10,6 @@ from rgroups import (
     GroupSpec,
     InducingData,
     JordanData,
-    LeviShape,
     Summand,
     arthur_r_group_of_induced,
     knapp_stein_r_group,
@@ -33,23 +32,11 @@ def sp_sigma() -> JordanData:
     )
 
 
-def test_levi_shape_invariants():
-    G = GroupSpec(Family.SYMPLECTIC, 5)
-    LeviShape((2, 1), 2, G)
-    with pytest.raises(ValueError):
-        LeviShape((2, 1), 1, G)  # ranks do not add up
-    with pytest.raises(ValueError):
-        LeviShape((2,), 1, GroupSpec(Family.EVEN_ORTHOGONAL, 3))  # m = 1
-
-
 def test_inducing_data_shape_and_ambient():
     pi = InducingData(
         (DeltaFactor(Summand(pair("p", 2), 1), 2),), sp_sigma()
     )
     assert pi.ambient_group() == GroupSpec(Family.SYMPLECTIC, 6)
-    assert pi.levi_shape() == LeviShape(
-        (2, 2), 2, GroupSpec(Family.SYMPLECTIC, 6)
-    )
 
 
 def test_repeated_delta_is_flagged():

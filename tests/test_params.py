@@ -376,7 +376,7 @@ def test_classify_partitions_all_entries():
         seen = 0
         for psi, G in exhaustive_valid_parameters(family, max_entries=2, max_dim=3, max_mult=2):
             buckets = classify(psi, G)
-            assert buckets.entry_count == len(psi.entries)
+            assert sum(map(len, buckets.buckets)) == len(psi.entries)
             assert buckets.d == len(buckets.same_type_even_mult)
             seen += 1
         assert seen > 0
