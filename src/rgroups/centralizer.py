@@ -5,6 +5,11 @@ product of classical factors, one per canonical entry: GL for dual pairs,
 Sp for opposite-type summands, O (or SO after resolving the determinant
 condition) for same-type summands.  The R-group is elementary abelian of
 rank equal to the number of even-size full orthogonal factors.
+
+For U(n) the dual group is GL(n, C) and the parameter is read over the
+quadratic extension: the factors follow the summands in (label, a)
+order, each member of a conjugate-dual pair gives its own GL factor, and
+there is no determinant condition.
 """
 
 from __future__ import annotations
@@ -13,7 +18,14 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InvalidParameter, UnresolvedConstraint
-from .params import Classification, Family, GroupSpec, Parameter, checked
+from .params import (
+    Classification,
+    DualityType,
+    Family,
+    GroupSpec,
+    Parameter,
+    checked,
+)
 
 
 class FactorKind(Enum):
@@ -125,11 +137,28 @@ _BUCKET_KINDS = (
 )
 
 
-def _centralizer_factors(buckets: Classification) -> list[Factor]:
+# Families whose centralizer carries no determinant condition.
+_UNCONSTRAINED = (Family.EVEN_ORTHOGONAL, Family.UNITARY)
+
+
+def _centralizer_factors(
+    psi: Parameter, group: GroupSpec, buckets: Classification
+) -> list[Factor]:
     """One factor per canonical entry of a valid parameter, in
     classification order: a dual pair of multiplicity m centralizes to
     GL(m); an opposite-type summand of multiplicity m (necessarily even)
-    to Sp(m); a same-type summand of multiplicity m to O(m)."""
+    to Sp(m); a same-type summand of multiplicity m to O(m).  For U(n),
+    one factor per summand in (label, a) order, both members of a
+    conjugate-dual pair included."""
+    if group.family is Family.UNITARY:
+        kinds = {
+            DualityType.NOT_SELF_DUAL: FactorKind.GENERAL_LINEAR,
+            group.dual_type: FactorKind.FULL_ORTHOGONAL,
+        }
+        return [
+            Factor(kinds.get(s.duality, FactorKind.SYMPLECTIC), m, s.dim)
+            for s, m in psi.expanded_entries()
+        ]
     return [
         Factor(kind, entry.multiplicity, entry.summand.dim)
         for kind, bucket in zip(_BUCKET_KINDS, buckets.buckets)
@@ -161,8 +190,8 @@ def centralizer(psi: Parameter, group: GroupSpec) -> CentralizerDescriptor:
     """
     report, buckets = checked(psi, group)
     report.require(InvalidParameter, "centralizer")
-    factors = _centralizer_factors(buckets)
-    if group.family is Family.EVEN_ORTHOGONAL:
+    factors = _centralizer_factors(psi, group, buckets)
+    if group.family in _UNCONSTRAINED:
         return CentralizerDescriptor(tuple(factors), None)
 
     constrained = _odd_source_orthogonal(factors)
@@ -188,13 +217,13 @@ def unresolved_centralizer(
     The same factors as :func:`centralizer`, with no factor demoted to SO:
     for symplectic and odd orthogonal targets every O factor of odd source
     dimension is listed in a live ``det_constraint``, which the
-    brute-force quotient then enumerates.  Even orthogonal targets impose
-    no condition.
+    brute-force quotient then enumerates.  Even orthogonal and unitary
+    targets impose no condition.
     """
     report, buckets = checked(psi, group)
     report.require(InvalidParameter, "unresolved_centralizer")
-    factors = _centralizer_factors(buckets)
-    if group.family is Family.EVEN_ORTHOGONAL:
+    factors = _centralizer_factors(psi, group, buckets)
+    if group.family in _UNCONSTRAINED:
         return CentralizerDescriptor(tuple(factors), None)
     live = tuple((i, 1) for i in _odd_source_orthogonal(factors))
     return CentralizerDescriptor(tuple(factors), live)

@@ -16,25 +16,17 @@ import json
 import sys
 from pathlib import Path
 
-from .centralizer import centralizer, descriptor_rank
+from .centralizer import centralizer
 from .errors import BoundExceeded, BoundsInfeasible, ParseError, RGroupError
 from .instances import (
-    ClassicalInstance,
     Instance,
-    UnitaryInstance,
     instance_document,
     load_instance,
     serialize_instance,
     validate_instance,
 )
-from .levi import FuzzBounds, random_instance, verify_theorem
-from .params import Family, classify
-from .unitary import (
-    maximal_levi_phi,
-    merged_summands,
-    unitary_centralizer,
-    unitary_maximal_levi_r_group,
-)
+from .levi import FuzzBounds, _verify, parameter_of_induced, random_instance, verify_theorem
+from .params import DualityType, Family, classify
 from .weyl import weyl_quotient
 
 
@@ -64,45 +56,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 1
 
 
-def _classical_descriptor(inst: ClassicalInstance):
-    from .levi import parameter_of_induced
-
-    phi = parameter_of_induced(inst.data)
-    ambient = inst.data.ambient_group()
-    return phi, ambient, centralizer(phi, ambient)
-
-
-def _unitary_descriptor(inst: UnitaryInstance):
-    if inst.deltas:
-        delta, _ = inst.deltas[0]
-        phi = merged_summands(maximal_levi_phi(delta, inst.sigma))
-        ambient = inst.sigma.rank + 2 * delta.dim
-    else:
-        phi = [(block, 1) for block in inst.sigma.blocks]
-        ambient = inst.sigma.rank
-    return phi, ambient, unitary_centralizer(phi, ambient)
-
-
 def _rgroup_results(inst: Instance, oracle: bool) -> tuple[dict, str | None]:
     """The results block, and the bound message if the oracle was skipped."""
-    if isinstance(inst, ClassicalInstance):
-        result = verify_theorem(inst.data)
-        _, _, desc = _classical_descriptor(inst)
-        rows = result.witness
-    else:
-        if inst.deltas:
-            result = unitary_maximal_levi_r_group(inst.deltas[0][0], inst.sigma)
-            rows = result.witness
-        else:
-            result = None
-            rows = ()
-        _, _, desc = _unitary_descriptor(inst)
-
-    if result is not None:
-        ks, arthur = result.ks_rank, result.arthur_rank
-    else:
-        ks, arthur = 0, descriptor_rank(desc).rank
-
+    phi = parameter_of_induced(inst.data)
+    result = _verify(inst.data, phi)
+    desc = centralizer(phi, inst.data.ambient_group())
+    ks, arthur, rows = result.ks_rank, result.arthur_rank, result.witness
     out = {
         "ks_rank": ks,
         "arthur_rank": arthur,
@@ -132,13 +91,21 @@ def _rgroup_results(inst: Instance, oracle: bool) -> tuple[dict, str | None]:
     return out, bound
 
 
-def cmd_rgroup(args: argparse.Namespace) -> int:
-    inst = load_instance(args.path)
+def _load_valid(path: str) -> Instance | None:
+    """The instance at ``path``, or None after reporting its violations."""
+    inst = load_instance(path)
     report = validate_instance(inst)
-    if not report.ok:
-        print(f"{args.path}: invalid instance", file=sys.stderr)
-        for violation in report.violations:
-            print(f"violation [{violation.rule}] {violation.message}", file=sys.stderr)
+    if report.ok:
+        return inst
+    print(f"{path}: invalid instance", file=sys.stderr)
+    for violation in report.violations:
+        print(f"violation [{violation.rule}] {violation.message}", file=sys.stderr)
+    return None
+
+
+def cmd_rgroup(args: argparse.Namespace) -> int:
+    inst = _load_valid(args.path)
+    if inst is None:
         return 1
     results, bound = _rgroup_results(inst, args.oracle)
     code = 1 if bound or (args.side == "both" and not results["agree"]) else 0
@@ -189,17 +156,37 @@ def _witness_table_rows(rows: list[dict]) -> list[str]:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    inst = load_instance(args.path)
-    report = validate_instance(inst)
-    if not report.ok:
-        print(f"{args.path}: invalid instance", file=sys.stderr)
-        for violation in report.violations:
-            print(f"violation [{violation.rule}] {violation.message}", file=sys.stderr)
+    inst = _load_valid(args.path)
+    if inst is None:
         return 1
-
-    if isinstance(inst, ClassicalInstance):
-        phi, ambient, desc = _classical_descriptor(inst)
-        buckets = classify(phi, ambient)
+    phi = parameter_of_induced(inst.data)
+    ambient = inst.data.ambient_group()
+    desc = centralizer(phi, ambient)
+    buckets = classify(phi, ambient)
+    if inst.family is Family.UNITARY:
+        doc = {
+            "ambient": ambient.describe(),
+            "summands": [
+                {
+                    "summand": s.describe(),
+                    "dim": s.dim,
+                    "mult": m,
+                    "conj_self_dual": s.self_dual,
+                    "lambda": (1 if s.duality is DualityType.ORTHOGONAL else -1)
+                    if s.self_dual
+                    else None,
+                }
+                for s, m in phi.expanded_entries()
+            ],
+            "centralizer": desc.describe(),
+            "rank": buckets.d,
+        }
+        lines = [f"ambient group: {doc['ambient']}"]
+        for row in doc["summands"]:
+            lam = f" lambda={row['lambda']:+d}" if row["lambda"] is not None else ""
+            lines.append(f"  {row['summand']:<16} dim={row['dim']} mult={row['mult']}{lam}")
+        lines += [f"centralizer: {doc['centralizer']}", f"rank = {doc['rank']}"]
+    else:
         bucket_rows = [
             ("dual-pair", buckets.dual_pairs),
             ("opposite-type", buckets.opposite_type),
@@ -223,50 +210,20 @@ def cmd_explain(args: argparse.Namespace) -> int:
             "d": buckets.d,
             "centralizer": desc.describe(),
         }
-        if args.json:
-            out = instance_document(inst)
-            out["results"] = doc
-            print(json.dumps(out, indent=2))
-            return 0
-        print(f"ambient group: {doc['ambient']}")
-        print(f"parameter: {doc['parameter']}")
+        lines = [f"ambient group: {doc['ambient']}", f"parameter: {doc['parameter']}"]
         for name, entries in bucket_rows:
             for e in entries:
-                print(
+                lines.append(
                     f"  [{name:<14}] {e.summand.describe():<16} dim={e.summand.dim}"
                     f" mult={e.multiplicity}"
                 )
-        print(f"rank d = {doc['d']}")
-        print(f"centralizer: {doc['centralizer']}")
-        return 0
-
-    phi, ambient, desc = _unitary_descriptor(inst)
-    doc = {
-        "ambient": f"U({ambient})",
-        "summands": [
-            {
-                "summand": s.describe(),
-                "dim": s.dim,
-                "mult": m,
-                "conj_self_dual": s.conj_self_dual,
-                "lambda": s.lam if s.conj_self_dual else None,
-            }
-            for s, m in phi
-        ],
-        "centralizer": desc.describe(),
-        "rank": descriptor_rank(desc).rank,
-    }
+        lines += [f"rank d = {doc['d']}", f"centralizer: {doc['centralizer']}"]
     if args.json:
         out = instance_document(inst)
         out["results"] = doc
         print(json.dumps(out, indent=2))
-        return 0
-    print(f"ambient group: {doc['ambient']}")
-    for row in doc["summands"]:
-        lam = f" lambda={row['lambda']:+d}" if row["lambda"] is not None else ""
-        print(f"  {row['summand']:<16} dim={row['dim']} mult={row['mult']}{lam}")
-    print(f"centralizer: {doc['centralizer']}")
-    print(f"rank = {doc['rank']}")
+    else:
+        print("\n".join(lines))
     return 0
 
 
@@ -297,7 +254,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             replay_dir.mkdir(parents=True, exist_ok=True)
             path = replay_dir / f"fail-{args.family}-seed{seed}.json"
             path.write_text(
-                serialize_instance(ClassicalInstance(bounds.family, pi))
+                serialize_instance(Instance(bounds.family, pi))
             )
             failures.append(path)
             print(

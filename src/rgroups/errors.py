@@ -31,18 +31,6 @@ class InvalidInducingData(RGroupError):
     """Inducing data for a standard Levi subgroup failed validation."""
 
 
-class InvalidUnitaryData(RGroupError):
-    """Unitary-group input failed validation or a required sign hypothesis."""
-
-
-class DimensionMismatch(RGroupError):
-    """Summand dimensions do not fill the target dual group."""
-
-
-class OddMultiplicitySp(RGroupError):
-    """A symplectic centralizer factor would need odd size."""
-
-
 class UnresolvedConstraint(RGroupError):
     """The determinant constraint could not be resolved into a free product.
 

@@ -2,10 +2,11 @@
 
 An instance file declares a symbol table, the residual Jordan blocks and
 the delta factors.  The same schema covers the three classical families
-and the unitary family; the ``duality`` field of a symbol decides which
-attributes it carries.  Serialization is canonical: keys sorted, blocks
-and deltas sorted by (label, a), and only referenced symbols emitted, so
-parse and serialize are mutually inverse on canonical form.
+and the unitary family; the unitary family declares its symbols in the
+conjugate-duality vocabulary, which parses to conjugate symbols (see
+``CuspidalSymbol.conjugate``).  Serialization is canonical: keys sorted,
+blocks and deltas sorted by (label, a), and only referenced symbols
+emitted, so parse and serialize are mutually inverse on canonical form.
 """
 
 from __future__ import annotations
@@ -19,13 +20,7 @@ from .errors import ParseError
 from .jordan import JordanData
 from .levi import DeltaFactor, InducingData, validate_inducing
 from .params import CuspidalSymbol, DualityType, Family, GroupSpec, Summand
-from .unitary import (
-    UnitaryCuspidalSymbol,
-    UnitaryJordanData,
-    UnitarySummand,
-    validate_unitary_jordan,
-)
-from .validation import ValidationReport, Violation
+from .validation import ValidationReport
 
 FORMAT_VERSION = "1"
 
@@ -37,22 +32,9 @@ _CLASSICAL_DUALITIES = {
 
 
 @dataclass(frozen=True)
-class ClassicalInstance:
+class Instance:
     family: Family
     data: InducingData
-
-
-@dataclass(frozen=True)
-class UnitaryInstance:
-    sigma: UnitaryJordanData
-    deltas: tuple[tuple[UnitarySummand, int], ...]
-
-    @property
-    def family(self) -> Family:
-        return Family.UNITARY
-
-
-Instance = ClassicalInstance | UnitaryInstance
 
 
 def _expect(condition: bool, message: str) -> None:
@@ -70,7 +52,7 @@ def _expect_keys(obj: dict, allowed: set[str], context: str) -> None:
     _expect(not extra, f"unknown keys {sorted(extra)} in {context}")
 
 
-def _parse_symbol(label: str, spec: Any) -> CuspidalSymbol | UnitaryCuspidalSymbol:
+def _parse_symbol(label: str, spec: Any) -> CuspidalSymbol:
     _expect(isinstance(spec, dict), f"symbol {label!r} must be an object")
     _expect(
         _is_int(spec.get("dim")) and spec["dim"] >= 1,
@@ -109,8 +91,9 @@ def _parse_symbol(label: str, spec: Any) -> CuspidalSymbol | UnitaryCuspidalSymb
                 isinstance(matches, bool),
                 f"symbol {label!r}: lambda_matches must be a boolean",
             )
-            return UnitaryCuspidalSymbol(
-                label, spec["dim"], True, lam, lambda_rho_matches=matches
+            kind = DualityType.ORTHOGONAL if lam == 1 else DualityType.SYMPLECTIC
+            return CuspidalSymbol(
+                label, spec["dim"], kind, conjugate=True, lambda_matches=matches
             )
         if duality == "not-conjugate-self-dual":
             _expect_keys(spec, {"dim", "duality", "dual"}, f"symbol {label!r}")
@@ -119,21 +102,27 @@ def _parse_symbol(label: str, spec: Any) -> CuspidalSymbol | UnitaryCuspidalSymb
                 isinstance(dual, str),
                 f"symbol {label!r} needs a dual label",
             )
-            return UnitaryCuspidalSymbol(label, spec["dim"], False, dual_label=dual)
+            return CuspidalSymbol(
+                label, spec["dim"], DualityType.NOT_SELF_DUAL, dual, conjugate=True
+            )
     except ValueError as exc:
         raise ParseError(f"symbol {label!r}: {exc}") from exc
     raise ParseError(f"symbol {label!r} has unknown duality {duality!r}")
 
 
-def _check_dual_declarations(symbols: dict[str, Any]) -> None:
+def _check_dual_declarations(symbols: dict[str, CuspidalSymbol]) -> None:
+    """Every declared dual partner exists and mirrors its symbol.  The
+    same defect in built data is ``params._register_symbols``'s
+    InconsistentSymbol; in a file it keeps the file from denoting an
+    instance, so it is a ParseError here."""
     for label, sym in symbols.items():
-        dual = getattr(sym, "dual_label", None)
+        dual = sym.dual_label
         if dual is None:
             continue
         partner = symbols.get(dual)
         _expect(partner is not None, f"dual partner {dual!r} of {label!r} is not declared")
         _expect(
-            getattr(partner, "dual_label", None) == label and partner.dim == sym.dim,
+            partner.dual_label == label and partner.dim == sym.dim,
             f"symbols {label!r} and {dual!r} do not mirror each other",
         )
 
@@ -161,14 +150,11 @@ def parse_instance(text: str) -> Instance:
 
     raw_symbols = doc.get("symbols")
     _expect(isinstance(raw_symbols, dict), "symbols must be an object")
-    symbols: dict[str, Any] = {
-        label: _parse_symbol(label, spec) for label, spec in raw_symbols.items()
-    }
-    unitary_expected = family is Family.UNITARY
+    symbols = {label: _parse_symbol(label, spec) for label, spec in raw_symbols.items()}
+    unitary = family is Family.UNITARY
     for label, sym in symbols.items():
-        is_unitary = isinstance(sym, UnitaryCuspidalSymbol)
         _expect(
-            is_unitary == unitary_expected,
+            sym.conjugate == unitary,
             f"symbol {label!r} has the wrong duality vocabulary for family"
             f" {family.value!r}",
         )
@@ -209,15 +195,6 @@ def parse_instance(text: str) -> Instance:
         )
         parsed_blocks.append(resolve(entry[0], entry[1], f"block #{i}"))
 
-    if unitary_expected:
-        sigma = UnitaryJordanData(
-            rank, tuple(UnitarySummand(rho, a) for rho, a in parsed_blocks)
-        )
-        deltas = tuple(
-            (UnitarySummand(rho, a), mult) for rho, a, mult in parsed_deltas
-        )
-        return UnitaryInstance(sigma, deltas)
-
     sigma = JordanData(
         GroupSpec(family, rank),
         tuple(Summand(rho, a) for rho, a in parsed_blocks),
@@ -228,77 +205,37 @@ def parse_instance(text: str) -> Instance:
         ),
         sigma,
     )
-    return ClassicalInstance(family, data)
+    return Instance(family, data)
 
 
-def _classical_symbol_doc(sym: CuspidalSymbol) -> dict:
-    doc: dict[str, Any] = {"dim": sym.dim, "duality": sym.duality.value}
+def _symbol_doc(sym: CuspidalSymbol) -> dict:
+    duality = sym.duality.value
+    if sym.conjugate:
+        duality = "conjugate-self-dual" if sym.self_dual else "not-conjugate-self-dual"
+    doc: dict[str, Any] = {"dim": sym.dim, "duality": duality}
     if sym.dual_label is not None:
         doc["dual"] = sym.dual_label
+    elif sym.conjugate:
+        doc["lambda"] = 1 if sym.duality is DualityType.ORTHOGONAL else -1
+    if not sym.lambda_matches:
+        doc["lambda_matches"] = False
     return doc
-
-
-def _unitary_symbol_doc(sym: UnitaryCuspidalSymbol) -> dict:
-    if sym.conj_self_dual:
-        doc: dict[str, Any] = {
-            "dim": sym.dim,
-            "duality": "conjugate-self-dual",
-            "lambda": sym.lam,
-        }
-        if not sym.lambda_rho_matches:
-            doc["lambda_matches"] = False
-        return doc
-    return {
-        "dim": sym.dim,
-        "duality": "not-conjugate-self-dual",
-        "dual": sym.dual_label,
-    }
 
 
 def instance_document(inst: Instance) -> dict:
     """Canonical JSON-ready dictionary for an instance."""
-    if isinstance(inst, UnitaryInstance):
-        symbols: dict[str, dict] = {}
+    symbols: dict[str, dict] = {}
 
-        def note(sym: UnitaryCuspidalSymbol) -> None:
-            symbols[sym.label] = _unitary_symbol_doc(sym)
-            if not sym.conj_self_dual:
-                partner = sym.dual_partner()
-                symbols.setdefault(partner.label, _unitary_symbol_doc(partner))
-
-        for block in inst.sigma.blocks:
-            note(block.rho)
-        for summand, _ in inst.deltas:
-            note(summand.rho)
-        return {
-            "format_version": FORMAT_VERSION,
-            "family": Family.UNITARY.value,
-            "symbols": {k: symbols[k] for k in sorted(symbols)},
-            "sigma": {
-                "rank": inst.sigma.rank,
-                "blocks": [
-                    [b.rho.label, b.a]
-                    for b in sorted(inst.sigma.blocks, key=UnitarySummand.sort_key)
-                ],
-            },
-            "deltas": [
-                {"rho": s.rho.label, "a": s.a, "mult": m}
-                for s, m in sorted(inst.deltas, key=lambda d: d[0].sort_key())
-            ],
-        }
-
-    symbols = {}
-
-    def note_classical(sym: CuspidalSymbol) -> None:
-        symbols[sym.label] = _classical_symbol_doc(sym)
+    def note(sym: CuspidalSymbol) -> None:
+        symbols[sym.label] = _symbol_doc(sym)
         if sym.dual_label is not None:
             partner = sym.dual_partner()
-            symbols.setdefault(partner.label, _classical_symbol_doc(partner))
+            symbols.setdefault(partner.label, _symbol_doc(partner))
 
     for block in inst.data.sigma.blocks:
-        note_classical(block.rho)
+        note(block.rho)
     for d in inst.data.deltas:
-        note_classical(d.summand.rho)
+        note(d.summand.rho)
     return {
         "format_version": FORMAT_VERSION,
         "family": inst.family.value,
@@ -331,33 +268,4 @@ def load_instance(path: str | Path) -> Instance:
 
 def validate_instance(inst: Instance) -> ValidationReport:
     """Domain validation of a parsed instance."""
-    if isinstance(inst, ClassicalInstance):
-        return validate_inducing(inst.data)
-    report = validate_unitary_jordan(inst.sigma)
-    violations = list(report.violations)
-    if len(inst.deltas) > 1:
-        violations.append(
-            Violation(
-                "maximal-levi",
-                "only maximal Levi subgroups Res GL x U are supported:"
-                " at most one delta factor",
-            )
-        )
-    for summand, mult in inst.deltas:
-        if mult != 1:
-            violations.append(
-                Violation(
-                    "maximal-levi",
-                    f"delta factor {summand.describe()} has multiplicity"
-                    f" {mult}; maximal Levi subgroups carry one GL block",
-                )
-            )
-        if summand.conj_self_dual and not summand.rho.sign_usable:
-            violations.append(
-                Violation(
-                    "sign-hypothesis",
-                    f"delta symbol {summand.rho.label!r} has even dimension"
-                    " and no sign-agreement hypothesis",
-                )
-            )
-    return ValidationReport(tuple(violations))
+    return validate_inducing(inst.data)

@@ -4,7 +4,10 @@ A discrete series sigma of G_m is represented purely by its set of
 Jordan blocks (rho, a): self-dual cuspidal symbols paired with segment
 lengths.  The blocks determine the parameter of sigma (each block
 contributes rho (x) S_a once) and drive the reducibility predicate for
-parabolic induction from GL x G_m.
+parabolic induction from GL x G_m.  For U(m) the blocks are
+conjugate-self-dual symbols, and the parity condition is the sign
+condition lambda (-1)^(a+1) = (-1)^(m+1), which is again "same type as
+the dual group" (see :mod:`rgroups.params`).
 """
 
 from __future__ import annotations
@@ -58,15 +61,18 @@ def jordan_parity_ok(rho: CuspidalSymbol, a: int, group: GroupSpec) -> bool:
 def validate_jordan(sigma: JordanData) -> ValidationReport:
     """Report every violated Jordan-data invariant.
 
-    Checks per block: the symbol is self-dual and rho (x) S_a matches the
-    dual group's type.  Globally: per-symbol segment lengths share one
-    parity, the dimensions fill the dual group, and the even orthogonal
-    family excludes rank 1 (O(2, F) has no discrete series).
+    Checks per block: the symbol is self-dual, its sign is usable (see
+    ``CuspidalSymbol.lambda_matches``) and rho (x) S_a matches the dual
+    group's type.  Globally: per-symbol segment lengths share one parity,
+    the dimensions fill the dual group, and the even orthogonal family
+    excludes rank 1 (O(2, F) has no discrete series).  U(m) words the
+    rules in conjugate duality and reports a mixed parity only through
+    the J-1 line it always comes with.
     """
-    if sigma.group.family is Family.UNITARY:
-        raise ValueError("unitary Jordan data is handled by the unitary module")
     violations: list[Violation] = []
     group = sigma.group
+    unitary = group.family is Family.UNITARY
+    conj = "conjugate-" if unitary else ""
 
     if group.family is Family.EVEN_ORTHOGONAL and group.rank == 1:
         violations.append(
@@ -80,36 +86,43 @@ def validate_jordan(sigma: JordanData) -> ValidationReport:
         if not block.rho.self_dual:
             violations.append(
                 Violation(
-                    "self-dual",
-                    f"block {block.describe()} uses a non-self-dual symbol",
+                    f"{conj}self-dual",
+                    f"block {block.describe()} uses a non-{conj}self-dual symbol",
+                )
+            )
+            continue
+        if not block.rho.lambda_matches:
+            violations.append(
+                Violation(
+                    "sign-hypothesis",
+                    f"block {block.describe()} has even dimension and no"
+                    " sign-agreement hypothesis",
                 )
             )
             continue
         if not jordan_parity_ok(block.rho, block.a, group):
-            violations.append(
-                Violation(
-                    "J-1",
-                    f"block {block.describe()} is not of the same type as the"
-                    f" dual group of {group.describe()}",
-                )
-            )
+            if unitary:
+                reason = f"fails the sign condition for {group.describe()}"
+            else:
+                reason = f"is not of the same type as the dual group of {group.describe()}"
+            violations.append(Violation("J-1", f"block {block.describe()} {reason}"))
 
     by_label: dict[str, set[int]] = {}
     for block in sigma.blocks:
         by_label.setdefault(block.rho.label, set()).add(block.a % 2)
     for label, parities in sorted(by_label.items()):
-        if len(parities) > 1:
+        if len(parities) > 1 and not unitary:
             violations.append(
                 Violation("J-1", f"mixed parity in the blocks attached to {label!r}")
             )
 
     total = sigma.total_dimension()
     if total != group.dual_dimension:
+        target = group.describe() if unitary else f"dual group of {group.describe()}"
         violations.append(
             Violation(
                 "dimension",
-                f"blocks fill dimension {total}, dual group of"
-                f" {group.describe()} needs {group.dual_dimension}",
+                f"blocks fill dimension {total}, {target} needs {group.dual_dimension}",
             )
         )
     return ValidationReport(tuple(violations))

@@ -9,13 +9,16 @@ the Arthur rank assembles the parameter of pi and reads the rank off its
 classification.  The package's central claim is that the two always
 agree; ``verify_theorem`` checks one instance and ``random_instance``
 feeds the fuzz harness.
+
+For U(m) the same code runs on conjugate-self-dual data, restricted to
+maximal Levi subgroups Res GL_k(E) x U(m): one delta factor of
+multiplicity 1, which adds 2k to the ambient rank.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .centralizer import ElementaryTwoGroup, arthur_r_group
 from .errors import BoundsInfeasible, InvalidInducingData
@@ -25,13 +28,11 @@ from .params import (
     DualityType,
     Family,
     GroupSpec,
+    Parameter,
     Summand,
     canonicalize,
 )
 from .validation import ValidationReport, Violation
-
-if TYPE_CHECKING:
-    from .unitary import UnitarySummand
 
 
 @dataclass(frozen=True)
@@ -56,17 +57,40 @@ class InducingData:
     sigma: JordanData
 
     def ambient_group(self) -> GroupSpec:
+        """GL(k) adds k to the rank of G_m; Res GL_k(E) adds 2k to U(m)."""
+        group = self.sigma.group
         gl_rank = sum(d.summand.dim * d.multiplicity for d in self.deltas)
-        return GroupSpec(self.sigma.group.family, self.sigma.group.rank + gl_rank)
+        if group.family is Family.UNITARY:
+            gl_rank *= 2
+        return GroupSpec(group.family, group.rank + gl_rank)
 
 
-def _repeated_deltas(pi: InducingData) -> ValidationReport:
-    """The delta-level rule: equivalent delta factors must be merged."""
+def _delta_rules(pi: InducingData) -> ValidationReport:
+    """The delta-level rules: equivalent delta factors must be merged, or
+    for U(m) the Levi subgroup must be maximal; a delta's sign must be
+    usable."""
+    unitary = pi.sigma.group.family is Family.UNITARY
     violations = []
+    if unitary and len(pi.deltas) > 1:
+        violations.append(
+            Violation(
+                "maximal-levi",
+                "only maximal Levi subgroups Res GL x U are supported:"
+                " at most one delta factor",
+            )
+        )
     seen: set[tuple[str, int]] = set()
     for d in pi.deltas:
         key = d.summand.sort_key()
-        if key in seen:
+        if unitary and d.multiplicity != 1:
+            violations.append(
+                Violation(
+                    "maximal-levi",
+                    f"delta factor {d.summand.describe()} has multiplicity"
+                    f" {d.multiplicity}; maximal Levi subgroups carry one GL block",
+                )
+            )
+        elif key in seen and not unitary:
             violations.append(
                 Violation(
                     "repeated-delta",
@@ -75,12 +99,20 @@ def _repeated_deltas(pi: InducingData) -> ValidationReport:
                 )
             )
         seen.add(key)
+        if not d.summand.rho.lambda_matches:
+            violations.append(
+                Violation(
+                    "sign-hypothesis",
+                    f"delta symbol {d.summand.rho.label!r} has even dimension"
+                    " and no sign-agreement hypothesis",
+                )
+            )
     return ValidationReport(tuple(violations))
 
 
 def validate_inducing(pi: InducingData) -> ValidationReport:
-    """Report violations: invalid residual data or repeated delta factors."""
-    return validate_jordan(pi.sigma) + _repeated_deltas(pi)
+    """Report violations: invalid residual data or delta factors."""
+    return validate_jordan(pi.sigma) + _delta_rules(pi)
 
 
 def knapp_stein_r_group(pi: InducingData) -> ElementaryTwoGroup:
@@ -100,7 +132,7 @@ def knapp_stein_r_group(pi: InducingData) -> ElementaryTwoGroup:
     return ElementaryTwoGroup(rank)
 
 
-def parameter_of_induced(pi: InducingData):
+def parameter_of_induced(pi: InducingData) -> Parameter:
     """Assemble the parameter of the induced representation.
 
     Each non-self-dual delta contributes its dual pair at its
@@ -134,7 +166,7 @@ def arthur_r_group_of_induced(pi: InducingData) -> ElementaryTwoGroup:
 class WitnessRow:
     """Per-delta breakdown of the Knapp-Stein count."""
 
-    summand: "Summand | UnitarySummand"
+    summand: Summand
     multiplicity: int
     self_dual: bool
     same_type: bool
@@ -156,6 +188,12 @@ class VerificationResult:
 def verify_theorem(pi: InducingData) -> VerificationResult:
     """Run both R-group computations independently and compare."""
     validate_inducing(pi).require(InvalidInducingData, "verify_theorem")
+    return _verify(pi, parameter_of_induced(pi))
+
+
+def _verify(pi: InducingData, phi: Parameter) -> VerificationResult:
+    """:func:`verify_theorem` for validated ``pi`` whose induced parameter
+    ``phi`` is already assembled."""
     rows = []
     for d in pi.deltas:
         self_dual = d.summand.self_dual
@@ -174,7 +212,7 @@ def verify_theorem(pi: InducingData) -> VerificationResult:
             )
         )
     ks = sum(row.counted for row in rows)
-    arthur = arthur_r_group(parameter_of_induced(pi), pi.ambient_group())
+    arthur = arthur_r_group(phi, pi.ambient_group())
     return VerificationResult(ks, arthur.rank, tuple(rows))
 
 
@@ -328,7 +366,7 @@ def random_instance(seed: int, bounds: FuzzBounds = FuzzBounds()) -> InducingDat
             used.add(summand.sort_key())
             deltas.append(DeltaFactor(summand, rng.randint(1, bounds.max_mult)))
         pi = InducingData(tuple(deltas), sigma)
-        if _repeated_deltas(pi).ok:  # sigma was validated by _draw_jordan
+        if _delta_rules(pi).ok:  # sigma was validated by _draw_jordan
             return pi
     raise BoundsInfeasible(
         f"no valid instance found within {_MAX_ATTEMPTS} attempts for {bounds}"

@@ -6,6 +6,13 @@ and a duality type, and S_a is the a-dimensional irreducible algebraic
 representation of SL(2, C).  Nothing analytic is computed here: duality
 types and dual pairings are declared attributes of the symbols, and every
 operation is pure bookkeeping over them.
+
+The unitary group U(n) of a quadratic extension E/F uses the same
+algebra.  A conjugate-self-dual symbol of sign lambda plays the role of
+an orthogonal (lambda = +1) or symplectic (lambda = -1) symbol, twisting
+by S_a flips the sign for a even exactly as :func:`tensor_type` does, and
+the dual type of U(n) is the sign (-1)^(n-1).  The centralizer buckets
+are the same, with no determinant condition.
 """
 
 from __future__ import annotations
@@ -36,12 +43,6 @@ class DualityType(Enum):
     ORTHOGONAL = "orthogonal"
     SYMPLECTIC = "symplectic"
 
-
-_CLASSICAL_FAMILIES = (
-    Family.SYMPLECTIC,
-    Family.ODD_ORTHOGONAL,
-    Family.EVEN_ORTHOGONAL,
-)
 
 _FAMILY_NAMES = {
     Family.SYMPLECTIC: "Sp({m}, F)",
@@ -78,14 +79,16 @@ class GroupSpec:
 
     @property
     def dual_type(self) -> DualityType:
-        """Duality type of the dual group's standard representation."""
-        if self.family is Family.SYMPLECTIC:
-            return DualityType.ORTHOGONAL
+        """Duality type of the dual group's standard representation.
+
+        For U(n) this is the sign (-1)^(n-1): orthogonal for n odd,
+        symplectic for n even.
+        """
         if self.family is Family.ODD_ORTHOGONAL:
             return DualityType.SYMPLECTIC
-        if self.family is Family.EVEN_ORTHOGONAL:
-            return DualityType.ORTHOGONAL
-        raise ValueError("the dual group GL(n, C) has no duality type")
+        if self.family is Family.UNITARY and self.rank % 2 == 0:
+            return DualityType.SYMPLECTIC
+        return DualityType.ORTHOGONAL
 
     def describe(self) -> str:
         if self.family is Family.SYMPLECTIC:
@@ -123,20 +126,35 @@ class CuspidalSymbol:
     the dual pairing are declared, never computed: the pole criteria that
     would determine them for an actual representation are analytic and out
     of scope for a symbolic calculator.
+
+    ``conjugate`` marks a datum of GL(dim, E) in the unitary vocabulary:
+    conjugate duality, with a conjugate-self-dual symbol of sign lambda
+    stored as ORTHOGONAL (lambda = +1) or SYMPLECTIC (lambda = -1), in any
+    dimension.  The sign serves both the representation and the parameter
+    side.  The two agree automatically in odd dimension; in even dimension
+    ``lambda_matches=False`` records that their agreement is not assumed,
+    and validation then rejects every block or delta on the symbol.
     """
 
     label: str
     dim: int
     duality: DualityType
     dual_label: str | None = None
+    conjugate: bool = False
+    lambda_matches: bool = True
 
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValueError(f"dim must be positive, got {self.dim}")
-        if self.duality is DualityType.SYMPLECTIC and self.dim % 2:
+        if self.duality is DualityType.SYMPLECTIC and self.dim % 2 and not self.conjugate:
             raise ValueError(
                 f"symplectic symbol {self.label!r} must have even dimension"
             )
+        if not self.lambda_matches:
+            if self.dim % 2:
+                raise ValueError("the two signs agree automatically in odd dimension")
+            if not (self.conjugate and self.self_dual):
+                raise ValueError("only a conjugate-self-dual symbol has a sign to match")
         if self.duality is DualityType.NOT_SELF_DUAL:
             if self.dual_label is None:
                 raise ValueError(
@@ -162,6 +180,7 @@ class CuspidalSymbol:
             dim=self.dim,
             duality=DualityType.NOT_SELF_DUAL,
             dual_label=self.label,
+            conjugate=self.conjugate,
         )
 
 
@@ -254,13 +273,14 @@ class Parameter:
         return sum(e.total_dim for e in self.entries)
 
     def expanded_entries(self) -> list[tuple[Summand, int]]:
-        """Raw (summand, multiplicity) list with dual pairs expanded."""
+        """Raw (summand, multiplicity) list with dual pairs expanded,
+        sorted by (label, a)."""
         out: list[tuple[Summand, int]] = []
         for e in self.entries:
             out.append((e.summand, e.multiplicity))
             if e.is_dual_pair:
                 out.append((e.summand.dual_partner(), e.multiplicity))
-        return out
+        return sorted(out, key=lambda item: item[0].sort_key())
 
     def describe(self) -> str:
         parts = []
@@ -381,8 +401,6 @@ _Checked = tuple[ValidationReport, Classification]
 
 def _check_entries(psi: Parameter, group: GroupSpec) -> _Checked:
     """The checking pass: one loop that fills the buckets and collects violations."""
-    if group.family not in _CLASSICAL_FAMILIES:
-        raise ValueError("unitary parameters are handled by the unitary module")
     dual_type = group.dual_type
     violations: list[Violation] = []
     pairs, opposite, same_odd, same_even = [], [], [], []

@@ -18,14 +18,12 @@ from rgroups import (
     GroupSpec,
     InducingData,
     Summand,
-    UnitarySummand,
     arthur_r_group,
     canonicalize,
     centralizer,
     classify,
+    parameter_of_induced,
     random_instance,
-    unitary_centralizer,
-    unitary_maximal_levi_r_group,
     unresolved_centralizer,
     validate_parameter,
     verify_theorem,
@@ -33,15 +31,14 @@ from rgroups import (
 )
 from rgroups.cli import main
 from rgroups.instances import (
-    ClassicalInstance,
+    Instance,
     load_instance,
     parse_instance,
     serialize_instance,
 )
-from rgroups.unitary import lambda_tensor, maximal_levi_phi, parity_sign
 
 from helpers import CLASSICAL_FAMILIES, exhaustive_valid_parameters, opposite_of
-from test_unitary import csd, filler_sigma, ncsd
+from test_unitary import csd, filler_sigma, maximal_levi, ncsd, parity_sign, sign_of
 
 GL = FactorKind.GENERAL_LINEAR
 SP = FactorKind.SYMPLECTIC
@@ -177,7 +174,7 @@ def test_criterion_3_main_theorem_fuzz():
             if not result.agree:
                 REPLAY_DIR.mkdir(exist_ok=True)
                 path = REPLAY_DIR / f"acceptance-{family.value}-seed{seed}.json"
-                path.write_text(serialize_instance(ClassicalInstance(family, pi)))
+                path.write_text(serialize_instance(Instance(family, pi)))
                 failures.append((family.value, seed, path))
     assert not failures, f"replay files written: {failures}"
 
@@ -221,14 +218,14 @@ def test_criterion_5_unitary_case_table():
                     if rank + 2 * d * a > 12:
                         continue
                     builds = [
-                        UnitarySummand(ncsd("z", d), a),
-                        UnitarySummand(csd("z", lam, dim=d), a),
+                        Summand(ncsd("z", d), a),
+                        Summand(csd("z", lam, dim=d), a),
                     ]
                     for delta in builds:
                         sigma = filler_sigma(rank)
                         _check_unitary_case(delta, sigma, seen)
-                    member = UnitarySummand(csd("z", lam, dim=d), a)
-                    if member.dim <= rank and lambda_tensor(lam, a) == parity_sign(
+                    member = Summand(csd("z", lam, dim=d), a)
+                    if member.dim <= rank and lam * parity_sign(a + 1) == parity_sign(
                         rank + 1
                     ):
                         sigma = filler_sigma(rank, member)
@@ -237,11 +234,13 @@ def test_criterion_5_unitary_case_table():
 
 
 def _check_unitary_case(delta, sigma, seen):
-    result = unitary_maximal_levi_r_group(delta, sigma)
+    pi = maximal_levi(delta, sigma)
+    result = verify_theorem(pi)
     assert result.agree
-    ambient = sigma.rank + 2 * delta.dim
-    desc = unitary_centralizer(maximal_levi_phi(delta, sigma), ambient)
-    if not delta.conj_self_dual:
+    ambient = GroupSpec(Family.UNITARY, sigma.group.rank + 2 * delta.dim)
+    assert pi.ambient_group() == ambient
+    desc = centralizer(parameter_of_induced(pi), ambient)
+    if not delta.self_dual:
         seen.add("pair")
         assert result.ks_rank == result.arthur_rank == 0
         assert sum(1 for f in desc.factors if f.kind is GL) >= 2
@@ -249,7 +248,9 @@ def _check_unitary_case(delta, sigma, seen):
         seen.add("member")
         assert result.ks_rank == result.arthur_rank == 0
         assert any(f.kind is O and f.size == 3 for f in desc.factors)
-    elif lambda_tensor(delta.rho.lam, delta.a) != parity_sign(sigma.rank + 1):
+    elif sign_of(delta.rho.duality) * parity_sign(delta.a + 1) != parity_sign(
+        sigma.group.rank + 1
+    ):
         seen.add("irreducible")
         assert result.ks_rank == result.arthur_rank == 0
         assert any(f.kind is SP and f.size == 2 for f in desc.factors)
@@ -261,14 +262,16 @@ def _check_unitary_case(delta, sigma, seen):
 
 
 def test_criterion_6_sign_rule_exhaustive():
-    """The twist sign rule, exhaustively for both signs and a up to 10."""
+    """The twist sign rule, exhaustively for both signs and a up to 10: the
+    sign of rho (x) S_a, read off the summand's duality type."""
     for lam in (1, -1):
         for a in range(1, 11):
-            assert lambda_tensor(lam, a) == parity_sign(a + 1) * lam
+            twisted = sign_of(Summand(csd("x", lam), a).duality)
+            assert twisted == parity_sign(a + 1) * lam
             if a % 2:
-                assert lambda_tensor(lam, a) == lam
+                assert twisted == lam
             else:
-                assert lambda_tensor(lam, a) == -lam
+                assert twisted == -lam
 
 
 def test_criterion_7_symplectic_structural_guarantee():

@@ -1,15 +1,20 @@
 """Tests for the instance-file schema: parsing, canonical serialization
-and round-tripping over the committed corpus."""
+and round-tripping over the committed corpus and over generated
+documents of all four families."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from rgroups import Family
+from rgroups.cli import main
 from rgroups.errors import ParseError
 from rgroups.instances import (
-    ClassicalInstance,
-    UnitaryInstance,
+    Instance,
     load_instance,
     parse_instance,
     serialize_instance,
@@ -47,7 +52,7 @@ def test_corpus_validation_matches_file_name(path):
 
 def test_parse_classical_instance_fields():
     inst = load_instance(CORPUS / "sp-mixed-valid.json")
-    assert isinstance(inst, ClassicalInstance)
+    assert isinstance(inst, Instance) and inst.family is Family.SYMPLECTIC
     data = inst.data
     assert data.sigma.group.rank == 2
     assert len(data.sigma.blocks) == 2
@@ -56,11 +61,12 @@ def test_parse_classical_instance_fields():
 
 def test_parse_unitary_instance_fields():
     inst = load_instance(CORPUS / "unitary-reducible-valid.json")
-    assert isinstance(inst, UnitaryInstance)
-    assert inst.sigma.rank == 3
-    assert len(inst.sigma.blocks) == 3
-    ((delta, mult),) = inst.deltas
-    assert delta.rho.label == "chi" and mult == 1
+    assert isinstance(inst, Instance) and inst.family is Family.UNITARY
+    assert inst.data.sigma.group.rank == 3
+    assert len(inst.data.sigma.blocks) == 3
+    (delta,) = inst.data.deltas
+    assert delta.summand.rho.label == "chi" and delta.multiplicity == 1
+    assert delta.summand.rho.conjugate
 
 
 def minimal_doc():
@@ -75,7 +81,7 @@ def minimal_doc():
 
 def test_parse_minimal_document():
     inst = parse_instance(json.dumps(minimal_doc()))
-    assert isinstance(inst, ClassicalInstance)
+    assert isinstance(inst, Instance)
     assert validate_instance(inst).ok
 
 
@@ -196,3 +202,128 @@ def test_unitary_maximal_levi_rules_are_domain_violations():
     ]
     report = validate_instance(parse_instance(json.dumps(doc)))
     assert any(v.rule == "maximal-levi" for v in report.violations)
+
+
+# ---------------------------------------------------------------------------
+# Round-trip property over generated documents, in all four families
+# ---------------------------------------------------------------------------
+
+FAMILIES = ("sp", "so-odd", "o-even", "unitary")
+
+
+def _pair_vocabulary(family: str) -> str:
+    return "not-conjugate-self-dual" if family == "unitary" else "not-self-dual"
+
+
+@st.composite
+def canonical_documents(draw, family: str) -> dict:
+    """A canonical instance document of ``family``: symbols sorted and all
+    referenced, blocks distinct and sorted, deltas sorted by (label, a).
+    Domain validity is not required; parsing only needs a well-formed file."""
+    unitary = family == "unitary"
+    symbols: dict[str, dict] = {}
+    uses: list[str] = []
+    for i in range(draw(st.integers(0, 4))):
+        label, dim = f"r{i}", draw(st.integers(1, 4))
+        kind = draw(st.sampled_from(("orthogonal", "symplectic", "pair")))
+        if kind == "pair":
+            duality = _pair_vocabulary(family)
+            symbols[label] = {"dim": dim, "duality": duality, "dual": label + "t"}
+            symbols[label + "t"] = {"dim": dim, "duality": duality, "dual": label}
+            uses.append(draw(st.sampled_from((label, label + "t"))))
+            continue
+        if unitary:
+            spec = {"dim": dim, "duality": "conjugate-self-dual"}
+            spec["lambda"] = 1 if kind == "orthogonal" else -1
+            if dim % 2 == 0 and draw(st.booleans()):
+                spec["lambda_matches"] = False
+        else:
+            if kind == "symplectic":
+                dim += dim % 2
+            spec = {"dim": dim, "duality": kind}
+        symbols[label] = spec
+        uses.append(label)
+    blocks, deltas = set(), []
+    for label in uses + draw(st.lists(st.sampled_from(uses), max_size=3) if uses else st.just([])):
+        a = draw(st.integers(1, 5))
+        if draw(st.booleans()):
+            blocks.add((label, a))
+        else:
+            deltas.append({"rho": label, "a": a, "mult": draw(st.integers(1, 3))})
+    return {
+        "format_version": "1",
+        "family": family,
+        "symbols": {k: symbols[k] for k in sorted(symbols)},
+        "sigma": {"rank": draw(st.integers(0, 12)), "blocks": [list(b) for b in sorted(blocks)]},
+        "deltas": sorted(deltas, key=lambda d: (d["rho"], d["a"])),
+    }
+
+
+def _text(doc: dict) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_generated_documents_round_trip(family, data):
+    text = _text(data.draw(canonical_documents(family)))
+    inst = parse_instance(text)
+    assert inst.family.value == family
+    assert serialize_instance(inst) == text
+
+
+def _booleans_in_integer_fields(doc: dict) -> list:
+    """Setters that put a JSON boolean where the schema wants an integer."""
+    setters = [lambda d: d["sigma"].update(rank=True)]
+    for label, spec in doc["symbols"].items():
+        setters.append(lambda d, label=label: d["symbols"][label].update(dim=True))
+        if "lambda" in spec:
+            setters.append(lambda d, label=label: d["symbols"][label].update({"lambda": True}))
+    for i in range(len(doc["sigma"]["blocks"])):
+        setters.append(lambda d, i=i: d["sigma"]["blocks"][i].__setitem__(1, True))
+    for i in range(len(doc["deltas"])):
+        setters.append(lambda d, i=i: d["deltas"][i].update(a=True))
+        setters.append(lambda d, i=i: d["deltas"][i].update(mult=False))
+    return setters
+
+
+def _mutations(family: str, doc: dict) -> dict:
+    unitary = family == "unitary"
+    other_vocabulary = (
+        {"dim": 1, "duality": "orthogonal"}
+        if unitary
+        else {"dim": 1, "duality": "conjugate-self-dual", "lambda": 1}
+    )
+    odd_unmatched = {"dim": 3, "duality": "orthogonal", "lambda_matches": False}
+    if unitary:
+        odd_unmatched = {"dim": 3, "duality": "conjugate-self-dual", "lambda": -1, "lambda_matches": False}
+    orphan = {"dim": 1, "duality": _pair_vocabulary(family), "dual": "qt"}
+    return {
+        "wrong vocabulary": [lambda d: d["symbols"].update(v=other_vocabulary)],
+        "lambda_matches on an odd dimension": [lambda d: d["symbols"].update(w=odd_unmatched)],
+        "boolean for an integer": _booleans_in_integer_fields(doc),
+        "missing dual partner": [lambda d: d["symbols"].update(q=orphan)],
+    }
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mutated_documents_are_parse_errors(family, data, tmp_path_factory):
+    doc = data.draw(canonical_documents(family))
+    kind, setters = data.draw(st.sampled_from(sorted(_mutations(family, doc).items())))
+    mutate = data.draw(st.sampled_from(setters))
+    mutate(doc)
+    text = _text(doc)
+    with pytest.raises(ParseError):
+        parse_instance(text)
+    path = tmp_path_factory.mktemp("mutated") / "doc.json"
+    path.write_text(text)
+    for command in (["validate"], ["rgroup", "--oracle"], ["explain"]):
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main([*command, str(path)])
+        assert code == 2, (kind, command)
+        assert err.getvalue().startswith("parse error: "), (kind, err.getvalue())
+        assert "Traceback" not in err.getvalue()

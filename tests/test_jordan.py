@@ -4,6 +4,8 @@ reconstruction of the parameter of sigma."""
 import pytest
 
 from rgroups import (
+    CuspidalSymbol,
+    DualityType,
     Family,
     GroupSpec,
     JordanData,
@@ -79,9 +81,16 @@ def test_dimension_mismatch_is_flagged():
     assert any(v.rule == "dimension" for v in report.violations)
 
 
-def test_unitary_family_is_rejected():
-    with pytest.raises(ValueError):
-        validate_jordan(JordanData(GroupSpec(Family.UNITARY, 2), ()))
+def test_unitary_blocks_follow_the_parity_of_the_rank():
+    # the dual type of U(n) is (-1)^(n-1): a conjugate-orthogonal character
+    # is a block of U(n) for n odd, a conjugate-symplectic one for n even
+    for n in range(1, 7):
+        for duality in (DualityType.ORTHOGONAL, DualityType.SYMPLECTIC):
+            chi = CuspidalSymbol("chi", 1, duality, conjugate=True)
+            expected = (duality is DualityType.ORTHOGONAL) == (n % 2 == 1)
+            assert jordan_parity_ok(chi, 1, GroupSpec(Family.UNITARY, n)) == expected
+    report = validate_jordan(JordanData(GroupSpec(Family.UNITARY, 2), ()))
+    assert [v.rule for v in report.violations] == ["dimension"]
 
 
 def test_jordan_parity_table():

@@ -311,10 +311,16 @@ def test_validate_flags_dimension_mismatch():
     assert any(v.rule == "dimension" for v in report.violations)
 
 
-def test_validate_rejects_unitary_family():
-    psi = canonicalize([(Summand(orth("x"), 1), 1)])
-    with pytest.raises(ValueError):
-        validate_parameter(psi, GroupSpec(Family.UNITARY, 1))
+def test_validate_unitary_family_by_rank_parity():
+    # U(n) has dual type (-1)^(n-1): a conjugate-orthogonal summand is of
+    # the same type for n odd, a conjugate-symplectic one for n even
+    conj_orth = Summand(CuspidalSymbol("x", 1, ORTH, conjugate=True), 1)
+    conj_sympl = Summand(CuspidalSymbol("y", 1, SYMPL, conjugate=True), 1)
+    u1, u2 = GroupSpec(Family.UNITARY, 1), GroupSpec(Family.UNITARY, 2)
+    assert validate_parameter(canonicalize([(conj_orth, 1)]), u1).ok
+    assert validate_parameter(canonicalize([(conj_sympl, 2)]), u2).ok
+    report = validate_parameter(canonicalize([(conj_sympl, 1)]), u1)
+    assert [v.rule for v in report.violations] == ["odd-multiplicity"]
 
 
 def test_group_spec_dual_data():
@@ -325,8 +331,9 @@ def test_group_spec_dual_data():
     assert GroupSpec(Family.SYMPLECTIC, 1).dual_type is ORTH
     assert GroupSpec(Family.ODD_ORTHOGONAL, 1).dual_type is SYMPL
     assert GroupSpec(Family.EVEN_ORTHOGONAL, 1).dual_type is ORTH
-    with pytest.raises(ValueError):
-        GroupSpec(Family.UNITARY, 1).dual_type
+    assert GroupSpec(Family.UNITARY, 1).dual_type is ORTH
+    assert GroupSpec(Family.UNITARY, 2).dual_type is SYMPL
+    assert GroupSpec(Family.UNITARY, 0).dual_type is SYMPL
     with pytest.raises(ValueError):
         GroupSpec(Family.SYMPLECTIC, -1)
 

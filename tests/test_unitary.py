@@ -1,42 +1,78 @@
-"""Tests for the unitary-group machinery: sign arithmetic, Jordan data,
-centralizers and the maximal-Levi two-sided check."""
+"""Tests for unitary groups on the shared classical path: sign arithmetic,
+Jordan data, centralizers and the maximal-Levi two-sided check.
+
+A conjugate-self-dual symbol of sign lambda is a conjugate
+``CuspidalSymbol`` of type ORTHOGONAL (lambda = +1) or SYMPLECTIC
+(lambda = -1).  The expected signs here are computed from the formulas
+lambda (-1)^(a+1) and (-1)^(n+1), independently of ``tensor_type``.
+"""
+
+import json
 
 import pytest
 
 from rgroups import (
+    CuspidalSymbol,
+    DeltaFactor,
+    DualityType,
     FactorKind,
-    UnitaryCuspidalSymbol,
-    UnitaryJordanData,
-    UnitarySummand,
+    Family,
+    GroupSpec,
+    InducingData,
+    JordanData,
+    Summand,
+    canonicalize,
+    centralizer,
     descriptor_rank,
-    lambda_tensor,
-    unitary_centralizer,
-    unitary_jordan_condition,
-    unitary_maximal_levi_r_group,
-    validate_unitary_jordan,
+    jordan_parity_ok,
+    parameter_of_induced,
+    parameter_of_sigma,
+    validate_jordan,
+    verify_theorem,
     weyl_quotient,
 )
-from rgroups.errors import (
-    DimensionMismatch,
-    InvalidUnitaryData,
-    OddMultiplicitySp,
-)
-from rgroups.unitary import maximal_levi_phi, parity_sign
+from rgroups.errors import InvalidInducingData, InvalidJordanData, InvalidParameter, ParseError
+from rgroups.instances import parse_instance
 
 GL = FactorKind.GENERAL_LINEAR
 SP = FactorKind.SYMPLECTIC
 O = FactorKind.FULL_ORTHOGONAL
 
 
-def csd(label: str, lam: int, dim: int = 1, matches: bool = True) -> UnitaryCuspidalSymbol:
-    return UnitaryCuspidalSymbol(label, dim, True, lam, lambda_rho_matches=matches)
+def parity_sign(exponent: int) -> int:
+    """(-1)**exponent."""
+    return -1 if exponent % 2 else 1
 
 
-def ncsd(label: str, dim: int = 1) -> UnitaryCuspidalSymbol:
-    return UnitaryCuspidalSymbol(label, dim, False, dual_label=label + "t")
+def twisted_sign(lam: int, a: int) -> int:
+    """The sign of rho (x) S_a for rho of sign lam: lam (-1)^(a+1)."""
+    return lam * parity_sign(a + 1)
 
 
-def filler_sigma(rank: int, extra: UnitarySummand | None = None) -> UnitaryJordanData:
+def sign_condition(lam: int, a: int, n: int) -> bool:
+    """Block-side sign condition for U(n): the twisted sign is (-1)^(n+1)."""
+    return twisted_sign(lam, a) == parity_sign(n + 1)
+
+
+def sign_of(duality: DualityType) -> int:
+    """The sign a conjugate-self-dual symbol or summand of this type carries."""
+    return {DualityType.ORTHOGONAL: 1, DualityType.SYMPLECTIC: -1}[duality]
+
+
+def U(n: int) -> GroupSpec:
+    return GroupSpec(Family.UNITARY, n)
+
+
+def csd(label: str, lam: int, dim: int = 1, matches: bool = True) -> CuspidalSymbol:
+    duality = DualityType.ORTHOGONAL if lam == 1 else DualityType.SYMPLECTIC
+    return CuspidalSymbol(label, dim, duality, conjugate=True, lambda_matches=matches)
+
+
+def ncsd(label: str, dim: int = 1) -> CuspidalSymbol:
+    return CuspidalSymbol(label, dim, DualityType.NOT_SELF_DUAL, label + "t", conjugate=True)
+
+
+def filler_sigma(rank: int, extra: Summand | None = None) -> JordanData:
     """Jordan data of U(rank): the optional block plus 1-dim fillers."""
     blocks = []
     used = 0
@@ -45,8 +81,19 @@ def filler_sigma(rank: int, extra: UnitarySummand | None = None) -> UnitaryJorda
         used = extra.dim
     lam = parity_sign(rank + 1)
     for i in range(rank - used):
-        blocks.append(UnitarySummand(csd(f"f{i}", lam), 1))
-    return UnitaryJordanData(rank, tuple(blocks))
+        blocks.append(Summand(csd(f"f{i}", lam), 1))
+    return JordanData(U(rank), tuple(blocks))
+
+
+def maximal_levi(delta: Summand, sigma: JordanData) -> InducingData:
+    """The inducing datum of Res GL(dim delta, E) x U(sigma rank)."""
+    return InducingData((DeltaFactor(delta, 1),), sigma)
+
+
+def induced_centralizer(delta: Summand, sigma: JordanData):
+    pi = maximal_levi(delta, sigma)
+    assert pi.ambient_group() == U(sigma.group.rank + 2 * delta.dim)
+    return centralizer(parameter_of_induced(pi), pi.ambient_group())
 
 
 # ---------------------------------------------------------------------------
@@ -54,49 +101,64 @@ def filler_sigma(rank: int, extra: UnitarySummand | None = None) -> UnitaryJorda
 # ---------------------------------------------------------------------------
 
 
+def summand_sign(lam: int, a: int) -> int:
+    return sign_of(Summand(csd("x", lam), a).duality)
+
+
 def test_lambda_tensor_values():
-    assert lambda_tensor(1, 1) == 1
-    assert lambda_tensor(1, 2) == -1
-    assert lambda_tensor(-1, 4) == 1
+    assert summand_sign(1, 1) == 1
+    assert summand_sign(1, 2) == -1
+    assert summand_sign(-1, 4) == 1
     for lam in (1, -1):
         for a in range(1, 11):
-            assert lambda_tensor(lam, a) == parity_sign(a + 1) * lam
+            assert summand_sign(lam, a) == parity_sign(a + 1) * lam
 
 
 def test_lambda_tensor_parity_behaviour():
     for lam in (1, -1):
         for a in range(1, 11):
-            twice = lambda_tensor(lambda_tensor(lam, a), a)
+            twice = summand_sign(summand_sign(lam, a), a)
             assert twice == lam  # identity for a odd, double flip for a even
             if a % 2:
-                assert lambda_tensor(lam, a) == lam
+                assert summand_sign(lam, a) == lam
             else:
-                assert lambda_tensor(lam, a) == -lam
+                assert summand_sign(lam, a) == -lam
 
 
 def test_lambda_tensor_input_validation():
+    doc = {
+        "format_version": "1",
+        "family": "unitary",
+        "symbols": {"x": {"dim": 1, "duality": "conjugate-self-dual", "lambda": 0}},
+        "sigma": {"rank": 1, "blocks": [["x", 1]]},
+        "deltas": [],
+    }
+    with pytest.raises(ParseError, match="lambda"):
+        parse_instance(json.dumps(doc))
     with pytest.raises(ValueError):
-        lambda_tensor(0, 1)
-    with pytest.raises(ValueError):
-        lambda_tensor(1, 0)
+        Summand(csd("x", 1), 0)
 
 
 def test_unitary_jordan_condition_table():
     for n in range(1, 7):
         lam_matching = parity_sign(n)
-        assert unitary_jordan_condition(lam_matching, 2, n)
-        assert not unitary_jordan_condition(lam_matching, 1, n)
-        assert unitary_jordan_condition(parity_sign(n + 1), 1, n)
-        assert not unitary_jordan_condition(parity_sign(n + 1), 2, n)
+        assert jordan_parity_ok(csd("x", lam_matching), 2, U(n))
+        assert not jordan_parity_ok(csd("x", lam_matching), 1, U(n))
+        assert jordan_parity_ok(csd("x", parity_sign(n + 1)), 1, U(n))
+        assert not jordan_parity_ok(csd("x", parity_sign(n + 1)), 2, U(n))
 
 
 def test_unitary_jordan_condition_selects_one_parity():
     for lam in (1, -1):
         for n in range(1, 8):
             parities = {
-                a % 2 for a in range(1, 9) if unitary_jordan_condition(lam, a, n)
+                a % 2 for a in range(1, 9) if jordan_parity_ok(csd("x", lam), a, U(n))
             }
             assert len(parities) == 1
+            assert all(
+                jordan_parity_ok(csd("x", lam), a, U(n)) == sign_condition(lam, a, n)
+                for a in range(1, 9)
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -106,51 +168,52 @@ def test_unitary_jordan_condition_selects_one_parity():
 
 def test_unitary_symbol_validation():
     with pytest.raises(ValueError):
-        UnitaryCuspidalSymbol("x", 1, True)  # missing lam
+        CuspidalSymbol("x", 1, DualityType.ORTHOGONAL, "y", conjugate=True)  # self-dual with a dual
     with pytest.raises(ValueError):
-        UnitaryCuspidalSymbol("x", 1, True, 2)  # bad sign
+        CuspidalSymbol("x", 3, DualityType.SYMPLECTIC)  # odd symplectic needs conjugate
     with pytest.raises(ValueError):
-        UnitaryCuspidalSymbol("x", 1, False)  # missing dual
+        CuspidalSymbol("x", 1, DualityType.NOT_SELF_DUAL, conjugate=True)  # missing dual
     with pytest.raises(ValueError):
-        UnitaryCuspidalSymbol("x", 1, False, dual_label="x")
+        CuspidalSymbol("x", 1, DualityType.NOT_SELF_DUAL, "x", conjugate=True)
     with pytest.raises(ValueError):
-        UnitaryCuspidalSymbol("x", 3, True, 1, lambda_rho_matches=False)
-    sym = csd("x", -1, dim=2, matches=False)
-    assert not sym.sign_usable
-    assert csd("y", 1, dim=2).sign_usable
+        csd("x", 1, dim=3, matches=False)
+    with pytest.raises(ValueError):
+        CuspidalSymbol("x", 2, DualityType.ORTHOGONAL, lambda_matches=False)  # not conjugate
+    with pytest.raises(ValueError):
+        CuspidalSymbol("x", 2, DualityType.NOT_SELF_DUAL, "y", conjugate=True, lambda_matches=False)
+    assert csd("w", -1, dim=3).duality is DualityType.SYMPLECTIC
+    assert not csd("x", -1, dim=2, matches=False).lambda_matches
+    assert csd("y", 1, dim=2).lambda_matches
     partner = ncsd("p", 3).dual_partner()
-    assert partner.label == "pt" and partner.dual_label == "p"
+    assert partner.label == "pt" and partner.dual_label == "p" and partner.conjugate
 
 
 def test_unitary_summand_sign():
-    s = UnitarySummand(csd("x", 1), 2)
-    assert s.dim == 2 and s.lam == -1
-    with pytest.raises(InvalidUnitaryData):
-        UnitarySummand(csd("x", 1, dim=2, matches=False), 1).lam
+    s = Summand(csd("x", 1), 2)
+    assert s.dim == 2 and sign_of(s.duality) == -1
+    unusable = JordanData(U(2), (Summand(csd("x", -1, dim=2, matches=False), 1),))
+    with pytest.raises(InvalidJordanData, match="sign-hypothesis"):
+        parameter_of_sigma(unusable)
 
 
 def test_validate_unitary_jordan():
-    assert validate_unitary_jordan(filler_sigma(3)).ok
-    assert validate_unitary_jordan(filler_sigma(0)).ok
+    assert validate_jordan(filler_sigma(3)).ok
+    assert validate_jordan(filler_sigma(0)).ok
 
-    bad_sign = UnitaryJordanData(
-        2, (UnitarySummand(csd("x", parity_sign(2), dim=2), 1),)
-    )
-    report = validate_unitary_jordan(bad_sign)
+    bad_sign = JordanData(U(2), (Summand(csd("x", parity_sign(2), dim=2), 1),))
+    report = validate_jordan(bad_sign)
     assert any(v.rule == "J-1" for v in report.violations)
 
-    bad_dim = UnitaryJordanData(3, (UnitarySummand(csd("x", 1), 1),))
-    report = validate_unitary_jordan(bad_dim)
+    bad_dim = JordanData(U(3), (Summand(csd("x", 1), 1),))
+    report = validate_jordan(bad_dim)
     assert any(v.rule == "dimension" for v in report.violations)
 
-    not_csd = UnitaryJordanData(1, (UnitarySummand(ncsd("p"), 1),))
-    report = validate_unitary_jordan(not_csd)
+    not_csd = JordanData(U(1), (Summand(ncsd("p"), 1),))
+    report = validate_jordan(not_csd)
     assert any(v.rule == "conjugate-self-dual" for v in report.violations)
 
-    no_hypothesis = UnitaryJordanData(
-        2, (UnitarySummand(csd("x", -1, dim=2, matches=False), 1),)
-    )
-    report = validate_unitary_jordan(no_hypothesis)
+    no_hypothesis = JordanData(U(2), (Summand(csd("x", -1, dim=2, matches=False), 1),))
+    report = validate_jordan(no_hypothesis)
     assert any(v.rule == "sign-hypothesis" for v in report.violations)
 
 
@@ -161,10 +224,8 @@ def test_validate_unitary_jordan():
 
 def test_unitary_centralizer_pair_case():
     sigma = filler_sigma(3)
-    delta = UnitarySummand(ncsd("p"), 1)
-    entries = maximal_levi_phi(delta, sigma)
-    n = 3 + 2 * delta.dim
-    desc = unitary_centralizer(entries, n)
+    delta = Summand(ncsd("p"), 1)
+    desc = induced_centralizer(delta, sigma)
     assert desc.det_constraint is None
     gl_factors = [f for f in desc.factors if f.kind is GL]
     assert len(gl_factors) == 2
@@ -175,9 +236,9 @@ def test_unitary_centralizer_pair_case():
 
 def test_unitary_centralizer_merged_block_gives_odd_orthogonal():
     lam = parity_sign(3 + 1)
-    block = UnitarySummand(csd("x", lam), 1)
+    block = Summand(csd("x", lam), 1)
     sigma = filler_sigma(3, block)
-    desc = unitary_centralizer(maximal_levi_phi(block, sigma), 5)
+    desc = induced_centralizer(block, sigma)
     merged = next(f for f in desc.factors if f.size == 3)
     assert merged.kind is O
     assert descriptor_rank(desc).rank == 0
@@ -185,24 +246,26 @@ def test_unitary_centralizer_merged_block_gives_odd_orthogonal():
 
 def test_unitary_centralizer_sp2_case():
     sigma = filler_sigma(3)
-    delta = UnitarySummand(csd("x", parity_sign(3)), 1)  # condition fails
-    desc = unitary_centralizer(maximal_levi_phi(delta, sigma), 5)
+    delta = Summand(csd("x", parity_sign(3)), 1)  # condition fails
+    desc = induced_centralizer(delta, sigma)
     assert any(f.kind is SP and f.size == 2 for f in desc.factors)
 
 
 def test_unitary_centralizer_o2_case():
     sigma = filler_sigma(3)
-    delta = UnitarySummand(csd("x", parity_sign(3 + 1)), 1)
-    desc = unitary_centralizer(maximal_levi_phi(delta, sigma), 5)
+    delta = Summand(csd("x", parity_sign(3 + 1)), 1)
+    desc = induced_centralizer(delta, sigma)
     assert any(f.kind is O and f.size == 2 for f in desc.factors)
     assert descriptor_rank(desc).rank == 1
 
 
 def test_unitary_centralizer_errors():
-    with pytest.raises(DimensionMismatch):
-        unitary_centralizer([(UnitarySummand(csd("x", 1), 1), 2)], 3)
-    with pytest.raises(OddMultiplicitySp):
-        unitary_centralizer([(UnitarySummand(csd("x", parity_sign(3)), 1), 3)], 3)
+    too_big = canonicalize([(Summand(csd("x", 1), 1), 2)])
+    with pytest.raises(InvalidParameter, match="^centralizer: dimension"):
+        centralizer(too_big, U(3))
+    odd_sp = canonicalize([(Summand(csd("x", parity_sign(3)), 1), 3)])
+    with pytest.raises(InvalidParameter, match="^centralizer: odd-multiplicity"):
+        centralizer(odd_sp, U(3))
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +273,12 @@ def test_unitary_centralizer_errors():
 # ---------------------------------------------------------------------------
 
 
-def case_of(delta: UnitarySummand, sigma: UnitaryJordanData) -> str:
-    if not delta.conj_self_dual:
+def case_of(delta: Summand, sigma: JordanData) -> str:
+    if not delta.self_dual:
         return "pair"
     if delta in sigma.blocks:
         return "member"
-    if unitary_jordan_condition(delta.rho.lam, delta.a, sigma.rank):
+    if sign_condition(sign_of(delta.rho.duality), delta.a, sigma.group.rank):
         return "reducible"
     return "irreducible"
 
@@ -239,20 +302,17 @@ def test_maximal_levi_three_case_table():
                         continue
                     for build in ("pair", "csd", "member"):
                         if build == "pair":
-                            delta = UnitarySummand(ncsd("z", d), a)
+                            delta = Summand(ncsd("z", d), a)
                             sigma = filler_sigma(rank)
                         elif build == "csd":
-                            delta = UnitarySummand(csd("z", lam, dim=d), a)
+                            delta = Summand(csd("z", lam, dim=d), a)
                             sigma = filler_sigma(rank)
                         else:
-                            delta = UnitarySummand(csd("z", lam, dim=d), a)
-                            if (
-                                delta.dim > rank
-                                or not unitary_jordan_condition(lam, a, rank)
-                            ):
+                            delta = Summand(csd("z", lam, dim=d), a)
+                            if delta.dim > rank or not sign_condition(lam, a, rank):
                                 continue
                             sigma = filler_sigma(rank, delta)
-                        result = unitary_maximal_levi_r_group(delta, sigma)
+                        result = verify_theorem(maximal_levi(delta, sigma))
                         kind = case_of(delta, sigma)
                         seen.add(kind)
                         assert (result.ks_rank, result.arthur_rank) == EXPECTED[kind]
@@ -263,9 +323,9 @@ def test_maximal_levi_three_case_table():
 def test_maximal_levi_cases_are_exclusive_and_exhaustive():
     sigma = filler_sigma(3)
     deltas = [
-        UnitarySummand(ncsd("p"), 1),
-        UnitarySummand(csd("m", parity_sign(4)), 1),
-        UnitarySummand(csd("x", parity_sign(3)), 1),
+        Summand(ncsd("p"), 1),
+        Summand(csd("m", parity_sign(4)), 1),
+        Summand(csd("x", parity_sign(3)), 1),
         sigma.blocks[0],
     ]
     kinds = {case_of(d, sigma) for d in deltas}
@@ -276,23 +336,21 @@ def test_maximal_levi_oracle_equivalence():
     for lam in (1, -1):
         for a in (1, 2, 3):
             for rank in (0, 2, 3):
-                delta = UnitarySummand(csd("z", lam), a)
+                delta = Summand(csd("z", lam), a)
                 sigma = filler_sigma(rank)
-                result = unitary_maximal_levi_r_group(delta, sigma)
-                desc = unitary_centralizer(
-                    maximal_levi_phi(delta, sigma), rank + 2 * delta.dim
-                )
+                result = verify_theorem(maximal_levi(delta, sigma))
+                desc = induced_centralizer(delta, sigma)
                 assert weyl_quotient(desc).rank == result.arthur_rank
 
 
 def test_maximal_levi_rejects_invalid_sigma():
-    bad = UnitaryJordanData(3, (UnitarySummand(csd("x", 1), 1),))
-    with pytest.raises(InvalidUnitaryData):
-        unitary_maximal_levi_r_group(UnitarySummand(ncsd("p"), 1), bad)
+    bad = JordanData(U(3), (Summand(csd("x", 1), 1),))
+    with pytest.raises(InvalidInducingData, match="^verify_theorem: dimension"):
+        verify_theorem(maximal_levi(Summand(ncsd("p"), 1), bad))
 
 
 def test_maximal_levi_rejects_unusable_sign():
     sigma = filler_sigma(2)
-    delta = UnitarySummand(csd("x", 1, dim=2, matches=False), 1)
-    with pytest.raises(InvalidUnitaryData):
-        unitary_maximal_levi_r_group(delta, sigma)
+    delta = Summand(csd("x", 1, dim=2, matches=False), 1)
+    with pytest.raises(InvalidInducingData, match="^verify_theorem: sign-hypothesis"):
+        verify_theorem(maximal_levi(delta, sigma))

@@ -1,6 +1,10 @@
 """The validation contract: every public entry point rejects invalid input
-under its own name, and the checking pass runs once per (parameter,
-group) and once per inducing datum."""
+under its own name, in every family, and the checking pass runs once per
+(parameter, group) and once per inducing datum; an ``rgroup`` run builds
+its parameter once."""
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -27,9 +31,11 @@ from rgroups import (
     validate_parameter,
     verify_theorem,
 )
+from rgroups.cli import main
 from rgroups.errors import InvalidInducingData, InvalidJordanData, InvalidParameter
 
 from helpers import orth, pair, sympl
+from test_unitary import csd
 
 SP3 = GroupSpec(Family.SYMPLECTIC, 1)  # dual group SO(3, C)
 
@@ -136,3 +142,81 @@ def test_verify_theorem_validates_the_jordan_data_once(monkeypatch):
     result = verify_theorem(valid_inducing())
     assert result.agree and result.ks_rank == 1
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# Unitary input runs through the same entry points
+# ---------------------------------------------------------------------------
+
+U3 = GroupSpec(Family.UNITARY, 3)  # dual type orthogonal
+
+
+def invalid_unitary_sigma() -> JordanData:
+    """One block of dimension 1 cannot fill U(3)."""
+    return JordanData(U3, (Summand(csd("x", 1), 1),))
+
+
+def valid_unitary_inducing() -> InducingData:
+    blocks = tuple(Summand(csd(f"f{i}", 1), 1) for i in range(3))
+    return InducingData((DeltaFactor(Summand(csd("chi", 1), 1), 1),), JordanData(U3, blocks))
+
+
+@pytest.mark.parametrize("entry", [knapp_stein_r_group, verify_theorem])
+def test_unitary_inducing_entries_reject_under_their_own_name(entry):
+    pi = InducingData((DeltaFactor(Summand(csd("z", 1), 1), 1),), invalid_unitary_sigma())
+    with pytest.raises(InvalidInducingData, match=f"^{entry.__name__}: dimension"):
+        entry(pi)
+
+
+def test_unitary_centralizer_rejects_under_its_own_name():
+    psi = canonicalize([(Summand(csd("a", 1), 1), 1), (Summand(csd("s", -1), 1), 1)])
+    with pytest.raises(InvalidParameter, match="^centralizer: dimension"):
+        centralizer(psi, U3)
+    # a conjugate-symplectic summand of odd multiplicity in U(3)
+    psi = canonicalize([(Summand(csd("a", 1), 1), 2), (Summand(csd("s", -1), 1), 1)])
+    with pytest.raises(InvalidParameter, match="^centralizer: odd-multiplicity"):
+        centralizer(psi, U3)
+
+
+def test_verify_theorem_validates_unitary_jordan_data_once(monkeypatch):
+    calls = []
+
+    def counted(sigma):
+        calls.append(sigma)
+        return validate_jordan(sigma)
+
+    monkeypatch.setattr(rgroups.levi, "validate_jordan", counted)
+    monkeypatch.setattr(rgroups.jordan, "validate_jordan", counted)
+    result = verify_theorem(valid_unitary_inducing())
+    assert result.agree and result.ks_rank == 1
+    assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# One parameter per CLI run
+# ---------------------------------------------------------------------------
+
+CORPUS = Path(__file__).resolve().parent.parent / "instances"
+
+
+@pytest.mark.parametrize("name", ["sp-mixed-valid.json", "unitary-reducible-valid.json"])
+def test_rgroup_builds_and_checks_the_parameter_once(monkeypatch, capsys, name):
+    canonicalized, passes = [], []
+    canonicalize_ = rgroups.params.canonicalize
+    check = rgroups.params._check_entries
+
+    def counted_canonicalize(entries):
+        canonicalized.append(entries)
+        return canonicalize_(entries)
+
+    def counted_check(psi, group):
+        passes.append(group)
+        return check(psi, group)
+
+    for module in (rgroups.params, rgroups.levi, rgroups.jordan):
+        monkeypatch.setattr(module, "canonicalize", counted_canonicalize)
+    monkeypatch.setattr(rgroups.params, "_check_entries", counted_check)
+    assert main(["rgroup", "--oracle", "--json", str(CORPUS / name)]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["agree"] is True
+    assert len(canonicalized) == 1
+    assert len(passes) == 1
