@@ -35,7 +35,12 @@ class FactorKind(Enum):
     SPECIAL_ORTHOGONAL = "SO"
 
 
-@dataclass(frozen=True)
+# Module globals for the per-factor paths (see ``params._NOT_SELF_DUAL``).
+_SP = FactorKind.SYMPLECTIC
+_O = FactorKind.FULL_ORTHOGONAL
+
+
+@dataclass(frozen=True, slots=True)
 class Factor:
     """One classical factor of a centralizer.
 
@@ -55,14 +60,14 @@ class Factor:
             raise ValueError(
                 f"source_dim must be positive, got {self.source_dim}"
             )
-        if self.kind is FactorKind.SYMPLECTIC and self.size % 2:
+        if self.kind is _SP and self.size % 2:
             raise ValueError("symplectic factors need even size")
 
     def describe(self) -> str:
         return f"{self.kind.value}({self.size})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CentralizerDescriptor:
     """A product of classical factors plus an optional determinant condition.
 
@@ -107,7 +112,7 @@ class CentralizerDescriptor:
         return body
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ElementaryTwoGroup:
     """(Z/2)^rank; rank 0 is the trivial group."""
 
@@ -171,7 +176,7 @@ def _odd_source_orthogonal(factors: list[Factor]) -> list[int]:
     return [
         i
         for i, f in enumerate(factors)
-        if f.kind is FactorKind.FULL_ORTHOGONAL and f.source_dim % 2
+        if f.kind is _O and f.source_dim % 2
     ]
 
 
@@ -256,7 +261,7 @@ def descriptor_rank(desc: CentralizerDescriptor) -> ElementaryTwoGroup:
     rank = sum(
         1
         for f in desc.factors
-        if f.kind is FactorKind.FULL_ORTHOGONAL and f.size % 2 == 0
+        if f.kind is _O and f.size % 2 == 0
     )
     return ElementaryTwoGroup(rank)
 

@@ -112,7 +112,7 @@ def _parse_symbol(label: str, spec: Any) -> CuspidalSymbol:
 
 def _check_dual_declarations(symbols: dict[str, CuspidalSymbol]) -> None:
     """Every declared dual partner exists and mirrors its symbol.  The
-    same defect in built data is ``params._register_symbols``'s
+    same defect in built data is ``params.canonicalize``'s
     InconsistentSymbol; in a file it keeps the file from denoting an
     instance, so it is a ParseError here."""
     for label, sym in symbols.items():

@@ -17,8 +17,9 @@ are the same, with no determinant condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from operator import lt
 from typing import Iterable
 
 from .errors import InconsistentSymbol, InvalidParameter, UnpairedDual
@@ -44,6 +45,14 @@ class DualityType(Enum):
     SYMPLECTIC = "symplectic"
 
 
+# The members as module globals, for the paths that run per summand.  Up to
+# Python 3.11 every ``DualityType.X`` read goes through the enum metaclass's
+# ``__getattr__`` hook, about ten times the cost of a global read.
+_NOT_SELF_DUAL = DualityType.NOT_SELF_DUAL
+_ORTHOGONAL = DualityType.ORTHOGONAL
+_SYMPLECTIC = DualityType.SYMPLECTIC
+
+
 _FAMILY_NAMES = {
     Family.SYMPLECTIC: "Sp({m}, F)",
     Family.ODD_ORTHOGONAL: "SO({m}, F)",
@@ -52,43 +61,42 @@ _FAMILY_NAMES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupSpec:
     """A group G in one of the four families, identified by its rank.
 
     Rank 0 is the trivial group; it occurs as the residual factor of a
     pure-GL Levi subgroup and is otherwise uninteresting.
+
+    Derived at construction, outside ``==``, ``hash`` and ``repr``:
+    ``dual_dimension``, the dimension of the standard representation of
+    the dual group; ``dual_type``, its duality type, which for U(n) is the
+    sign (-1)^(n-1): orthogonal for n odd, symplectic for n even.
     """
 
     family: Family
     rank: int
+    dual_type: DualityType = field(init=False, repr=False, compare=False)
+    dual_dimension: int = field(init=False, repr=False, compare=False)
+    # hash((family, rank)), the dataclass hash, computed once.
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.rank < 0:
             raise ValueError(f"rank must be non-negative, got {self.rank}")
+        family, n = self.family, self.rank
+        unitary = family is Family.UNITARY
+        if family is Family.ODD_ORTHOGONAL or (unitary and n % 2 == 0):
+            dual_type = _SYMPLECTIC
+        else:
+            dual_type = _ORTHOGONAL
+        dimension = n if unitary else 2 * n + (family is Family.SYMPLECTIC)
+        object.__setattr__(self, "dual_type", dual_type)
+        object.__setattr__(self, "dual_dimension", dimension)
+        object.__setattr__(self, "_hash", hash((family, n)))
 
-    @property
-    def dual_dimension(self) -> int:
-        """Dimension of the standard representation of the dual group."""
-        n = self.rank
-        if self.family is Family.SYMPLECTIC:
-            return 2 * n + 1
-        if self.family is Family.UNITARY:
-            return n
-        return 2 * n
-
-    @property
-    def dual_type(self) -> DualityType:
-        """Duality type of the dual group's standard representation.
-
-        For U(n) this is the sign (-1)^(n-1): orthogonal for n odd,
-        symplectic for n even.
-        """
-        if self.family is Family.ODD_ORTHOGONAL:
-            return DualityType.SYMPLECTIC
-        if self.family is Family.UNITARY and self.rank % 2 == 0:
-            return DualityType.SYMPLECTIC
-        return DualityType.ORTHOGONAL
+    def __hash__(self) -> int:
+        return self._hash
 
     def describe(self) -> str:
         if self.family is Family.SYMPLECTIC:
@@ -110,15 +118,12 @@ def tensor_type(rho_type: DualityType, a: int) -> DualityType:
     """
     if a < 1:
         raise ValueError(f"a must be a positive integer, got {a}")
-    if rho_type is DualityType.NOT_SELF_DUAL:
-        return DualityType.NOT_SELF_DUAL
-    sl2_type = DualityType.ORTHOGONAL if a % 2 else DualityType.SYMPLECTIC
-    if rho_type is sl2_type:
-        return DualityType.ORTHOGONAL
-    return DualityType.SYMPLECTIC
+    if a % 2 or rho_type is _NOT_SELF_DUAL:
+        return rho_type
+    return _SYMPLECTIC if rho_type is _ORTHOGONAL else _ORTHOGONAL
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CuspidalSymbol:
     """A formal irreducible cuspidal datum of some GL(dim, F).
 
@@ -146,7 +151,7 @@ class CuspidalSymbol:
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValueError(f"dim must be positive, got {self.dim}")
-        if self.duality is DualityType.SYMPLECTIC and self.dim % 2 and not self.conjugate:
+        if self.duality is _SYMPLECTIC and self.dim % 2 and not self.conjugate:
             raise ValueError(
                 f"symplectic symbol {self.label!r} must have even dimension"
             )
@@ -155,7 +160,7 @@ class CuspidalSymbol:
                 raise ValueError("the two signs agree automatically in odd dimension")
             if not (self.conjugate and self.self_dual):
                 raise ValueError("only a conjugate-self-dual symbol has a sign to match")
-        if self.duality is DualityType.NOT_SELF_DUAL:
+        if self.duality is _NOT_SELF_DUAL:
             if self.dual_label is None:
                 raise ValueError(
                     f"non-self-dual symbol {self.label!r} needs a dual_label"
@@ -169,7 +174,7 @@ class CuspidalSymbol:
 
     @property
     def self_dual(self) -> bool:
-        return self.duality is not DualityType.NOT_SELF_DUAL
+        return self.duality is not _NOT_SELF_DUAL
 
     def dual_partner(self) -> "CuspidalSymbol":
         """The symbol of the dual representation (non-self-dual case only)."""
@@ -178,34 +183,33 @@ class CuspidalSymbol:
         return CuspidalSymbol(
             label=self.dual_label,
             dim=self.dim,
-            duality=DualityType.NOT_SELF_DUAL,
+            duality=_NOT_SELF_DUAL,
             dual_label=self.label,
             conjugate=self.conjugate,
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Summand:
-    """An irreducible summand rho (x) S_a."""
+    """An irreducible summand rho (x) S_a.
+
+    ``dim`` and ``duality`` are derived at construction and take no part
+    in ``==``, ``hash`` or ``repr``.
+    """
 
     rho: CuspidalSymbol
     a: int
+    dim: int = field(init=False, repr=False, compare=False)
+    duality: DualityType = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.a < 1:
-            raise ValueError(f"a must be a positive integer, got {self.a}")
-
-    @property
-    def dim(self) -> int:
-        return self.rho.dim * self.a
-
-    @property
-    def duality(self) -> DualityType:
-        return tensor_type(self.rho.duality, self.a)
+        # tensor_type rejects a < 1 with this class's message.
+        object.__setattr__(self, "duality", tensor_type(self.rho.duality, self.a))
+        object.__setattr__(self, "dim", self.rho.dim * self.a)
 
     @property
     def self_dual(self) -> bool:
-        return self.rho.self_dual
+        return self.duality is not _NOT_SELF_DUAL
 
     def sort_key(self) -> tuple[str, int]:
         return (self.rho.label, self.a)
@@ -217,7 +221,7 @@ class Summand:
         return f"{self.rho.label}(x)S_{self.a}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParameterEntry:
     """One canonical entry: a summand with its multiplicity.
 
@@ -236,12 +240,7 @@ class ParameterEntry:
 
     @property
     def is_dual_pair(self) -> bool:
-        return not self.summand.self_dual
-
-    @property
-    def total_dim(self) -> int:
-        copies = 2 if self.is_dual_pair else 1
-        return copies * self.multiplicity * self.summand.dim
+        return self.summand.duality is _NOT_SELF_DUAL
 
 
 @dataclass(frozen=True)
@@ -258,8 +257,8 @@ class Parameter:
     _checked = None
 
     def __post_init__(self) -> None:
-        keys = [e.summand.sort_key() for e in self.entries]
-        if keys != sorted(keys) or len(set(keys)) != len(keys):
+        keys = [(e.summand.rho.label, e.summand.a) for e in self.entries]
+        if not all(map(lt, keys, keys[1:])):
             raise ValueError("entries must be sorted and pairwise distinct")
         for e in self.entries:
             if e.is_dual_pair and e.summand.rho.label > e.summand.rho.dual_label:
@@ -267,10 +266,6 @@ class Parameter:
                     f"dual pair {e.summand.describe()} is not stored under its"
                     " lexicographic representative"
                 )
-
-    @property
-    def total_dimension(self) -> int:
-        return sum(e.total_dim for e in self.entries)
 
     def expanded_entries(self) -> list[tuple[Summand, int]]:
         """Raw (summand, multiplicity) list with dual pairs expanded,
@@ -292,83 +287,72 @@ class Parameter:
         return " (+) ".join(parts) if parts else "0"
 
 
-def _register_symbols(symbols: Iterable[CuspidalSymbol]) -> dict[str, CuspidalSymbol]:
-    """Index symbols by label, rejecting conflicting declarations.
-
-    Also checks that the dual pairing is an involution: whenever both
-    members of a pair are present, their attributes must mirror each other.
-    """
-    registry: dict[str, CuspidalSymbol] = {}
-    for sym in symbols:
-        seen = registry.get(sym.label)
-        if seen is None:
-            registry[sym.label] = sym
-        elif seen != sym:
-            raise InconsistentSymbol(
-                f"label {sym.label!r} declared with conflicting attributes"
-            )
-    for sym in registry.values():
-        if sym.dual_label is None:
-            continue
-        partner = registry.get(sym.dual_label)
-        if partner is None:
-            continue
-        if partner.dual_label != sym.label or partner.dim != sym.dim:
-            raise InconsistentSymbol(
-                f"dual pairing between {sym.label!r} and {sym.dual_label!r}"
-                " is not a dimension-preserving involution"
-            )
-    return registry
-
-
 def canonicalize(entries: Iterable[tuple[Summand, int]]) -> Parameter:
     """Merge a raw summand list into canonical form.
 
     Multiplicities of equal summands add; every non-self-dual summand must
     be matched by its dual partner at equal multiplicity, and the pair is
     kept once under the smaller label.  Idempotent and
-    dimension-preserving.
+    dimension-preserving.  A label must be declared with one symbol, and
+    the members of a dual pair must be each other's ``dual_partner()``.
     """
-    merged: dict[tuple[str, int], int] = {}
-    summand_at: dict[tuple[str, int], Summand] = {}
+    merged: dict[tuple[str, int], list] = {}  # (label, a) -> [summand, multiplicity]
+    symbols: dict[str, CuspidalSymbol] = {}
+    clash = None  # raised after the pass: per-entry errors rank first
     for summand, mult in entries:
         if mult < 1:
             raise ValueError(f"multiplicity must be positive, got {mult}")
-        key = summand.sort_key()
-        if key in summand_at and summand_at[key] != summand:
+        rho = summand.rho
+        key = (rho.label, summand.a)
+        slot = merged.get(key)
+        if slot is None:
+            merged[key] = [summand, mult]
+            seen = symbols.setdefault(rho.label, rho)
+            if clash is None and seen is not rho and seen != rho:
+                clash = rho.label
+        elif slot[0] is summand or slot[0] == summand:
+            slot[1] += mult
+        else:
+            raise InconsistentSymbol(f"label {rho.label!r} declared with conflicting attributes")
+    if clash is not None:
+        raise InconsistentSymbol(f"label {clash!r} declared with conflicting attributes")
+    for sym in symbols.values():
+        partner = symbols.get(sym.dual_label)
+        if partner is not None and (
+            partner.dual_label != sym.label
+            or partner.dim != sym.dim
+            or partner.conjugate != sym.conjugate
+        ):
             raise InconsistentSymbol(
-                f"label {key[0]!r} declared with conflicting attributes"
+                f"dual pairing between {sym.label!r} and {sym.dual_label!r}"
+                " is not a dimension-preserving involution"
             )
-        summand_at.setdefault(key, summand)
-        merged[key] = merged.get(key, 0) + mult
-
-    _register_symbols(s.rho for s in summand_at.values())
 
     canonical: list[ParameterEntry] = []
     for key in sorted(merged):
-        summand = summand_at[key]
-        if summand.self_dual:
-            canonical.append(ParameterEntry(summand, merged[key]))
+        summand, mult = merged[key]
+        if summand.duality is not _NOT_SELF_DUAL:
+            canonical.append(ParameterEntry(summand, mult))
             continue
-        partner_key = (summand.rho.dual_label, summand.a)
-        if partner_key < key:
-            continue  # handled when the representative was visited
-        partner_mult = merged.get(partner_key)
-        if partner_mult is None:
+        dual_key = (summand.rho.dual_label, summand.a)
+        partner = merged.get(dual_key)
+        if partner is None:
             raise UnpairedDual(
                 f"{summand.describe()} has no dual partner"
                 f" {summand.rho.dual_label!r} in the parameter"
             )
-        if partner_mult != merged[key]:
+        if dual_key < key:
+            continue  # kept under its representative, visited first
+        if partner[1] != mult:
             raise UnpairedDual(
-                f"{summand.describe()} appears {merged[key]} times but its"
-                f" dual appears {partner_mult} times"
+                f"{summand.describe()} appears {mult} times but its"
+                f" dual appears {partner[1]} times"
             )
-        canonical.append(ParameterEntry(summand, merged[key]))
+        canonical.append(ParameterEntry(summand, mult))
     return Parameter(tuple(canonical))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Classification:
     """Partition of canonical entries into the four centralizer buckets.
 
@@ -408,7 +392,7 @@ def _check_entries(psi: Parameter, group: GroupSpec) -> _Checked:
     for entry in psi.entries:
         summand, mult = entry.summand, entry.multiplicity
         duality = summand.duality
-        if duality is DualityType.NOT_SELF_DUAL:
+        if duality is _NOT_SELF_DUAL:
             total += 2 * mult * summand.dim
             pairs.append(entry)
             continue

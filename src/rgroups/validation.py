@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     """A single broken invariant, tagged with a short rule name."""
 
@@ -16,7 +16,7 @@ class Violation:
         return f"{self.rule}: {self.message}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValidationReport:
     violations: tuple[Violation, ...] = ()
 

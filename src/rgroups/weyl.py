@@ -110,14 +110,6 @@ class SignedPermGroup:
     def is_subgroup_of(self, other: "SignedPermGroup") -> bool:
         return self.elements <= other.elements
 
-    def is_closed(self) -> bool:
-        els = self.elements
-        if identity_element(self.degree) not in els:
-            return False
-        return all(
-            compose(g, h) in els for g in els for h in els
-        ) and all(invert(g) in els for g in els)
-
 
 def close_under_composition(
     degree: int,
@@ -227,26 +219,38 @@ def weyl_of_factor(
     return _weyl_of_factor_cached(kind, size, element_cap)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _FactorQuotient:
-    """One factor's W, in a fixed order, with what the quotient needs of W0."""
+    """One factor's W, in a fixed order, with what the quotient needs of W0.
+
+    ``free`` is the rank of W/W0 when the factor is free, or the message
+    saying why that quotient is not elementary abelian, raised only when
+    the factor is used free.
+    """
 
     elements: tuple[SignedPerm, ...]
     w0: frozenset[SignedPerm]
-    squares_into_w0: bool
+    free: int | str
 
 
 @lru_cache(maxsize=None)
-def _factor_quotient(kind: FactorKind, size: int, element_cap: int) -> _FactorQuotient:
+def _factor_quotient(kind_value: str, size: int, element_cap: int) -> _FactorQuotient:
     """The per-factor checks, which depend only on (kind, size): W0 must lie
-    in W, and whether every element of W squares into W0 is recorded."""
-    full, ident = weyl_of_factor(kind, size, element_cap)
+    in W; as a free factor, every element of W must square into W0 and the
+    index must be a power of 2.  Keyed by the kind's value, whose hash is a
+    string's rather than a Python-level ``Enum.__hash__`` call."""
+    full, ident = weyl_of_factor(FactorKind(kind_value), size, element_cap)
     if not ident.is_subgroup_of(full):
         raise NonElementaryQuotient(
             "identity-component Weyl group is not contained in W"
         )
-    squares = all(compose(g, g) in ident.elements for g in full.elements)
-    return _FactorQuotient(tuple(sorted(full.elements)), ident.elements, squares)
+    try:
+        if not all(compose(g, g) in ident.elements for g in full.elements):
+            raise NonElementaryQuotient("an element fails to square into W0")
+        free: int | str = _quotient_rank(full.order, ident.order)
+    except NonElementaryQuotient as exc:
+        free = str(exc)
+    return _FactorQuotient(tuple(sorted(full.elements)), ident.elements, free)
 
 
 def _det_class(factor: Factor, element: SignedPerm) -> tuple[int, ...]:
@@ -313,7 +317,7 @@ def weyl_quotient(
     product.  Each free factor contributes its own rank from checks made
     once per (kind, size, element_cap).  Only the product of the live
     factors' Weyl groups is enumerated, element by element; without live
-    factors it is the one-element empty product.
+    factors nothing is.
 
     Bounds: the descriptor's torus degree (sum of size // 2 over all
     factors) may not exceed ``max_torus_degree``; ``element_cap`` bounds
@@ -330,14 +334,16 @@ def weyl_quotient(
     live: list[Factor] = []
     live_quotients: list[_FactorQuotient] = []
     for i, factor in enumerate(factors):
-        quotient = _factor_quotient(factor.kind, factor.size, element_cap)
+        quotient = _factor_quotient(factor.kind._value_, factor.size, element_cap)
         if i in live_indices:
             live.append(factor)
             live_quotients.append(quotient)
-            continue
-        if not quotient.squares_into_w0:
-            raise NonElementaryQuotient("an element fails to square into W0")
-        rank += _quotient_rank(len(quotient.elements), len(quotient.w0))
+        elif isinstance(quotient.free, str):
+            raise NonElementaryQuotient(quotient.free)
+        else:
+            rank += quotient.free
+    if not live:
+        return ElementaryTwoGroup(rank)
 
     total = prod(len(q.elements) for q in live_quotients)
     if total > element_cap:

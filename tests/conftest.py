@@ -1,13 +1,14 @@
 """Terminal reporting for the acceptance criteria.
 
 Each acceptance test is named ``test_criterion_<n>_<slug>``; after the run
-one PASS/FAIL line per criterion is printed in the terminal summary.
+one PASS/FAIL line per criterion, with the wall time of its test call,
+is printed in the terminal summary.
 """
 
 import re
 
 _CRITERION = re.compile(r"test_criterion_(\d+)_(\w+)")
-_results: dict[int, tuple[str, bool]] = {}
+_results: dict[int, tuple[str, bool, float]] = {}
 
 
 def pytest_runtest_logreport(report):
@@ -17,7 +18,7 @@ def pytest_runtest_logreport(report):
     if match:
         number = int(match.group(1))
         slug = match.group(2).replace("_", " ")
-        _results[number] = (slug, report.passed)
+        _results[number] = (slug, report.passed, report.duration)
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -25,6 +26,6 @@ def pytest_terminal_summary(terminalreporter):
         return
     terminalreporter.write_sep("-", "acceptance criteria")
     for number in sorted(_results):
-        slug, passed = _results[number]
+        slug, passed, seconds = _results[number]
         status = "PASS" if passed else "FAIL"
-        terminalreporter.write_line(f"criterion {number} ({slug}): {status}")
+        terminalreporter.write_line(f"criterion {number} ({slug}): {status} ({seconds:.1f} s)")

@@ -11,9 +11,12 @@ from rgroups import (
     Family,
     GroupSpec,
     Parameter,
+    ParameterEntry,
+    SignedPermGroup,
     Summand,
     canonicalize,
 )
+from rgroups.weyl import compose, identity_element, invert
 
 CLASSICAL_FAMILIES = (
     Family.SYMPLECTIC,
@@ -44,6 +47,27 @@ def opposite_of(duality: DualityType) -> DualityType:
     if duality is DualityType.SYMPLECTIC:
         return DualityType.ORTHOGONAL
     raise ValueError(duality)
+
+
+def entry_dimension(entry: ParameterEntry) -> int:
+    """Dimension of a canonical entry, both members of a dual pair counted."""
+    copies = 2 if entry.is_dual_pair else 1
+    return copies * entry.multiplicity * entry.summand.dim
+
+
+def total_dimension(psi: Parameter) -> int:
+    return sum(map(entry_dimension, psi.entries))
+
+
+def is_closed(group: SignedPermGroup) -> bool:
+    """Whether the element set contains the identity and is closed under
+    composition and inversion."""
+    els = group.elements
+    if identity_element(group.degree) not in els:
+        return False
+    return all(compose(g, h) in els for g in els for h in els) and all(
+        invert(g) in els for g in els
+    )
 
 
 EntryTemplate = tuple[str, int, int]  # (kind, summand dim, multiplicity)

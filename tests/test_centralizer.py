@@ -19,7 +19,7 @@ from rgroups import (
 )
 from rgroups.errors import InvalidParameter
 
-from helpers import exhaustive_valid_parameters, orth, pair, sympl
+from helpers import exhaustive_valid_parameters, orth, pair, sympl, total_dimension
 
 GL = FactorKind.GENERAL_LINEAR
 SP = FactorKind.SYMPLECTIC
@@ -107,7 +107,7 @@ def test_demotion_picks_first_odd_factor_and_frees_the_rest():
             (Summand(orth("d", 1), 1), 2),
         ]
     )
-    assert psi.total_dimension == 3 + 5 + 6 + 2
+    assert total_dimension(psi) == 3 + 5 + 6 + 2
     G = GroupSpec(Family.SYMPLECTIC, 7)  # dual dimension 15 < 16: invalid
     with pytest.raises(InvalidParameter):
         centralizer(psi, G)
@@ -118,7 +118,7 @@ def test_demotion_picks_first_odd_factor_and_frees_the_rest():
             (Summand(orth("c", 3), 1), 2),
         ]
     )
-    assert psi.total_dimension == 19
+    assert total_dimension(psi) == 19
     G = GroupSpec(Family.SYMPLECTIC, 9)
     desc = centralizer(psi, G)
     assert desc.factors == (
@@ -139,7 +139,7 @@ def test_demotion_with_multiple_odd_factors():
             (Summand(orth("c", 5), 1), 1),
         ]
     )
-    assert psi.total_dimension == 11
+    assert total_dimension(psi) == 11
     desc = centralizer(psi, GroupSpec(Family.SYMPLECTIC, 5))
     assert desc.factors == (
         Factor(SO, 3, 1),
@@ -163,7 +163,7 @@ def test_arthur_rank_examples():
             (Summand(orth("c", 1), 5), 4),
         ]
     )
-    assert psi.total_dimension == 3 + 6 + 20
+    assert total_dimension(psi) == 3 + 6 + 20
     assert arthur_r_group(psi, GroupSpec(Family.SYMPLECTIC, 14)).rank == 2
 
 

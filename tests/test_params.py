@@ -22,7 +22,14 @@ from rgroups import (
 )
 from rgroups.errors import InconsistentSymbol, InvalidParameter, UnpairedDual
 
-from helpers import exhaustive_valid_parameters, orth, pair, sympl
+from helpers import (
+    entry_dimension,
+    exhaustive_valid_parameters,
+    orth,
+    pair,
+    sympl,
+    total_dimension,
+)
 
 ORTH = DualityType.ORTHOGONAL
 SYMPL = DualityType.SYMPLECTIC
@@ -193,7 +200,7 @@ def test_canonicalize_stores_dual_pair_once():
     entry = psi.entries[0]
     assert entry.is_dual_pair and entry.multiplicity == 2
     assert entry.summand.rho.label == "a"  # lexicographic representative
-    assert entry.total_dim == 2 * 2 * 2
+    assert entry_dimension(entry) == 2 * 2 * 2
 
 
 def test_canonicalize_picks_smaller_label_regardless_of_order():
@@ -213,6 +220,15 @@ def test_unpaired_dual_missing_partner():
         canonicalize([(Summand(pair("a"), 1), 2)])
 
 
+def test_unpaired_dual_missing_representative():
+    # Only the member under the larger label: it must not be dropped.
+    late = Summand(pair("a").dual_partner(), 1)
+    with pytest.raises(UnpairedDual, match=r"at\(x\)S_1 has no dual partner 'a'"):
+        canonicalize([(late, 2)])
+    with pytest.raises(UnpairedDual, match="no dual partner 'a'"):
+        canonicalize([(Summand(orth("o"), 1), 1), (late, 1)])
+
+
 def test_inconsistent_symbol_attributes():
     with pytest.raises(InconsistentSymbol):
         canonicalize(
@@ -227,6 +243,19 @@ def test_inconsistent_dual_involution():
         canonicalize([(Summand(bad_a, 1), 1), (Summand(bad_b, 1), 1)])
 
 
+def test_dual_pair_must_agree_on_conjugate():
+    p = CuspidalSymbol("p", 1, NSD, "q")
+    q = CuspidalSymbol("q", 1, NSD, "p", conjugate=True)
+    assert p.dual_partner() != q
+    raw = [(Summand(p, 1), 1), (Summand(q, 1), 1)]
+    message = "dual pairing between 'p' and 'q' is not a dimension-preserving involution"
+    with pytest.raises(InconsistentSymbol, match=message):
+        canonicalize(raw)
+    x = CuspidalSymbol("x", 1, ORTH, conjugate=True)
+    with pytest.raises(InconsistentSymbol, match=message):
+        canonicalize(raw + [(Summand(x, 1), 1)])
+
+
 def test_canonicalize_idempotent_and_dimension_preserving():
     raw = [
         (Summand(orth("a"), 1), 2),
@@ -237,7 +266,7 @@ def test_canonicalize_idempotent_and_dimension_preserving():
     psi = canonicalize(raw)
     assert canonicalize(psi.expanded_entries()) == psi
     raw_dim = sum(s.dim * m for s, m in raw)
-    assert psi.total_dimension == raw_dim
+    assert total_dimension(psi) == raw_dim
 
 
 @given(st.lists(st.tuples(st.integers(0, 5), st.integers(1, 4)), min_size=1, max_size=8))
@@ -258,7 +287,7 @@ def test_canonicalize_idempotent_on_random_input(picks):
             raw.append((summand.dual_partner(), mult))
     psi = canonicalize(raw)
     assert canonicalize(psi.expanded_entries()) == psi
-    assert psi.total_dimension == sum(s.dim * m for s, m in raw)
+    assert total_dimension(psi) == sum(s.dim * m for s, m in raw)
 
 
 def test_parameter_rejects_non_canonical_construction():

@@ -1,0 +1,290 @@
+"""The value objects of the parameter side: what their derived attributes
+leave out of ``==``, ``hash`` and ``repr``, that they stay frozen, and a
+differential check of the one-pass ``canonicalize`` against the
+two-pass version it replaced."""
+
+from dataclasses import FrozenInstanceError
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from rgroups import (
+    CentralizerDescriptor,
+    CuspidalSymbol,
+    DualityType,
+    ElementaryTwoGroup,
+    Factor,
+    FactorKind,
+    Family,
+    GroupSpec,
+    Parameter,
+    ParameterEntry,
+    Summand,
+    canonicalize,
+    classify,
+)
+from rgroups.errors import InconsistentSymbol, UnpairedDual
+from rgroups.params import checked
+from rgroups.validation import ValidationReport, Violation
+from rgroups.weyl import _factor_quotient
+
+from helpers import orth, pair
+
+ORTH = DualityType.ORTHOGONAL
+SYMPL = DualityType.SYMPLECTIC
+NSD = DualityType.NOT_SELF_DUAL
+
+
+# ---------------------------------------------------------------------------
+# Derived attributes and frozen slots
+# ---------------------------------------------------------------------------
+
+
+def _with_derived(obj, **values):
+    """A copy of ``obj`` whose derived attributes are overwritten."""
+    clone = type(obj)(*(getattr(obj, name) for name in obj.__match_args__))
+    for name, value in values.items():
+        object.__setattr__(clone, name, value)
+    return clone
+
+
+def test_summand_derived_attributes_stay_out_of_eq_hash_repr():
+    s = Summand(orth("a", 3), 2)
+    assert (s.dim, s.duality) == (6, SYMPL)
+    assert repr(s) == f"Summand(rho={s.rho!r}, a=2)"
+    assert hash(s) == hash((s.rho, 2))
+    other = _with_derived(s, dim=99, duality=ORTH)
+    assert other == s and hash(other) == hash(s) and repr(other) == repr(s)
+
+
+def test_group_spec_derived_attributes_stay_out_of_eq_hash_repr():
+    g = GroupSpec(Family.SYMPLECTIC, 2)
+    assert (g.dual_type, g.dual_dimension) == (ORTH, 5)
+    assert repr(g) == "GroupSpec(family=<Family.SYMPLECTIC: 'sp'>, rank=2)"
+    assert hash(g) == hash((Family.SYMPLECTIC, 2))
+    other = _with_derived(g, dual_type=SYMPL, dual_dimension=99)
+    assert other == g and hash(other) == hash(g) and repr(other) == repr(g)
+    assert g != GroupSpec(Family.ODD_ORTHOGONAL, 2)
+    assert {g: 1}[GroupSpec(Family.SYMPLECTIC, 2)] == 1
+
+
+def _slotted_instances():
+    s = Summand(orth("a"), 1)
+    entry = ParameterEntry(s, 2)
+    factor = Factor(FactorKind.FULL_ORTHOGONAL, 2, 1)
+    psi = canonicalize([(s, 2), (Summand(orth("b"), 1), 1)])
+    return [
+        (orth("a"), "dim"),
+        (s, "a"),
+        (s, "dim"),
+        (s, "duality"),
+        (entry, "multiplicity"),
+        (GroupSpec(Family.SYMPLECTIC, 1), "rank"),
+        (GroupSpec(Family.SYMPLECTIC, 1), "dual_type"),
+        (GroupSpec(Family.SYMPLECTIC, 1), "dual_dimension"),
+        (factor, "size"),
+        (CentralizerDescriptor((factor,), None), "factors"),
+        (ElementaryTwoGroup(1), "rank"),
+        (classify(psi, GroupSpec(Family.SYMPLECTIC, 1)), "dual_pairs"),
+        (Violation("rule", "message"), "rule"),
+        (ValidationReport(()), "violations"),
+        (_factor_quotient("O", 2, 100), "free"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "obj,name", _slotted_instances(), ids=lambda v: v if isinstance(v, str) else type(v).__name__
+)
+def test_slotted_value_objects_stay_frozen(obj, name):
+    assert not hasattr(obj, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        setattr(obj, name, getattr(obj, name))
+
+
+def test_kept_checking_pass_stays_out_of_parameter_eq_hash_repr():
+    raw = [(Summand(orth("a"), 1), 2), (Summand(orth("b"), 1), 1)]
+    psi, fresh = canonicalize(raw), canonicalize(raw)
+    before = repr(psi)
+    checked(psi, GroupSpec(Family.SYMPLECTIC, 1))
+    assert psi._checked and fresh._checked is None
+    assert psi == fresh and hash(psi) == hash(fresh) and repr(psi) == before
+    with pytest.raises(FrozenInstanceError):
+        psi.entries = ()
+
+
+# ---------------------------------------------------------------------------
+# canonicalize against the two-pass version it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_register_symbols(symbols):
+    registry = {}
+    for sym in symbols:
+        seen = registry.get(sym.label)
+        if seen is None:
+            registry[sym.label] = sym
+        elif seen != sym:
+            raise InconsistentSymbol(
+                f"label {sym.label!r} declared with conflicting attributes"
+            )
+    for sym in registry.values():
+        if sym.dual_label is None:
+            continue
+        partner = registry.get(sym.dual_label)
+        if partner is None:
+            continue
+        if partner.dual_label != sym.label or partner.dim != sym.dim:
+            raise InconsistentSymbol(
+                f"dual pairing between {sym.label!r} and {sym.dual_label!r}"
+                " is not a dimension-preserving involution"
+            )
+    return registry
+
+
+def _reference_canonicalize(entries):
+    merged = {}
+    summand_at = {}
+    for summand, mult in entries:
+        if mult < 1:
+            raise ValueError(f"multiplicity must be positive, got {mult}")
+        key = summand.sort_key()
+        if key in summand_at and summand_at[key] != summand:
+            raise InconsistentSymbol(
+                f"label {key[0]!r} declared with conflicting attributes"
+            )
+        summand_at.setdefault(key, summand)
+        merged[key] = merged.get(key, 0) + mult
+
+    _reference_register_symbols(s.rho for s in summand_at.values())
+
+    canonical = []
+    for key in sorted(merged):
+        summand = summand_at[key]
+        if summand.self_dual:
+            canonical.append(ParameterEntry(summand, merged[key]))
+            continue
+        partner_key = (summand.rho.dual_label, summand.a)
+        if partner_key < key:
+            continue
+        partner_mult = merged.get(partner_key)
+        if partner_mult is None:
+            raise UnpairedDual(
+                f"{summand.describe()} has no dual partner"
+                f" {summand.rho.dual_label!r} in the parameter"
+            )
+        if partner_mult != merged[key]:
+            raise UnpairedDual(
+                f"{summand.describe()} appears {merged[key]} times but its"
+                f" dual appears {partner_mult} times"
+            )
+        canonical.append(ParameterEntry(summand, merged[key]))
+    return Parameter(tuple(canonical))
+
+
+def _outcome(fn, raw):
+    try:
+        psi = fn(raw)
+    except (ValueError, InconsistentSymbol, UnpairedDual) as exc:
+        return type(exc), str(exc)
+    return psi, psi.describe()
+
+
+def _intended_differences(raw):
+    """The errors the two-pass version missed: a dual pair whose members
+    disagree on ``conjugate``, and a pair member under the larger label
+    whose partner is absent (it was dropped silently)."""
+    first = {}
+    for summand, _ in raw:
+        first.setdefault(summand.rho.label, summand.rho)
+    keys = {(s.rho.label, s.a) for s, _ in raw}
+    out = set()
+    for sym in first.values():
+        partner = first.get(sym.dual_label)
+        if (
+            partner is not None
+            and partner.dual_label == sym.label
+            and partner.dim == sym.dim
+            and partner.conjugate != sym.conjugate
+        ):
+            out.add((InconsistentSymbol, f"dual pairing between {sym.label!r} and"
+                     f" {sym.dual_label!r} is not a dimension-preserving involution"))
+    for summand, _ in raw:
+        dual = summand.rho.dual_label
+        if dual is not None and dual < summand.rho.label and (dual, summand.a) not in keys:
+            out.add((UnpairedDual, f"{summand.describe()} has no dual partner"
+                     f" {dual!r} in the parameter"))
+    return out
+
+
+LABELS = "abcd"
+
+
+@st.composite
+def _symbols(draw):
+    """Any symbol on a four-letter alphabet, so that labels are declared
+    twice with different attributes and pairings fail to mirror."""
+    label = draw(st.sampled_from(LABELS))
+    duality = draw(st.sampled_from([ORTH, SYMPL, NSD]))
+    dim = draw(st.integers(1, 3))
+    conjugate = draw(st.booleans())
+    if duality is SYMPL and dim % 2 and not conjugate:
+        dim += 1
+    dual_label = None
+    if duality is NSD:
+        dual_label = draw(st.sampled_from([x for x in LABELS if x != label]))
+    return CuspidalSymbol(label, dim, duality, dual_label, conjugate)
+
+
+@st.composite
+def _partners(draw, rho):
+    """The dual partner of ``rho``, mirrored or with one attribute off:
+    another dimension, a dual label that does not point back, or the
+    other ``conjugate``."""
+    mirror = rho.dual_partner()
+    label, dim, back, conjugate = mirror.label, mirror.dim, mirror.dual_label, mirror.conjugate
+    flaw = draw(st.sampled_from(["none", "none", "dim", "label", "conjugate"]))
+    if flaw == "dim":
+        dim += 1
+    elif flaw == "label":
+        back = draw(st.sampled_from([x for x in LABELS if x not in (label, back)]))
+    elif flaw == "conjugate":
+        conjugate = not conjugate
+    return CuspidalSymbol(label, dim, NSD, back, conjugate)
+
+
+@st.composite
+def _raw_lists(draw):
+    """Raw summand lists: repeated summands, at most one mult < 1, and
+    non-self-dual summands with a partner (see ``_partners``) at an equal
+    or another multiplicity, or with none."""
+    pool = draw(st.lists(_symbols(), min_size=1, max_size=5))
+    raw = []
+    for _ in range(draw(st.integers(1, 6))):
+        summand = Summand(draw(st.sampled_from(pool)), draw(st.integers(1, 3)))
+        mult = draw(st.integers(1, 3))
+        raw.append((summand, mult))
+        if not summand.self_dual and draw(st.integers(0, 3)):
+            partner = Summand(draw(_partners(summand.rho)), summand.a)
+            raw.append((partner, draw(st.sampled_from([mult, draw(st.integers(1, 3))]))))
+    bad = draw(st.integers(0, 3 * len(raw)))
+    if bad < len(raw):
+        raw[bad] = (raw[bad][0], draw(st.integers(-1, 0)))
+    return draw(st.permutations(raw))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_raw_lists())
+def test_canonicalize_matches_two_pass_reference(raw):
+    new, old = _outcome(canonicalize, raw), _outcome(_reference_canonicalize, raw)
+    if new != old:  # a Parameter is compared by == and describe()
+        assert new in _intended_differences(raw), (new, old)
+
+
+def test_reference_differs_only_where_intended():
+    p = CuspidalSymbol("p", 1, NSD, "q")
+    q = CuspidalSymbol("q", 1, NSD, "p", conjugate=True)
+    mismatch = [(Summand(p, 1), 1), (Summand(q, 1), 1)]
+    late = [(Summand(pair("a").dual_partner(), 1), 1)]
+    for raw in (mismatch, late):
+        assert isinstance(_outcome(_reference_canonicalize, raw)[0], Parameter)
+        assert _outcome(canonicalize, raw) in _intended_differences(raw)
