@@ -73,14 +73,6 @@ def compose(g: SignedPerm, h: SignedPerm) -> SignedPerm:
     return (perm, signs)
 
 
-def invert(g: SignedPerm) -> SignedPerm:
-    gp, gs = g
-    inv = [0] * len(gp)
-    for i, j in enumerate(gp):
-        inv[j] = i
-    return (tuple(inv), tuple(gs[inv[j]] for j in range(len(gp))))
-
-
 def sign_product(g: SignedPerm) -> int:
     return prod(g[1], start=1)
 

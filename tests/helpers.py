@@ -16,7 +16,7 @@ from rgroups import (
     Summand,
     canonicalize,
 )
-from rgroups.weyl import compose, identity_element, invert
+from rgroups.weyl import SignedPerm, compose, identity_element
 
 CLASSICAL_FAMILIES = (
     Family.SYMPLECTIC,
@@ -57,6 +57,15 @@ def entry_dimension(entry: ParameterEntry) -> int:
 
 def total_dimension(psi: Parameter) -> int:
     return sum(map(entry_dimension, psi.entries))
+
+
+def invert(g: SignedPerm) -> SignedPerm:
+    """Inverse of a signed permutation."""
+    gp, gs = g
+    inv = [0] * len(gp)
+    for i, j in enumerate(gp):
+        inv[j] = i
+    return (tuple(inv), tuple(gs[inv[j]] for j in range(len(gp))))
 
 
 def is_closed(group: SignedPermGroup) -> bool:

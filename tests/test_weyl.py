@@ -27,11 +27,10 @@ from rgroups.weyl import (
     SignedPermGroup,
     compose,
     identity_element,
-    invert,
     sign_product,
 )
 
-from helpers import is_closed, orth, sympl
+from helpers import invert, is_closed, orth, sympl
 
 GL = FactorKind.GENERAL_LINEAR
 SP = FactorKind.SYMPLECTIC
