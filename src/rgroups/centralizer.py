@@ -264,17 +264,3 @@ def descriptor_rank(desc: CentralizerDescriptor) -> ElementaryTwoGroup:
         if f.kind is _O and f.size % 2 == 0
     )
     return ElementaryTwoGroup(rank)
-
-
-def component_group(desc: CentralizerDescriptor) -> ElementaryTwoGroup:
-    """Component group of the descriptor, for diagnostics.
-
-    Each full orthogonal factor has two components; GL, Sp and SO factors
-    are connected.  A live determinant condition ties the component signs
-    of the constrained factors together and cuts the sign group by one.
-    """
-    full_count = sum(
-        1 for f in desc.factors if f.kind is FactorKind.FULL_ORTHOGONAL
-    )
-    binds = 1 if desc.has_live_constraint else 0
-    return ElementaryTwoGroup(full_count - binds)

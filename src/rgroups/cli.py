@@ -30,9 +30,9 @@ from .params import DualityType, Family, classify
 from .weyl import weyl_quotient
 
 
-def _print_violations(report) -> None:
+def _print_violations(report, file=None) -> None:
     for violation in report.violations:
-        print(f"violation [{violation.rule}] {violation.message}")
+        print(f"violation [{violation.rule}] {violation.message}", file=file)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -98,8 +98,7 @@ def _load_valid(path: str) -> Instance | None:
     if report.ok:
         return inst
     print(f"{path}: invalid instance", file=sys.stderr)
-    for violation in report.violations:
-        print(f"violation [{violation.rule}] {violation.message}", file=sys.stderr)
+    _print_violations(report, file=sys.stderr)
     return None
 
 

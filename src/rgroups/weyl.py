@@ -23,7 +23,10 @@ Conventions.  A signed permutation of degree k is a pair
 The maximal torus of every factor is the standard diagonal one; all
 maximal tori are conjugate, so nothing is lost by fixing it.
 
-Weyl groups of the factors, with k letters per factor:
+Weyl groups of the factors, with k letters per factor.  Each W and W0 is
+enumerated directly, every permutation of its letters paired with every
+allowed sign vector; its order is known in closed form, so the element
+cap is checked before any element is built.
 
 * GL(m): the symmetric group on m letters (no sign flips); connected.
 * Sp(2k): all signed permutations of k letters; connected.
@@ -40,8 +43,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as iter_product
-from math import prod
+from itertools import permutations, product as iter_product
+from math import factorial, prod
 
 from .centralizer import (
     CentralizerDescriptor,
@@ -60,10 +63,6 @@ DEFAULT_ELEMENT_CAP = 1_000_000
 DEFAULT_TORUS_BOUND = 10
 
 
-def identity_element(degree: int) -> SignedPerm:
-    return (tuple(range(degree)), (1,) * degree)
-
-
 def compose(g: SignedPerm, h: SignedPerm) -> SignedPerm:
     """g after h: (g.h)(e_i) = h_signs[i] * g_signs[h[i]] * e_{g[h[i]]}."""
     gp, gs = g
@@ -79,93 +78,40 @@ def sign_product(g: SignedPerm) -> int:
 
 @dataclass(frozen=True)
 class SignedPermGroup:
-    """A finite group of signed permutations of fixed degree.
-
-    ``even_signs_only`` records that the group was generated inside the
-    even-sign-count subgroup (the SO(2k) Weyl group).
-    """
+    """A finite group of signed permutations of fixed degree."""
 
     degree: int
     elements: frozenset[SignedPerm]
-    even_signs_only: bool = False
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, g: SignedPerm) -> bool:
-        return g in self.elements
-
-    def __iter__(self):
-        return iter(sorted(self.elements))
-
     def is_subgroup_of(self, other: "SignedPermGroup") -> bool:
         return self.elements <= other.elements
 
 
-def close_under_composition(
-    degree: int,
-    generators: list[SignedPerm],
-    element_cap: int = DEFAULT_ELEMENT_CAP,
-) -> frozenset[SignedPerm]:
-    """Breadth-first closure of the generators. Inverses come for free in
-    a finite group, so right-multiplication by generators suffices."""
-    elements = {identity_element(degree)}
-    frontier = list(elements)
-    while frontier:
-        new: list[SignedPerm] = []
-        for g in frontier:
-            for gen in generators:
-                gh = compose(g, gen)
-                if gh not in elements:
-                    elements.add(gh)
-                    if len(elements) > element_cap:
-                        raise BoundExceeded(
-                            f"group closure exceeded {element_cap} elements"
-                        )
-                    new.append(gh)
-        frontier = new
-    return frozenset(elements)
-
-
-def _transpositions(degree: int) -> list[SignedPerm]:
-    gens = []
-    plus = (1,) * degree
-    for i in range(degree - 1):
-        perm = list(range(degree))
-        perm[i], perm[i + 1] = perm[i + 1], perm[i]
-        gens.append((tuple(perm), plus))
-    return gens
-
-
-def _flip(degree: int, position: int) -> SignedPerm:
-    signs = [1] * degree
-    signs[position] = -1
-    return (tuple(range(degree)), tuple(signs))
-
-
-def symmetric_group(degree: int, element_cap: int = DEFAULT_ELEMENT_CAP) -> SignedPermGroup:
-    elements = close_under_composition(degree, _transpositions(degree), element_cap)
+def _signed_permutations(degree: int, flips: str, element_cap: int) -> SignedPermGroup:
+    """Every permutation of ``degree`` letters paired with every sign
+    vector that ``flips`` allows: ``"none"`` flipped, ``"any"`` or an
+    ``"even"`` number.  The cap is checked from the order, before building.
+    """
+    sign_vectors = {"none": 1, "any": 2**degree, "even": max(1, 2**degree // 2)}
+    order = factorial(degree) * sign_vectors[flips]
+    if order > element_cap:
+        raise BoundExceeded(
+            f"Weyl group of order {order} is above the cap {element_cap}"
+        )
+    choices = (1,) if flips == "none" else (1, -1)
+    signs = [
+        s
+        for s in iter_product(choices, repeat=degree)
+        if flips != "even" or prod(s) == 1
+    ]
+    elements = frozenset(
+        (perm, s) for perm in permutations(range(degree)) for s in signs
+    )
     return SignedPermGroup(degree, elements)
-
-
-def hyperoctahedral_group(degree: int, element_cap: int = DEFAULT_ELEMENT_CAP) -> SignedPermGroup:
-    gens = _transpositions(degree)
-    if degree >= 1:
-        gens.append(_flip(degree, degree - 1))
-    elements = close_under_composition(degree, gens, element_cap)
-    return SignedPermGroup(degree, elements)
-
-
-def even_sign_group(degree: int, element_cap: int = DEFAULT_ELEMENT_CAP) -> SignedPermGroup:
-    """Signed permutations with an even number of sign flips."""
-    gens = _transpositions(degree)
-    if degree >= 2:
-        double = [1] * degree
-        double[0] = double[1] = -1
-        gens.append((tuple(range(degree)), tuple(double)))
-    elements = close_under_composition(degree, gens, element_cap)
-    return SignedPermGroup(degree, elements, even_signs_only=True)
 
 
 def torus_degree(factor: Factor) -> int:
@@ -181,21 +127,16 @@ def _weyl_of_factor_cached(
 ) -> tuple[SignedPermGroup, SignedPermGroup]:
     k = torus_degree(Factor(kind, size, 1))
     if kind is FactorKind.GENERAL_LINEAR:
-        full = symmetric_group(k, element_cap)
+        full = _signed_permutations(k, "none", element_cap)
         return full, full
-    if kind is FactorKind.SYMPLECTIC:
-        full = hyperoctahedral_group(k, element_cap)
+    if kind is FactorKind.SYMPLECTIC or size % 2:
+        full = _signed_permutations(k, "any", element_cap)
         return full, full
     if kind is FactorKind.FULL_ORTHOGONAL:
-        full = hyperoctahedral_group(k, element_cap)
-        if size % 2:
-            return full, full
-        return full, even_sign_group(k, element_cap)
+        full = _signed_permutations(k, "any", element_cap)
+        return full, _signed_permutations(k, "even", element_cap)
     if kind is FactorKind.SPECIAL_ORTHOGONAL:
-        if size % 2:
-            full = hyperoctahedral_group(k, element_cap)
-            return full, full
-        full = even_sign_group(k, element_cap)
+        full = _signed_permutations(k, "even", element_cap)
         return full, full
     raise ValueError(f"unknown factor kind {kind}")
 

@@ -16,7 +16,7 @@ from rgroups import (
     Summand,
     canonicalize,
 )
-from rgroups.weyl import SignedPerm, compose, identity_element
+from rgroups.weyl import SignedPerm, compose
 
 CLASSICAL_FAMILIES = (
     Family.SYMPLECTIC,
@@ -57,6 +57,10 @@ def entry_dimension(entry: ParameterEntry) -> int:
 
 def total_dimension(psi: Parameter) -> int:
     return sum(map(entry_dimension, psi.entries))
+
+
+def identity_element(degree: int) -> SignedPerm:
+    return (tuple(range(degree)), (1,) * degree)
 
 
 def invert(g: SignedPerm) -> SignedPerm:

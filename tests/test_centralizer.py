@@ -14,7 +14,6 @@ from rgroups import (
     canonicalize,
     centralizer,
     classify,
-    component_group,
     descriptor_rank,
 )
 from rgroups.errors import InvalidParameter
@@ -173,18 +172,6 @@ def test_arthur_rank_requires_valid_parameter():
         arthur_r_group(psi, GroupSpec(Family.SYMPLECTIC, 3))
 
 
-def test_component_group_examples():
-    no_constraint = CentralizerDescriptor(
-        (Factor(O, 3, 2), Factor(O, 2, 2)), None
-    )
-    assert component_group(no_constraint).rank == 2
-    assert component_group(CentralizerDescriptor((Factor(SO, 3, 1),), ())).rank == 0
-    constrained = CentralizerDescriptor(
-        (Factor(O, 3, 1), Factor(O, 5, 3)), ((0, 1), (1, 1))
-    )
-    assert component_group(constrained).rank == 1
-
-
 def test_descriptor_rank_counts_even_full_orthogonal_factors():
     desc = CentralizerDescriptor(
         (Factor(GL, 4, 2), Factor(SP, 2, 2), Factor(O, 3, 2), Factor(O, 2, 2)),
@@ -203,19 +190,6 @@ def test_rank_equals_even_orthogonal_factor_count_on_enumerated_sets():
             desc = centralizer(psi, G)
             assert arthur_r_group(psi, G) == descriptor_rank(desc)
             assert arthur_r_group(psi, G).rank == classify(psi, G).d
-
-
-def test_component_rank_exceeds_arthur_rank_by_odd_full_orthogonal_count():
-    for family in (Family.SYMPLECTIC, Family.ODD_ORTHOGONAL, Family.EVEN_ORTHOGONAL):
-        for psi, G in exhaustive_valid_parameters(family, max_entries=2, max_dim=3, max_mult=3):
-            desc = centralizer(psi, G)
-            surviving_odd = sum(
-                1
-                for f in desc.factors
-                if f.kind is FactorKind.FULL_ORTHOGONAL and f.size % 2
-            )
-            diff = component_group(desc).rank - arthur_r_group(psi, G).rank
-            assert diff == surviving_odd
 
 
 def test_odd_orthogonal_constraint_always_vacuous():

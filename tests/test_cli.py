@@ -157,6 +157,32 @@ def test_rgroup_oracle_above_bound_still_reports_the_closed_form(tmp_path, capsy
     assert main(["rgroup", path]) == 0  # without --oracle nothing is skipped
 
 
+def test_rgroup_oracle_skips_a_factor_above_the_element_cap(tmp_path, capsys):
+    # Centralizer SO(1) x O(16): torus degree 8 is inside the bound, but
+    # the Weyl group of O(16) has 2^8 * 8! = 10,321,920 elements.
+    doc = {
+        "format_version": "1",
+        "family": "sp",
+        "symbols": {
+            "x": {"dim": 1, "duality": "orthogonal"},
+            "y": {"dim": 1, "duality": "orthogonal"},
+        },
+        "sigma": {"rank": 0, "blocks": [["x", 1]]},
+        "deltas": [{"rho": "y", "a": 1, "mult": 8}],
+    }
+    path = tmp_path / "above-cap.json"
+    path.write_text(json.dumps(doc))
+    assert main(["rgroup", "--oracle", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "knapp-stein rank: 1" in out and "arthur rank: 1" in out
+    assert "centralizer: SO(1) x O(16)" in out
+    assert (
+        "oracle: skipped (bound: Weyl group of order 10321920"
+        " is above the cap 1000000)"
+    ) in out
+    assert "agree: yes" in out
+
+
 def test_rgroup_invalid_instance_exit_one(capsys):
     assert main(["rgroup", str(CORPUS / "o-even-m1-invalid.json")]) == 1
     assert "violation" in capsys.readouterr().err

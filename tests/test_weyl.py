@@ -23,14 +23,9 @@ from rgroups import (
 from rgroups import weyl
 from rgroups.centralizer import ElementaryTwoGroup, constrained_indices
 from rgroups.errors import BoundExceeded, NonElementaryQuotient
-from rgroups.weyl import (
-    SignedPermGroup,
-    compose,
-    identity_element,
-    sign_product,
-)
+from rgroups.weyl import SignedPermGroup, compose, sign_product
 
-from helpers import invert, is_closed, orth, sympl
+from helpers import identity_element, invert, is_closed, orth, sympl
 
 GL = FactorKind.GENERAL_LINEAR
 SP = FactorKind.SYMPLECTIC
@@ -106,7 +101,7 @@ def test_special_orthogonal_weyl_groups():
     assert full.order == ident.order == 8
     full, ident = weyl_of_factor(SO, 6)
     assert full.order == ident.order == 2**3 * math.factorial(3) // 2
-    assert full.even_signs_only
+    assert all(sign_product(g) == 1 for g in full.elements)
 
 
 @pytest.mark.parametrize(
@@ -177,6 +172,44 @@ def test_weyl_quotient_bounds():
     )
     with pytest.raises(BoundExceeded):
         weyl_quotient(desc, element_cap=1000)
+
+
+@pytest.mark.parametrize(
+    "kind,size,order",
+    [(O, 16, 2**8 * math.factorial(8)), (GL, 12, math.factorial(12))],
+)
+def test_weyl_of_factor_checks_the_cap_from_the_order(kind, size, order):
+    with pytest.raises(BoundExceeded, match=f"order {order} is above the cap 1000000"):
+        weyl_of_factor(kind, size)
+    # a group whose order equals the cap is built in full
+    assert weyl_of_factor(O, 8, element_cap=384)[0].order == 384
+    with pytest.raises(BoundExceeded, match="order 384 is above the cap 383"):
+        weyl_of_factor(O, 8, element_cap=383)
+    # W fits, but W0 of SO(8) alone is checked against the cap as well
+    with pytest.raises(BoundExceeded, match="order 192 is above the cap 191"):
+        weyl_of_factor(SO, 8, element_cap=191)
+
+
+@pytest.mark.parametrize(
+    "factors,constraint,cap,phrase",
+    [
+        ((Factor(O, 30, 2),), None, 10**6, "total torus degree exceeds the bound 10"),
+        ((Factor(O, 16, 2),), None, 10**6, "above the cap 1000000"),
+        (
+            (Factor(O, 8, 1), Factor(O, 8, 1)),
+            ((0, 1), (1, 1)),
+            1000,
+            "needs 147456 candidate elements, above the cap 1000",
+        ),
+    ],
+)
+def test_every_oracle_bound_names_its_bound(factors, constraint, cap, phrase):
+    # "exceeds the bound" and "above the cap" are the two phrases callers
+    # match to tell a skipped oracle from a failure.
+    with pytest.raises(BoundExceeded, match=phrase) as info:
+        weyl_quotient(CentralizerDescriptor(factors, constraint), element_cap=cap)
+    message = str(info.value)
+    assert "exceeds the bound" in message or "above the cap" in message
 
 
 def test_oracle_matches_closed_form_on_resolved_descriptors():
