@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from .centralizer import centralizer
@@ -28,6 +29,10 @@ from .instances import (
 from .levi import FuzzBounds, _verify, parameter_of_induced, random_instance, verify_theorem
 from .params import DualityType, Family, classify
 from .weyl import weyl_quotient
+
+# Module globals for the members read per call (see ``params._NOT_SELF_DUAL``).
+_ORTHOGONAL = DualityType.ORTHOGONAL
+_UNITARY = Family.UNITARY
 
 
 def _print_violations(report, file=None) -> None:
@@ -162,7 +167,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     ambient = inst.data.ambient_group()
     desc = centralizer(phi, ambient)
     buckets = classify(phi, ambient)
-    if inst.family is Family.UNITARY:
+    if inst.family is _UNITARY:
         doc = {
             "ambient": ambient.describe(),
             "summands": [
@@ -171,7 +176,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
                     "dim": s.dim,
                     "mult": m,
                     "conj_self_dual": s.self_dual,
-                    "lambda": (1 if s.duality is DualityType.ORTHOGONAL else -1)
+                    "lambda": (1 if s.duality is _ORTHOGONAL else -1)
                     if s.self_dual
                     else None,
                 }
@@ -318,9 +323,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call reuses, built on the first call rather
+    than at import.  Reuse is safe because parsing leaves no state on it:
+    ``prog`` is fixed, every default is immutable, and argparse looks up
+    ``sys.stdout`` and ``sys.stderr`` only when it prints."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

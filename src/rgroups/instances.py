@@ -24,10 +24,16 @@ from .validation import ValidationReport
 
 FORMAT_VERSION = "1"
 
+# Module globals for the members read per symbol (see ``params._NOT_SELF_DUAL``).
+_NOT_SELF_DUAL = DualityType.NOT_SELF_DUAL
+_ORTHOGONAL = DualityType.ORTHOGONAL
+_SYMPLECTIC = DualityType.SYMPLECTIC
+_UNITARY = Family.UNITARY
+
 _CLASSICAL_DUALITIES = {
-    "orthogonal": DualityType.ORTHOGONAL,
-    "symplectic": DualityType.SYMPLECTIC,
-    "not-self-dual": DualityType.NOT_SELF_DUAL,
+    "orthogonal": _ORTHOGONAL,
+    "symplectic": _SYMPLECTIC,
+    "not-self-dual": _NOT_SELF_DUAL,
 }
 
 
@@ -60,10 +66,10 @@ def _parse_symbol(label: str, spec: Any) -> CuspidalSymbol:
     )
     duality = spec.get("duality")
     try:
-        if duality in _CLASSICAL_DUALITIES:
+        if isinstance(duality, str) and duality in _CLASSICAL_DUALITIES:
             _expect_keys(spec, {"dim", "duality", "dual"}, f"symbol {label!r}")
             kind = _CLASSICAL_DUALITIES[duality]
-            if kind is DualityType.NOT_SELF_DUAL:
+            if kind is _NOT_SELF_DUAL:
                 dual = spec.get("dual")
                 _expect(
                     isinstance(dual, str),
@@ -91,7 +97,7 @@ def _parse_symbol(label: str, spec: Any) -> CuspidalSymbol:
                 isinstance(matches, bool),
                 f"symbol {label!r}: lambda_matches must be a boolean",
             )
-            kind = DualityType.ORTHOGONAL if lam == 1 else DualityType.SYMPLECTIC
+            kind = _ORTHOGONAL if lam == 1 else _SYMPLECTIC
             return CuspidalSymbol(
                 label, spec["dim"], kind, conjugate=True, lambda_matches=matches
             )
@@ -103,7 +109,7 @@ def _parse_symbol(label: str, spec: Any) -> CuspidalSymbol:
                 f"symbol {label!r} needs a dual label",
             )
             return CuspidalSymbol(
-                label, spec["dim"], DualityType.NOT_SELF_DUAL, dual, conjugate=True
+                label, spec["dim"], _NOT_SELF_DUAL, dual, conjugate=True
             )
     except ValueError as exc:
         raise ParseError(f"symbol {label!r}: {exc}") from exc
@@ -133,7 +139,8 @@ def parse_instance(text: str) -> Instance:
     to validation)."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the interpreter's stack
         raise ParseError(f"not valid JSON: {exc}") from exc
     _expect(isinstance(doc, dict), "top level must be an object")
     _expect_keys(
@@ -151,7 +158,7 @@ def parse_instance(text: str) -> Instance:
     raw_symbols = doc.get("symbols")
     _expect(isinstance(raw_symbols, dict), "symbols must be an object")
     symbols = {label: _parse_symbol(label, spec) for label, spec in raw_symbols.items()}
-    unitary = family is Family.UNITARY
+    unitary = family is _UNITARY
     for label, sym in symbols.items():
         _expect(
             sym.conjugate == unitary,
@@ -216,7 +223,7 @@ def _symbol_doc(sym: CuspidalSymbol) -> dict:
     if sym.dual_label is not None:
         doc["dual"] = sym.dual_label
     elif sym.conjugate:
-        doc["lambda"] = 1 if sym.duality is DualityType.ORTHOGONAL else -1
+        doc["lambda"] = 1 if sym.duality is _ORTHOGONAL else -1
     if not sym.lambda_matches:
         doc["lambda_matches"] = False
     return doc
@@ -260,8 +267,8 @@ def serialize_instance(inst: Instance) -> str:
 
 def load_instance(path: str | Path) -> Instance:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return parse_instance(text)
 

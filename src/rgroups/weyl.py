@@ -41,7 +41,7 @@ cap is checked before any element is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations, product as iter_product
 from math import factorial, prod
@@ -154,16 +154,27 @@ def weyl_of_factor(
 
 @dataclass(frozen=True, slots=True)
 class _FactorQuotient:
-    """One factor's W, in a fixed order, with what the quotient needs of W0.
+    """One factor's W with what the quotient needs of W0.
 
     ``free`` is the rank of W/W0 when the factor is free, or the message
     saying why that quotient is not elementary abelian, raised only when
-    the factor is used free.
+    the factor is used free.  ``w`` is the set held by the factor's Weyl
+    group cache; only a live factor is enumerated, so only a live factor
+    pays for :meth:`elements`, its fixed enumeration order.
     """
 
-    elements: tuple[SignedPerm, ...]
+    w: frozenset[SignedPerm]
     w0: frozenset[SignedPerm]
     free: int | str
+    _sorted: tuple[SignedPerm, ...] | None = field(
+        default=None, compare=False, repr=False
+    )
+
+    def elements(self) -> tuple[SignedPerm, ...]:
+        """W in sorted order, built on the first call and kept."""
+        if self._sorted is None:
+            object.__setattr__(self, "_sorted", tuple(sorted(self.w)))
+        return self._sorted
 
 
 @lru_cache(maxsize=None)
@@ -183,7 +194,7 @@ def _factor_quotient(kind_value: str, size: int, element_cap: int) -> _FactorQuo
         free: int | str = _quotient_rank(full.order, ident.order)
     except NonElementaryQuotient as exc:
         free = str(exc)
-    return _FactorQuotient(tuple(sorted(full.elements)), ident.elements, free)
+    return _FactorQuotient(full.elements, ident.elements, free)
 
 
 def _det_class(factor: Factor, element: SignedPerm) -> tuple[int, ...]:
@@ -278,14 +289,14 @@ def weyl_quotient(
     if not live:
         return ElementaryTwoGroup(rank)
 
-    total = prod(len(q.elements) for q in live_quotients)
+    total = prod(len(q.w) for q in live_quotients)
     if total > element_cap:
         raise BoundExceeded(
             f"constrained descriptor needs {total} candidate elements,"
             f" above the cap {element_cap}"
         )
     w_order = 0
-    for element in iter_product(*(q.elements for q in live_quotients)):
+    for element in iter_product(*(q.elements() for q in live_quotients)):
         if not _liftable(live, element):
             continue
         for coord, quotient in zip(element, live_quotients):

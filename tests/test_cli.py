@@ -1,10 +1,15 @@
 """Tests for the command-line interface and its exit-code contract."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
+from rgroups import cli
 from rgroups.cli import main
 
 CORPUS = Path(__file__).resolve().parent.parent / "instances"
@@ -66,6 +71,30 @@ def test_validate_exit_two_on_boolean_integer(tmp_path, capsys):
 
 def test_validate_missing_file_exit_two(capsys):
     assert main(["validate", str(CORPUS / "nope.json")]) == 2
+
+
+_UNHASHABLE_DUALITY = {
+    "format_version": "1",
+    "family": "sp",
+    "symbols": {"st": {"dim": 1, "duality": []}},
+    "sigma": {"rank": 0, "blocks": []},
+    "deltas": [],
+}
+
+
+@pytest.mark.parametrize(
+    "command", [["validate"], ["rgroup", "--oracle"], ["explain"]], ids=" ".join
+)
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{}", b"[" * 100_000, json.dumps(_UNHASHABLE_DUALITY).encode()],
+    ids=["not-utf8", "deeply-nested", "unhashable-duality"],
+)
+def test_undecodable_file_exit_two(tmp_path, capsys, command, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main([*command, str(path)]) == 2
+    assert capsys.readouterr().err.startswith("parse error: ")
 
 
 def test_validate_json_mode(capsys):
@@ -269,3 +298,91 @@ def test_usage_error_exit_two():
     with pytest.raises(SystemExit) as info:
         main(["rgroup", "--side", "bogus", "x.json"])
     assert info.value.code == 2
+
+
+def _outcome(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_reused_parser_answers_like_a_fresh_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the default replay directory
+    mixed = str(CORPUS / "sp-mixed-valid.json")
+    sequence = [
+        ["rgroup", "--side", "ks", mixed],
+        ["rgroup", mixed],
+        ["rgroup", "--json", "--oracle", mixed],
+        ["rgroup", mixed],
+        ["rgroup"],
+        ["explain", "--json", mixed],
+        ["nope"],
+        ["explain", mixed],
+        ["validate", "--json", mixed],
+        ["validate", mixed],
+        [
+            "fuzz", "--seed", "3", "--count", "7", "--family", "so-odd",
+            "--max-deltas", "2", "--max-dim", "2", "--max-a", "3", "--max-mult", "1",
+        ],
+        ["fuzz"],
+    ]
+    builds = []
+    build = cli.build_parser
+
+    def counted_build():
+        builds.append(None)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted_build)
+    cli._shared_parser.cache_clear()
+    reused = [_outcome(argv, capsys) for argv in sequence]
+    assert len(builds) == 1
+
+    fresh = []
+    for argv in sequence:
+        cli._shared_parser.cache_clear()
+        fresh.append(_outcome(argv, capsys))
+    assert len(builds) == 1 + len(sequence)
+    cli._shared_parser.cache_clear()
+
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 0, 0, 2, 0, 2, 0, 0, 0, 0, 0]
+    assert "100/100 agree" in reused[-1][1]
+    assert not list(tmp_path.iterdir())
+
+
+def test_importing_the_cli_builds_no_parser(tmp_path):
+    script = textwrap.dedent(
+        """
+        import argparse, contextlib, io, sys
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        argparse.ArgumentParser.__init__ = counting
+        import rgroups.cli
+        counts = [len(built)]
+        for _ in range(2):
+            with contextlib.redirect_stdout(io.StringIO()):
+                rgroups.cli.main(["validate", sys.argv[1]])
+            counts.append(len(built))
+        print(*counts)
+        """
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )}
+    run = subprocess.run(
+        [sys.executable, "-c", script, str(CORPUS / "sp-mixed-valid.json")],
+        env=env, cwd=tmp_path, capture_output=True, text=True, check=True,
+    )
+    at_import, first_call, second_call = map(int, run.stdout.split())
+    assert at_import == 0
+    assert first_call > 0 and second_call == first_call
