@@ -30,10 +30,6 @@ from .levi import FuzzBounds, _verify, parameter_of_induced, random_instance, ve
 from .params import DualityType, Family, classify
 from .weyl import weyl_quotient
 
-# Module globals for the members read per call (see ``params._NOT_SELF_DUAL``).
-_ORTHOGONAL = DualityType.ORTHOGONAL
-_UNITARY = Family.UNITARY
-
 
 def _print_violations(report, file=None) -> None:
     for violation in report.violations:
@@ -167,7 +163,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     ambient = inst.data.ambient_group()
     desc = centralizer(phi, ambient)
     buckets = classify(phi, ambient)
-    if inst.family is _UNITARY:
+    if inst.family is Family.UNITARY:
         doc = {
             "ambient": ambient.describe(),
             "summands": [
@@ -176,7 +172,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
                     "dim": s.dim,
                     "mult": m,
                     "conj_self_dual": s.self_dual,
-                    "lambda": (1 if s.duality is _ORTHOGONAL else -1)
+                    "lambda": (1 if s.duality is DualityType.ORTHOGONAL else -1)
                     if s.self_dual
                     else None,
                 }
@@ -269,7 +265,13 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call rather than
+    at import and reused by every ``main`` call.  Reuse is safe because
+    parsing leaves no state on it: ``prog`` is fixed, every default is
+    immutable, and argparse looks up ``sys.stdout`` and ``sys.stderr`` only
+    when it prints."""
     parser = argparse.ArgumentParser(
         prog="rgroups",
         description=(
@@ -323,17 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@cache
-def _shared_parser() -> argparse.ArgumentParser:
-    """The parser every ``main`` call reuses, built on the first call rather
-    than at import.  Reuse is safe because parsing leaves no state on it:
-    ``prog`` is fixed, every default is immutable, and argparse looks up
-    ``sys.stdout`` and ``sys.stderr`` only when it prints."""
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _shared_parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

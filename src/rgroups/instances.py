@@ -24,16 +24,10 @@ from .validation import ValidationReport
 
 FORMAT_VERSION = "1"
 
-# Module globals for the members read per symbol (see ``params._NOT_SELF_DUAL``).
-_NOT_SELF_DUAL = DualityType.NOT_SELF_DUAL
-_ORTHOGONAL = DualityType.ORTHOGONAL
-_SYMPLECTIC = DualityType.SYMPLECTIC
-_UNITARY = Family.UNITARY
-
 _CLASSICAL_DUALITIES = {
-    "orthogonal": _ORTHOGONAL,
-    "symplectic": _SYMPLECTIC,
-    "not-self-dual": _NOT_SELF_DUAL,
+    "orthogonal": DualityType.ORTHOGONAL,
+    "symplectic": DualityType.SYMPLECTIC,
+    "not-self-dual": DualityType.NOT_SELF_DUAL,
 }
 
 
@@ -69,7 +63,7 @@ def _parse_symbol(label: str, spec: Any) -> CuspidalSymbol:
         if isinstance(duality, str) and duality in _CLASSICAL_DUALITIES:
             _expect_keys(spec, {"dim", "duality", "dual"}, f"symbol {label!r}")
             kind = _CLASSICAL_DUALITIES[duality]
-            if kind is _NOT_SELF_DUAL:
+            if kind is DualityType.NOT_SELF_DUAL:
                 dual = spec.get("dual")
                 _expect(
                     isinstance(dual, str),
@@ -97,7 +91,7 @@ def _parse_symbol(label: str, spec: Any) -> CuspidalSymbol:
                 isinstance(matches, bool),
                 f"symbol {label!r}: lambda_matches must be a boolean",
             )
-            kind = _ORTHOGONAL if lam == 1 else _SYMPLECTIC
+            kind = DualityType.ORTHOGONAL if lam == 1 else DualityType.SYMPLECTIC
             return CuspidalSymbol(
                 label, spec["dim"], kind, conjugate=True, lambda_matches=matches
             )
@@ -109,7 +103,7 @@ def _parse_symbol(label: str, spec: Any) -> CuspidalSymbol:
                 f"symbol {label!r} needs a dual label",
             )
             return CuspidalSymbol(
-                label, spec["dim"], _NOT_SELF_DUAL, dual, conjugate=True
+                label, spec["dim"], DualityType.NOT_SELF_DUAL, dual, conjugate=True
             )
     except ValueError as exc:
         raise ParseError(f"symbol {label!r}: {exc}") from exc
@@ -158,7 +152,7 @@ def parse_instance(text: str) -> Instance:
     raw_symbols = doc.get("symbols")
     _expect(isinstance(raw_symbols, dict), "symbols must be an object")
     symbols = {label: _parse_symbol(label, spec) for label, spec in raw_symbols.items()}
-    unitary = family is _UNITARY
+    unitary = family is Family.UNITARY
     for label, sym in symbols.items():
         _expect(
             sym.conjugate == unitary,
@@ -223,7 +217,7 @@ def _symbol_doc(sym: CuspidalSymbol) -> dict:
     if sym.dual_label is not None:
         doc["dual"] = sym.dual_label
     elif sym.conjugate:
-        doc["lambda"] = 1 if sym.duality is _ORTHOGONAL else -1
+        doc["lambda"] = 1 if sym.duality is DualityType.ORTHOGONAL else -1
     if not sym.lambda_matches:
         doc["lambda_matches"] = False
     return doc

@@ -26,10 +26,6 @@ from .params import (
 )
 from .validation import ValidationReport, Violation
 
-# Module globals for the members read per check (see ``params._NOT_SELF_DUAL``).
-_EVEN_ORTHOGONAL = Family.EVEN_ORTHOGONAL
-_UNITARY = Family.UNITARY
-
 
 @dataclass(frozen=True)
 class JordanData:
@@ -75,10 +71,10 @@ def validate_jordan(sigma: JordanData) -> ValidationReport:
     """
     violations: list[Violation] = []
     group = sigma.group
-    unitary = group.family is _UNITARY
+    unitary = group.family is Family.UNITARY
     conj = "conjugate-" if unitary else ""
 
-    if group.family is _EVEN_ORTHOGONAL and group.rank == 1:
+    if group.family is Family.EVEN_ORTHOGONAL and group.rank == 1:
         violations.append(
             Violation(
                 "no-discrete-series",

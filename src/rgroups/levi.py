@@ -34,13 +34,6 @@ from .params import (
 )
 from .validation import ValidationReport, Violation
 
-# Module globals for the members read per instance (see ``params._NOT_SELF_DUAL``).
-_NOT_SELF_DUAL = DualityType.NOT_SELF_DUAL
-_ORTHOGONAL = DualityType.ORTHOGONAL
-_SYMPLECTIC = DualityType.SYMPLECTIC
-_SP_FAMILY = Family.SYMPLECTIC
-_UNITARY = Family.UNITARY
-
 
 @dataclass(frozen=True)
 class DeltaFactor:
@@ -67,7 +60,7 @@ class InducingData:
         """GL(k) adds k to the rank of G_m; Res GL_k(E) adds 2k to U(m)."""
         group = self.sigma.group
         gl_rank = sum(d.summand.dim * d.multiplicity for d in self.deltas)
-        if group.family is _UNITARY:
+        if group.family is Family.UNITARY:
             gl_rank *= 2
         return GroupSpec(group.family, group.rank + gl_rank)
 
@@ -76,7 +69,7 @@ def _delta_rules(pi: InducingData) -> ValidationReport:
     """The delta-level rules: equivalent delta factors must be merged, or
     for U(m) the Levi subgroup must be maximal; a delta's sign must be
     usable."""
-    unitary = pi.sigma.group.family is _UNITARY
+    unitary = pi.sigma.group.family is Family.UNITARY
     violations = []
     if unitary and len(pi.deltas) > 1:
         violations.append(
@@ -232,7 +225,7 @@ class FuzzBounds:
     family: Family = Family.SYMPLECTIC
 
     def __post_init__(self) -> None:
-        if self.family is _UNITARY:
+        if self.family is Family.UNITARY:
             raise ValueError("the fuzzer covers the three classical families")
         if min(self.max_dim, self.max_a, self.max_mult) < 1 or self.max_deltas < 0:
             raise BoundsInfeasible("bounds must be positive")
@@ -244,12 +237,12 @@ _MAX_ATTEMPTS = 200
 def _draw_self_dual_type(rng: random.Random, bounds: FuzzBounds) -> DualityType:
     # 1-dimensional symplectic symbols do not exist, so respect max_dim.
     if bounds.max_dim < 2:
-        return _ORTHOGONAL
-    return rng.choice((_ORTHOGONAL, _SYMPLECTIC))
+        return DualityType.ORTHOGONAL
+    return rng.choice((DualityType.ORTHOGONAL, DualityType.SYMPLECTIC))
 
 
 def _draw_dim(rng: random.Random, duality: DualityType, bounds: FuzzBounds) -> int:
-    if duality is _SYMPLECTIC:
+    if duality is DualityType.SYMPLECTIC:
         return 2 * rng.randint(1, bounds.max_dim // 2)
     return rng.randint(1, bounds.max_dim)
 
@@ -294,10 +287,10 @@ def _draw_jordan(
             blocks.append(candidate)
 
     total = sum(b.dim for b in blocks)
-    if family is _SP_FAMILY:
+    if family is Family.SYMPLECTIC:
         if total % 2 == 0:
             filler = Summand(
-                CuspidalSymbol(fresh.next(), 1, _ORTHOGONAL), 1
+                CuspidalSymbol(fresh.next(), 1, DualityType.ORTHOGONAL), 1
             )
             blocks.append(filler)
             total += 1
@@ -305,7 +298,7 @@ def _draw_jordan(
     else:
         if total % 2:
             filler = Summand(
-                CuspidalSymbol(fresh.next(), 1, _ORTHOGONAL), 1
+                CuspidalSymbol(fresh.next(), 1, DualityType.ORTHOGONAL), 1
             )
             blocks.append(filler)
             total += 1
@@ -349,7 +342,7 @@ def random_instance(seed: int, bounds: FuzzBounds = FuzzBounds()) -> InducingDat
                 dim = rng.randint(1, bounds.max_dim)
                 label = fresh.next()
                 rho = CuspidalSymbol(
-                    label, dim, _NOT_SELF_DUAL, dual_label=label + "t"
+                    label, dim, DualityType.NOT_SELF_DUAL, dual_label=label + "t"
                 )
                 summand = Summand(rho, rng.randint(1, bounds.max_a))
             elif kind == "member":

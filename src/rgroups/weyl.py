@@ -41,7 +41,7 @@ cap is checked before any element is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product as iter_product
 from math import factorial, prod
@@ -158,23 +158,13 @@ class _FactorQuotient:
 
     ``free`` is the rank of W/W0 when the factor is free, or the message
     saying why that quotient is not elementary abelian, raised only when
-    the factor is used free.  ``w`` is the set held by the factor's Weyl
-    group cache; only a live factor is enumerated, so only a live factor
-    pays for :meth:`elements`, its fixed enumeration order.
+    the factor is used free.  ``w`` and ``w0`` are the sets held by the
+    factor's Weyl group cache.
     """
 
     w: frozenset[SignedPerm]
     w0: frozenset[SignedPerm]
     free: int | str
-    _sorted: tuple[SignedPerm, ...] | None = field(
-        default=None, compare=False, repr=False
-    )
-
-    def elements(self) -> tuple[SignedPerm, ...]:
-        """W in sorted order, built on the first call and kept."""
-        if self._sorted is None:
-            object.__setattr__(self, "_sorted", tuple(sorted(self.w)))
-        return self._sorted
 
 
 @lru_cache(maxsize=None)
@@ -296,7 +286,7 @@ def weyl_quotient(
             f" above the cap {element_cap}"
         )
     w_order = 0
-    for element in iter_product(*(q.elements() for q in live_quotients)):
+    for element in iter_product(*(q.w for q in live_quotients)):
         if not _liftable(live, element):
             continue
         for coord, quotient in zip(element, live_quotients):

@@ -329,24 +329,15 @@ def test_reused_parser_answers_like_a_fresh_one(tmp_path, monkeypatch, capsys):
         ],
         ["fuzz"],
     ]
-    builds = []
-    build = cli.build_parser
-
-    def counted_build():
-        builds.append(None)
-        return build()
-
-    monkeypatch.setattr(cli, "build_parser", counted_build)
-    cli._shared_parser.cache_clear()
+    cli.build_parser.cache_clear()
     reused = [_outcome(argv, capsys) for argv in sequence]
-    assert len(builds) == 1
+    assert cli.build_parser.cache_info().misses == 1
 
     fresh = []
     for argv in sequence:
-        cli._shared_parser.cache_clear()
+        cli.build_parser.cache_clear()
         fresh.append(_outcome(argv, capsys))
-    assert len(builds) == 1 + len(sequence)
-    cli._shared_parser.cache_clear()
+        assert cli.build_parser.cache_info().misses == 1
 
     assert reused == fresh
     assert [code for code, _, _ in reused] == [0, 0, 0, 0, 2, 0, 2, 0, 0, 0, 0, 0]
