@@ -19,7 +19,6 @@ from enum import Enum
 
 from .errors import InvalidParameter, UnresolvedConstraint
 from .params import (
-    Classification,
     DualityType,
     Family,
     GroupSpec,
@@ -142,19 +141,20 @@ _BUCKET_KINDS = (
 )
 
 
-# Families whose centralizer carries no determinant condition.
-_UNCONSTRAINED = (Family.EVEN_ORTHOGONAL, Family.UNITARY)
-
-
 def _centralizer_factors(
-    psi: Parameter, group: GroupSpec, buckets: Classification
-) -> list[Factor]:
-    """One factor per canonical entry of a valid parameter, in
-    classification order: a dual pair of multiplicity m centralizes to
-    GL(m); an opposite-type summand of multiplicity m (necessarily even)
-    to Sp(m); a same-type summand of multiplicity m to O(m).  For U(n),
-    one factor per summand in (label, a) order, both members of a
-    conjugate-dual pair included."""
+    psi: Parameter, group: GroupSpec, caller: str
+) -> tuple[list[Factor], list[int] | None]:
+    """The factors of a valid parameter's centralizer, and the indices of
+    those the determinant condition constrains: the O factors of odd
+    source dimension, or ``None`` for even orthogonal and unitary targets.
+
+    One factor per canonical entry, in classification order: a dual pair
+    of multiplicity m gives GL(m), an opposite-type summand Sp(m) (m is
+    even) and a same-type summand O(m).  For U(n), one factor per summand
+    in (label, a) order, both members of a conjugate-dual pair included.
+    """
+    report, buckets = checked(psi, group)
+    report.require(InvalidParameter, caller)
     if group.family is Family.UNITARY:
         kinds = {
             DualityType.NOT_SELF_DUAL: FactorKind.GENERAL_LINEAR,
@@ -163,20 +163,16 @@ def _centralizer_factors(
         return [
             Factor(kinds.get(s.duality, FactorKind.SYMPLECTIC), m, s.dim)
             for s, m in psi.expanded_entries()
-        ]
-    return [
+        ], None
+    factors = [
         Factor(kind, entry.multiplicity, entry.summand.dim)
         for kind, bucket in zip(_BUCKET_KINDS, buckets.buckets)
         for entry in bucket
     ]
-
-
-def _odd_source_orthogonal(factors: list[Factor]) -> list[int]:
-    """Indices of the factors the determinant condition constrains."""
-    return [
-        i
-        for i, f in enumerate(factors)
-        if f.kind is _O and f.source_dim % 2
+    if group.family is Family.EVEN_ORTHOGONAL:
+        return factors, None
+    return factors, [
+        i for i, f in enumerate(factors) if f.kind is _O and f.source_dim % 2
     ]
 
 
@@ -193,25 +189,19 @@ def centralizer(psi: Parameter, group: GroupSpec) -> CentralizerDescriptor:
     such factor solves the condition and turns that factor into SO,
     leaving every other factor free.
     """
-    report, buckets = checked(psi, group)
-    report.require(InvalidParameter, "centralizer")
-    factors = _centralizer_factors(psi, group, buckets)
-    if group.family in _UNCONSTRAINED:
-        return CentralizerDescriptor(tuple(factors), None)
-
-    constrained = _odd_source_orthogonal(factors)
-    if constrained:
-        demotable = [i for i in constrained if factors[i].size % 2]
-        if not demotable:
-            raise UnresolvedConstraint(
-                "no odd-size factor with odd source dimension can absorb the"
-                " determinant condition"
-            )
+    factors, live = _centralizer_factors(psi, group, "centralizer")
+    demotable = [i for i in live or () if factors[i].size % 2]
+    if live and not demotable:
+        raise UnresolvedConstraint(
+            "no odd-size factor with odd source dimension can absorb the"
+            " determinant condition"
+        )
+    if demotable:
         i = demotable[0]
         factors[i] = Factor(
             FactorKind.SPECIAL_ORTHOGONAL, factors[i].size, factors[i].source_dim
         )
-    return CentralizerDescriptor(tuple(factors), ())
+    return CentralizerDescriptor(tuple(factors), None if live is None else ())
 
 
 def unresolved_centralizer(
@@ -225,13 +215,9 @@ def unresolved_centralizer(
     brute-force quotient then enumerates.  Even orthogonal and unitary
     targets impose no condition.
     """
-    report, buckets = checked(psi, group)
-    report.require(InvalidParameter, "unresolved_centralizer")
-    factors = _centralizer_factors(psi, group, buckets)
-    if group.family in _UNCONSTRAINED:
-        return CentralizerDescriptor(tuple(factors), None)
-    live = tuple((i, 1) for i in _odd_source_orthogonal(factors))
-    return CentralizerDescriptor(tuple(factors), live)
+    factors, live = _centralizer_factors(psi, group, "unresolved_centralizer")
+    constraint = None if live is None else tuple((i, 1) for i in live)
+    return CentralizerDescriptor(tuple(factors), constraint)
 
 
 def arthur_r_group(psi: Parameter, group: GroupSpec) -> ElementaryTwoGroup:

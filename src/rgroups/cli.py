@@ -229,6 +229,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
     try:
+        if args.count < 0:
+            raise ValueError(f"count must be non-negative, got {args.count}")
         bounds = FuzzBounds(
             max_deltas=args.max_deltas,
             max_dim=args.max_dim,

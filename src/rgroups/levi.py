@@ -123,13 +123,12 @@ def knapp_stein_r_group(pi: InducingData) -> ElementaryTwoGroup:
     are irrelevant.
     """
     validate_inducing(pi).require(InvalidInducingData, "knapp_stein_r_group")
-    rank = sum(
-        1
-        for d in pi.deltas
-        if d.summand.self_dual
-        and _is_reducible(d.summand.rho, d.summand.a, pi.sigma)
-    )
-    return ElementaryTwoGroup(rank)
+    return ElementaryTwoGroup(sum(_counted(d.summand, pi.sigma) for d in pi.deltas))
+
+
+def _counted(summand: Summand, sigma: JordanData) -> bool:
+    """Whether a delta counts toward the Knapp-Stein rank (sigma valid)."""
+    return summand.self_dual and _is_reducible(summand.rho, summand.a, sigma)
 
 
 def parameter_of_induced(pi: InducingData) -> Parameter:
@@ -207,8 +206,7 @@ def _verify(pi: InducingData, phi: Parameter) -> VerificationResult:
                 self_dual=self_dual,
                 same_type=same_type,
                 in_jordan=d.summand in pi.sigma.blocks,
-                counted=self_dual
-                and _is_reducible(d.summand.rho, d.summand.a, pi.sigma),
+                counted=_counted(d.summand, pi.sigma),
             )
         )
     ks = sum(row.counted for row in rows)

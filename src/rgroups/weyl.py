@@ -10,12 +10,14 @@ What is enumerated.  The determinant condition reads only the factors
 listed in ``det_constraint`` (the live factors).  Every other factor
 splits off as a direct factor of W and contributes its own rank; its
 checks (W0 inside W, every element squaring into W0) run once per
-(kind, size, element cap) and are cached beside the factor's Weyl
-groups.  Only the product of the live factors' Weyl groups is enumerated
-element by element, so a descriptor without live factors enumerates
-nothing.  The torus-degree bound applies to the whole descriptor; the
-element cap applies to each factor's Weyl group and to the live product.
-Nothing is cached per descriptor.
+factor shape (kind, size) and are cached with the shape's Weyl groups.
+Only the product of the live factors' Weyl groups is enumerated element
+by element, so a descriptor without live factors enumerates nothing.
+
+The one size bound is an element cap: each factor's W, the sum over the
+free factors and the product over the live factors must stay within it.
+Orders are known in closed form and cached per shape, so the checks run
+before any group is built.  Nothing is cached per descriptor.
 
 Conventions.  A signed permutation of degree k is a pair
 (perm, signs) with perm a tuple giving i -> perm[i] and signs in
@@ -25,8 +27,7 @@ maximal tori are conjugate, so nothing is lost by fixing it.
 
 Weyl groups of the factors, with k letters per factor.  Each W and W0 is
 enumerated directly, every permutation of its letters paired with every
-allowed sign vector; its order is known in closed form, so the element
-cap is checked before any element is built.
+allowed sign vector.
 
 * GL(m): the symmetric group on m letters (no sign flips); connected.
 * Sp(2k): all signed permutations of k letters; connected.
@@ -60,7 +61,6 @@ Signs = tuple[int, ...]
 SignedPerm = tuple[Perm, Signs]
 
 DEFAULT_ELEMENT_CAP = 1_000_000
-DEFAULT_TORUS_BOUND = 10
 
 
 def compose(g: SignedPerm, h: SignedPerm) -> SignedPerm:
@@ -91,17 +91,10 @@ class SignedPermGroup:
         return self.elements <= other.elements
 
 
-def _signed_permutations(degree: int, flips: str, element_cap: int) -> SignedPermGroup:
+def _signed_permutations(degree: int, flips: str) -> SignedPermGroup:
     """Every permutation of ``degree`` letters paired with every sign
     vector that ``flips`` allows: ``"none"`` flipped, ``"any"`` or an
-    ``"even"`` number.  The cap is checked from the order, before building.
-    """
-    sign_vectors = {"none": 1, "any": 2**degree, "even": max(1, 2**degree // 2)}
-    order = factorial(degree) * sign_vectors[flips]
-    if order > element_cap:
-        raise BoundExceeded(
-            f"Weyl group of order {order} is above the cap {element_cap}"
-        )
+    ``"even"`` number."""
     choices = (1,) if flips == "none" else (1, -1)
     signs = [
         s
@@ -121,59 +114,74 @@ def torus_degree(factor: Factor) -> int:
     return factor.size // 2
 
 
-@lru_cache(maxsize=None)
-def _weyl_of_factor_cached(
-    kind: FactorKind, size: int, element_cap: int
-) -> tuple[SignedPermGroup, SignedPermGroup]:
-    k = torus_degree(Factor(kind, size, 1))
+def _shape(kind: FactorKind, size: int) -> tuple[int, str, str]:
+    """A factor's letters and the sign vectors allowed in its W and W0."""
+    degree = torus_degree(Factor(kind, size, 1))
     if kind is FactorKind.GENERAL_LINEAR:
-        full = _signed_permutations(k, "none", element_cap)
-        return full, full
+        return degree, "none", "none"
     if kind is FactorKind.SYMPLECTIC or size % 2:
-        full = _signed_permutations(k, "any", element_cap)
-        return full, full
+        return degree, "any", "any"
     if kind is FactorKind.FULL_ORTHOGONAL:
-        full = _signed_permutations(k, "any", element_cap)
-        return full, _signed_permutations(k, "even", element_cap)
-    if kind is FactorKind.SPECIAL_ORTHOGONAL:
-        full = _signed_permutations(k, "even", element_cap)
+        return degree, "any", "even"
+    return degree, "even", "even"
+
+
+@lru_cache(maxsize=None)
+def _weyl_order(kind_value: str, size: int, element_cap: int) -> int:
+    """|W| of a factor shape from its closed form, refused above the cap.
+    W on k letters has at least k! >= 2**(k-1) elements, so more letters
+    than the cap has bits are refused before the order is computed."""
+    degree, flips, _ = _shape(FactorKind(kind_value), size)
+    if degree > element_cap.bit_length():
+        raise BoundExceeded(
+            f"Weyl group on {degree} letters is above the cap {element_cap}"
+        )
+    sign_vectors = {"none": 1, "any": 2**degree, "even": max(1, 2**degree // 2)}
+    order = factorial(degree) * sign_vectors[flips]
+    if order > element_cap:
+        raise BoundExceeded(
+            f"Weyl group of order {order} is above the cap {element_cap}"
+        )
+    return order
+
+
+@dataclass(frozen=True, slots=True)
+class _FactorWeyl:
+    """One factor shape's W and W0, and ``free``: the rank of W/W0 as a
+    free factor, or the message saying why that quotient is not elementary
+    abelian, raised only when the factor is used free."""
+
+    full: SignedPermGroup
+    ident: SignedPermGroup
+    free: int | str
+
+
+def _weyl_groups(kind: FactorKind, size: int) -> tuple[SignedPermGroup, SignedPermGroup]:
+    degree, full_flips, ident_flips = _shape(kind, size)
+    full = _signed_permutations(degree, full_flips)
+    if ident_flips == full_flips:
         return full, full
-    raise ValueError(f"unknown factor kind {kind}")
+    return full, _signed_permutations(degree, ident_flips)
 
 
 def weyl_of_factor(
     kind: FactorKind, size: int, element_cap: int = DEFAULT_ELEMENT_CAP
 ) -> tuple[SignedPermGroup, SignedPermGroup]:
-    """(W, W0) of one factor: the full Weyl group and the Weyl group of
-    the factor's identity component, both as explicit signed-permutation
-    groups on ``torus_degree`` letters."""
-    if size < 1:
-        raise ValueError(f"factor size must be positive, got {size}")
-    return _weyl_of_factor_cached(kind, size, element_cap)
-
-
-@dataclass(frozen=True, slots=True)
-class _FactorQuotient:
-    """One factor's W with what the quotient needs of W0.
-
-    ``free`` is the rank of W/W0 when the factor is free, or the message
-    saying why that quotient is not elementary abelian, raised only when
-    the factor is used free.  ``w`` and ``w0`` are the sets held by the
-    factor's Weyl group cache.
-    """
-
-    w: frozenset[SignedPerm]
-    w0: frozenset[SignedPerm]
-    free: int | str
+    """(W, W0) of one factor: the full Weyl group and that of the factor's
+    identity component, as signed-permutation groups on ``torus_degree``
+    letters, built once the cap has admitted W's order.  Only the oracle's
+    per-shape records, with their checks, are cached."""
+    _weyl_order(kind.value, size, element_cap)
+    return _weyl_groups(kind, size)
 
 
 @lru_cache(maxsize=None)
-def _factor_quotient(kind_value: str, size: int, element_cap: int) -> _FactorQuotient:
-    """The per-factor checks, which depend only on (kind, size): W0 must lie
-    in W; as a free factor, every element of W must square into W0 and the
-    index must be a power of 2.  Keyed by the kind's value, whose hash is a
-    string's rather than a Python-level ``Enum.__hash__`` call."""
-    full, ident = weyl_of_factor(FactorKind(kind_value), size, element_cap)
+def _factor_weyl(kind_value: str, size: int) -> _FactorWeyl:
+    """The groups and checks of a shape the cap admitted: W0 must lie in W;
+    as a free factor, every element of W must square into W0 and the index
+    must be a power of 2.  Both caches key on the kind's value, whose hash
+    is a string's rather than a Python-level ``Enum.__hash__`` call."""
+    full, ident = _weyl_groups(FactorKind(kind_value), size)
     if not ident.is_subgroup_of(full):
         raise NonElementaryQuotient(
             "identity-component Weyl group is not contained in W"
@@ -184,7 +192,7 @@ def _factor_quotient(kind_value: str, size: int, element_cap: int) -> _FactorQuo
         free: int | str = _quotient_rank(full.order, ident.order)
     except NonElementaryQuotient as exc:
         free = str(exc)
-    return _FactorQuotient(full.elements, ident.elements, free)
+    return _FactorWeyl(full, ident, free)
 
 
 def _det_class(factor: Factor, element: SignedPerm) -> tuple[int, ...]:
@@ -232,9 +240,7 @@ def _quotient_rank(w_order: int, w0_order: int) -> int:
 
 
 def weyl_quotient(
-    desc: CentralizerDescriptor,
-    max_torus_degree: int = DEFAULT_TORUS_BOUND,
-    element_cap: int = DEFAULT_ELEMENT_CAP,
+    desc: CentralizerDescriptor, element_cap: int = DEFAULT_ELEMENT_CAP
 ) -> ElementaryTwoGroup:
     """Rank of W/W0 for a descriptor, by finite enumeration.
 
@@ -249,51 +255,58 @@ def weyl_quotient(
     in ``det_constraint``), so W is the direct product of the free
     factors' Weyl groups and the liftable part of the live factors'
     product.  Each free factor contributes its own rank from checks made
-    once per (kind, size, element_cap).  Only the product of the live
-    factors' Weyl groups is enumerated, element by element; without live
-    factors nothing is.
+    once per factor shape.  Only the product of the live factors' Weyl
+    groups is enumerated, element by element; without live factors
+    nothing is.
 
-    Bounds: the descriptor's torus degree (sum of size // 2 over all
-    factors) may not exceed ``max_torus_degree``; ``element_cap`` bounds
-    each factor's Weyl group and the size of the enumerated live product.
-    Either overflow raises :class:`BoundExceeded`.
+    Bound: ``element_cap`` counts Weyl elements.  Each factor's W, the sum
+    of the free factors' orders and the product of the live factors'
+    orders must stay within it, checked from closed-form orders before
+    any group is built; an overflow raises :class:`BoundExceeded`.
     """
-    factors = desc.factors
-    if sum(f.size // 2 for f in factors) > max_torus_degree:
-        raise BoundExceeded(
-            f"total torus degree exceeds the bound {max_torus_degree}"
-        )
     live_indices = constrained_indices(desc)
+    free_total, live_total = 0, 1
+    for i, f in enumerate(desc.factors):
+        order = _weyl_order(f.kind._value_, f.size, element_cap)
+        if i in live_indices:
+            live_total *= order
+        else:
+            free_total += order
+    if free_total > element_cap:
+        raise BoundExceeded(
+            f"free factors hold {free_total} Weyl elements,"
+            f" above the cap {element_cap}"
+        )
+    if live_total > element_cap:
+        raise BoundExceeded(
+            f"constrained descriptor needs {live_total} candidate elements,"
+            f" above the cap {element_cap}"
+        )
     rank = 0
     live: list[Factor] = []
-    live_quotients: list[_FactorQuotient] = []
-    for i, factor in enumerate(factors):
-        quotient = _factor_quotient(factor.kind._value_, factor.size, element_cap)
+    live_weyl: list[_FactorWeyl] = []
+    for i, f in enumerate(desc.factors):
+        record = _factor_weyl(f.kind._value_, f.size)
         if i in live_indices:
-            live.append(factor)
-            live_quotients.append(quotient)
-        elif isinstance(quotient.free, str):
-            raise NonElementaryQuotient(quotient.free)
+            live.append(f)
+            live_weyl.append(record)
+        elif isinstance(record.free, str):
+            raise NonElementaryQuotient(record.free)
         else:
-            rank += quotient.free
+            rank += record.free
     if not live:
         return ElementaryTwoGroup(rank)
 
-    total = prod(len(q.w) for q in live_quotients)
-    if total > element_cap:
-        raise BoundExceeded(
-            f"constrained descriptor needs {total} candidate elements,"
-            f" above the cap {element_cap}"
-        )
+    w0_sets = [r.ident.elements for r in live_weyl]
     w_order = 0
-    for element in iter_product(*(q.w for q in live_quotients)):
+    for element in iter_product(*(r.full.elements for r in live_weyl)):
         if not _liftable(live, element):
             continue
-        for coord, quotient in zip(element, live_quotients):
-            if compose(coord, coord) not in quotient.w0:
+        for coord, w0 in zip(element, w0_sets):
+            if compose(coord, coord) not in w0:
                 raise NonElementaryQuotient("an element fails to square into W0")
         w_order += 1
     # W0 consists of connected-component elements, whose lifts all have
     # determinant 1, so W0 is automatically inside W.
-    w0_order = prod(len(q.w0) for q in live_quotients)
+    w0_order = prod(len(w0) for w0 in w0_sets)
     return ElementaryTwoGroup(rank + _quotient_rank(w_order, w0_order))

@@ -149,9 +149,10 @@ def test_rgroup_unitary_cases(capsys):
     assert "oracle rank: 0" in out
 
 
-def _above_oracle_bound(tmp_path) -> str:
-    """A valid sp instance whose centralizer GL(22) x SO(1) has torus
-    degree 11, one above the oracle's default bound."""
+def _above_oracle_bound(tmp_path, mult: int = 22) -> str:
+    """A valid sp instance whose centralizer is GL(mult) x SO(1).  The
+    Weyl group of GL(22) permutes 22 letters, more than the 20 bits of the
+    oracle's default cap, so it is refused without computing its order."""
     doc = {
         "format_version": "1",
         "family": "sp",
@@ -161,7 +162,7 @@ def _above_oracle_bound(tmp_path) -> str:
             "pt": {"dim": 1, "duality": "not-self-dual", "dual": "p"},
         },
         "sigma": {"rank": 0, "blocks": [["a", 1]]},
-        "deltas": [{"rho": "p", "a": 1, "mult": 22}],
+        "deltas": [{"rho": "p", "a": 1, "mult": mult}],
     }
     path = tmp_path / "above-bound.json"
     path.write_text(json.dumps(doc))
@@ -173,7 +174,7 @@ def test_rgroup_oracle_above_bound_still_reports_the_closed_form(tmp_path, capsy
     assert main(["rgroup", "--oracle", path]) == 1
     out = capsys.readouterr().out
     assert "knapp-stein rank: 0" in out and "arthur rank: 0" in out
-    assert "oracle: skipped (bound: total torus degree exceeds the bound 10)" in out
+    assert "oracle: skipped (bound: Weyl group on 22 letters is above the cap 1000000)" in out
     assert "agree: yes" in out
     assert main(["rgroup", "--oracle", "--json", path]) == 1
     captured = capsys.readouterr()
@@ -182,13 +183,52 @@ def test_rgroup_oracle_above_bound_still_reports_the_closed_form(tmp_path, capsy
     assert results["oracle"] == "skipped (bound)"
     assert results["ks_rank"] == results["arthur_rank"] == 0
     assert results["agree"] is True
-    assert "exceeds the bound 10" in captured.err
+    assert "on 22 letters is above the cap 1000000" in captured.err
     assert main(["rgroup", path]) == 0  # without --oracle nothing is skipped
 
 
+def test_rgroup_oracle_refuses_a_huge_factor_at_its_letter_count(tmp_path, capsys):
+    path = _above_oracle_bound(tmp_path, mult=5000)
+    assert main(["rgroup", "--oracle", path]) == 1
+    out = capsys.readouterr().out
+    assert "centralizer: GL(5000) x SO(1)" in out
+    assert "oracle: skipped (bound: Weyl group on 5000 letters is above the cap 1000000)" in out
+
+
+def test_rgroup_oracle_answers_free_factors_within_the_cap(tmp_path, capsys):
+    # 12 torus letters; the free factors hold 2 + 48 + 8 + 48 + 48 = 154
+    # Weyl elements.
+    doc = {
+        "format_version": "1",
+        "family": "sp",
+        "symbols": {
+            "p": {"dim": 1, "duality": "not-self-dual", "dual": "pt"},
+            "pt": {"dim": 1, "duality": "not-self-dual", "dual": "p"},
+            "x": {"dim": 1, "duality": "orthogonal"},
+            "y": {"dim": 1, "duality": "orthogonal"},
+            "z": {"dim": 1, "duality": "orthogonal"},
+        },
+        "sigma": {"rank": 0, "blocks": [["z", 1]]},
+        "deltas": [
+            {"rho": "p", "a": 1, "mult": 2},
+            {"rho": "x", "a": 2, "mult": 3},
+            {"rho": "x", "a": 4, "mult": 2},
+            {"rho": "y", "a": 2, "mult": 3},
+            {"rho": "z", "a": 1, "mult": 3},
+        ],
+    }
+    path = tmp_path / "free-factors.json"
+    path.write_text(json.dumps(doc))
+    assert main(["rgroup", "--oracle", "--json", str(path)]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["centralizer"] == "GL(2) x Sp(6) x Sp(4) x Sp(6) x SO(7)"
+    assert results["oracle_rank"] == results["arthur_rank"] == results["ks_rank"] == 0
+    assert results["agree"] is True
+
+
 def test_rgroup_oracle_skips_a_factor_above_the_element_cap(tmp_path, capsys):
-    # Centralizer SO(1) x O(16): torus degree 8 is inside the bound, but
-    # the Weyl group of O(16) has 2^8 * 8! = 10,321,920 elements.
+    # Centralizer SO(1) x O(16): the Weyl group of O(16) has
+    # 2^8 * 8! = 10,321,920 elements.
     doc = {
         "format_version": "1",
         "family": "sp",
@@ -292,6 +332,16 @@ def test_fuzz_infeasible_bounds_exit_two(tmp_path, capsys):
     ]
     assert main(argv) == 2
     assert "infeasible" in capsys.readouterr().err
+
+
+def test_fuzz_negative_count_exit_two(tmp_path, capsys):
+    argv = ["fuzz", "--count", "-3", "--replay-dir", str(tmp_path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "count must be non-negative, got -3" in captured.err
+    assert "agree" not in captured.out
+    assert main(["fuzz", "--count", "0", "--replay-dir", str(tmp_path)]) == 0
+    assert "0/0 agree" in capsys.readouterr().out
 
 
 def test_usage_error_exit_two():

@@ -2,6 +2,7 @@
 brute-force quotient."""
 
 import math
+import time
 from itertools import product as iter_product
 
 import pytest
@@ -17,6 +18,7 @@ from rgroups import (
     arthur_r_group,
     canonicalize,
     centralizer,
+    descriptor_rank,
     weyl_of_factor,
     weyl_quotient,
 )
@@ -159,10 +161,13 @@ def test_weyl_quotient_single_constrained_even_factor():
 
 
 def test_weyl_quotient_bounds():
-    # Each bound's message says "exceeds the bound" or "above the cap",
-    # the phrases callers match to tell a skipped oracle from a failure.
+    # Every bound's message says "above the cap", the phrase callers match
+    # to tell a skipped oracle from a failure.
     desc = CentralizerDescriptor((Factor(O, 30, 2),), None)
-    with pytest.raises(BoundExceeded, match="torus degree exceeds the bound 10"):
+    with pytest.raises(
+        BoundExceeded,
+        match="order 42849873690624000 is above the cap 1000000$",
+    ):
         weyl_quotient(desc)
     with pytest.raises(BoundExceeded, match="order 384 is above the cap 100$"):
         weyl_quotient(
@@ -190,6 +195,48 @@ def test_weyl_of_factor_checks_the_cap_from_the_order():
     # SO(8): only the even sign vectors, half the order of O(8)
     with pytest.raises(BoundExceeded, match="order 192 is above the cap 191$"):
         weyl_of_factor(SO, 8, element_cap=191)
+
+
+def test_a_huge_factor_is_refused_at_a_cost_independent_of_its_size():
+    start = time.perf_counter()
+    with pytest.raises(BoundExceeded, match="on 5000 letters is above the cap 1000000$"):
+        weyl_of_factor(GL, 5000)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_free_factors_are_bounded_by_the_sum_of_their_orders(monkeypatch):
+    # 154 free elements on 12 torus letters: answered.
+    desc = CentralizerDescriptor(
+        (
+            Factor(GL, 2, 1),
+            Factor(SP, 6, 1),
+            Factor(SP, 4, 1),
+            Factor(SP, 6, 1),
+            Factor(O, 7, 1),
+        ),
+        (),
+    )
+    assert weyl_quotient(desc) == descriptor_rank(desc)
+    # Sp(14) and O(14) each fit the cap with 645,120 elements, but together
+    # the free factors hold 1,290,241: refused before any group is built.
+    built = []
+    real = weyl._signed_permutations
+
+    def counted(degree, flips):
+        built.append((degree, flips))
+        return real(degree, flips)
+
+    monkeypatch.setattr(weyl, "_signed_permutations", counted)
+    weyl._factor_weyl.cache_clear()
+    desc = CentralizerDescriptor(
+        (Factor(SP, 14, 1), Factor(SO, 1, 1), Factor(O, 14, 1)), ()
+    )
+    with pytest.raises(
+        BoundExceeded,
+        match="free factors hold 1290241 Weyl elements, above the cap 1000000$",
+    ):
+        weyl_quotient(desc)
+    assert built == []
 
 
 def test_oracle_matches_closed_form_on_resolved_descriptors():
@@ -311,17 +358,17 @@ def cyclic_weyl_group(monkeypatch):
         elements = {compose(x, g) for x in elements} | elements
     full = SignedPermGroup(2, frozenset(elements))
     trivial = SignedPermGroup(2, frozenset({identity_element(2)}))
-    real = weyl.weyl_of_factor
+    real = weyl._weyl_groups
 
-    def patched(kind, size, element_cap=weyl.DEFAULT_ELEMENT_CAP):
+    def patched(kind, size):
         if (kind, size) == (O, 5):
             return full, trivial
-        return real(kind, size, element_cap)
+        return real(kind, size)
 
-    monkeypatch.setattr(weyl, "weyl_of_factor", patched)
-    weyl._factor_quotient.cache_clear()
+    monkeypatch.setattr(weyl, "_weyl_groups", patched)
+    weyl._factor_weyl.cache_clear()
     yield
-    weyl._factor_quotient.cache_clear()
+    weyl._factor_weyl.cache_clear()
 
 
 @pytest.mark.parametrize("constraint", [None, ((0, 1),)])
