@@ -9,10 +9,11 @@ Weyl group.
 What is enumerated.  The determinant condition reads only the factors
 listed in ``det_constraint`` (the live factors).  Every other factor
 splits off as a direct factor of W and contributes its own rank; its
-checks (W0 inside W, every element squaring into W0) run once per
-factor shape (kind, size) and are cached with the shape's Weyl groups.
-Only the product of the live factors' Weyl groups is enumerated element
-by element, so a descriptor without live factors enumerates nothing.
+check (every element squaring into W0, with an index that is a power of
+2) runs once per factor shape (kind, size) and is cached with the
+shape's Weyl groups.  Only the product of the live factors' Weyl groups
+is enumerated element by element, so a descriptor without live factors
+enumerates nothing.
 
 The one size bound is an element cap: each factor's W, the sum over the
 free factors and the product over the live factors must stay within it.
@@ -25,19 +26,14 @@ Conventions.  A signed permutation of degree k is a pair
 The maximal torus of every factor is the standard diagonal one; all
 maximal tori are conjugate, so nothing is lost by fixing it.
 
-Weyl groups of the factors, with k letters per factor.  Each W and W0 is
-enumerated directly, every permutation of its letters paired with every
-allowed sign vector.
-
-* GL(m): the symmetric group on m letters (no sign flips); connected.
-* Sp(2k): all signed permutations of k letters; connected.
-* O(2k+1): all signed permutations of k letters, and the identity
-  component SO(2k+1) has the same Weyl group.  Every Weyl element has
-  torus-normalizer lifts of both determinants because -1 is central.
-* O(2k): all signed permutations of k letters; the identity component
-  SO(2k) gives the even-sign subgroup.  A lift's determinant is the
-  product of the element's signs.
-* SO(m): the identity-component rows above.
+Weyl groups of the factors, with k letters per factor.  GL(m) has the
+symmetric group on m letters and Sp(2k) every signed permutation of k
+letters; both are connected, so W0 = W.  For O(m), with k = m // 2, W is
+every signed permutation of k letters, and one rule, :func:`_lift_dets`,
+gives the determinants that an element's torus-normalizer lifts reach.
+W0 of O(m), and W of SO(m), are the elements with a lift of
+determinant 1.  W0 lies in W by construction, and the same rule decides
+which tuples of live elements satisfy the determinant condition.
 """
 
 from __future__ import annotations
@@ -87,20 +83,11 @@ class SignedPermGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def is_subgroup_of(self, other: "SignedPermGroup") -> bool:
-        return self.elements <= other.elements
 
-
-def _signed_permutations(degree: int, flips: str) -> SignedPermGroup:
+def _signed_permutations(degree: int, signed: bool) -> SignedPermGroup:
     """Every permutation of ``degree`` letters paired with every sign
-    vector that ``flips`` allows: ``"none"`` flipped, ``"any"`` or an
-    ``"even"`` number."""
-    choices = (1,) if flips == "none" else (1, -1)
-    signs = [
-        s
-        for s in iter_product(choices, repeat=degree)
-        if flips != "even" or prod(s) == 1
-    ]
+    vector, or with none flipped unless ``signed``."""
+    signs = list(iter_product((1, -1) if signed else (1,), repeat=degree))
     elements = frozenset(
         (perm, s) for perm in permutations(range(degree)) for s in signs
     )
@@ -114,16 +101,22 @@ def torus_degree(factor: Factor) -> int:
     return factor.size // 2
 
 
-def _shape(kind: FactorKind, size: int) -> tuple[int, str, str]:
-    """A factor's letters and the sign vectors allowed in its W and W0."""
-    degree = torus_degree(Factor(kind, size, 1))
-    if kind is FactorKind.GENERAL_LINEAR:
-        return degree, "none", "none"
-    if kind is FactorKind.SYMPLECTIC or size % 2:
-        return degree, "any", "any"
-    if kind is FactorKind.FULL_ORTHOGONAL:
-        return degree, "any", "even"
-    return degree, "even", "even"
+def _lift_dets(size: int, element: SignedPerm) -> tuple[int, ...]:
+    """Determinants of the torus-normalizer lifts of a Weyl element of
+    O(size).
+
+    Take the hyperbolic basis e_1..e_k, f_1..f_k of the symmetric form,
+    plus e_0 when the size is odd; the torus scales e_i by t_i and f_i by
+    t_i^-1.  The monomial lift of (perm, signs) sends e_i and f_i to
+    e_perm[i] and f_perm[i], swapped when signs[i] = -1.  The permutation
+    moves the e's and the f's alike, so its parity cancels; each flip
+    swaps e_i and f_i, so it contributes -1.  Lifts differ by elements of
+    Z(T): the torus, of determinant 1, and for odd size e_0 -> -e_0, so
+    an odd size reaches both determinants.
+    """
+    if size % 2:
+        return (1, -1)
+    return (sign_product(element),)
 
 
 @lru_cache(maxsize=None)
@@ -131,13 +124,17 @@ def _weyl_order(kind_value: str, size: int, element_cap: int) -> int:
     """|W| of a factor shape from its closed form, refused above the cap.
     W on k letters has at least k! >= 2**(k-1) elements, so more letters
     than the cap has bits are refused before the order is computed."""
-    degree, flips, _ = _shape(FactorKind(kind_value), size)
+    kind = FactorKind(kind_value)
+    degree = torus_degree(Factor(kind, size, 1))
     if degree > element_cap.bit_length():
         raise BoundExceeded(
             f"Weyl group on {degree} letters is above the cap {element_cap}"
         )
-    sign_vectors = {"none": 1, "any": 2**degree, "even": max(1, 2**degree // 2)}
-    order = factorial(degree) * sign_vectors[flips]
+    order = factorial(degree)
+    if kind is not FactorKind.GENERAL_LINEAR:
+        order <<= degree
+    if kind is FactorKind.SPECIAL_ORTHOGONAL and size % 2 == 0:
+        order //= 2
     if order > element_cap:
         raise BoundExceeded(
             f"Weyl group of order {order} is above the cap {element_cap}"
@@ -157,11 +154,17 @@ class _FactorWeyl:
 
 
 def _weyl_groups(kind: FactorKind, size: int) -> tuple[SignedPermGroup, SignedPermGroup]:
-    degree, full_flips, ident_flips = _shape(kind, size)
-    full = _signed_permutations(degree, full_flips)
-    if ident_flips == full_flips:
+    degree = torus_degree(Factor(kind, size, 1))
+    full = _signed_permutations(degree, kind is not FactorKind.GENERAL_LINEAR)
+    if kind in (FactorKind.GENERAL_LINEAR, FactorKind.SYMPLECTIC):
         return full, full
-    return full, _signed_permutations(degree, ident_flips)
+    ident = SignedPermGroup(
+        degree,
+        frozenset(g for g in full.elements if 1 in _lift_dets(size, g)),
+    )
+    if kind is FactorKind.SPECIAL_ORTHOGONAL:
+        return ident, ident
+    return full, ident
 
 
 def weyl_of_factor(
@@ -177,15 +180,11 @@ def weyl_of_factor(
 
 @lru_cache(maxsize=None)
 def _factor_weyl(kind_value: str, size: int) -> _FactorWeyl:
-    """The groups and checks of a shape the cap admitted: W0 must lie in W;
-    as a free factor, every element of W must square into W0 and the index
-    must be a power of 2.  Both caches key on the kind's value, whose hash
-    is a string's rather than a Python-level ``Enum.__hash__`` call."""
+    """The groups and checks of a shape the cap admitted: as a free factor,
+    every element of W must square into W0 and the index must be a power
+    of 2.  Both caches key on the kind's value, whose hash is a string's
+    rather than a Python-level ``Enum.__hash__`` call."""
     full, ident = _weyl_groups(FactorKind(kind_value), size)
-    if not ident.is_subgroup_of(full):
-        raise NonElementaryQuotient(
-            "identity-component Weyl group is not contained in W"
-        )
     try:
         if not all(compose(g, g) in ident.elements for g in full.elements):
             raise NonElementaryQuotient("an element fails to square into W0")
@@ -195,35 +194,20 @@ def _factor_weyl(kind_value: str, size: int) -> _FactorWeyl:
     return _FactorWeyl(full, ident, free)
 
 
-def _det_class(factor: Factor, element: SignedPerm) -> tuple[int, ...]:
-    """Determinants achievable by torus-normalizer lifts of the element.
-
-    Only meaningful for factors under the determinant condition.  Full
-    odd orthogonal groups achieve both signs (central -1); full even
-    orthogonal groups force the product of the element's sign flips;
-    connected factors only ever reach determinant 1.
-    """
-    if factor.kind is FactorKind.FULL_ORTHOGONAL:
-        if factor.size % 2:
-            return (1, -1)
-        return (sign_product(element),)
-    return (1,)
-
-
 def _liftable(live: list[Factor], element: tuple[SignedPerm, ...]) -> bool:
     """Whether a tuple of Weyl elements of the live factors lifts into the
     constrained group.
 
     The condition is that some choice of lift determinants multiplies to
-    1 over the constrained factors; a factor with both signs available
-    absorbs any imbalance.
+    1 over the constrained factors, all full orthogonal; a factor with
+    both signs available absorbs any imbalance.
     """
     forced = 1
     for factor, coord in zip(live, element):
-        classes = _det_class(factor, coord)
-        if len(classes) == 2:
+        dets = _lift_dets(factor.size, coord)
+        if len(dets) == 2:
             return True
-        forced *= classes[0]
+        forced *= dets[0]
     return forced == 1
 
 
@@ -306,7 +290,6 @@ def weyl_quotient(
             if compose(coord, coord) not in w0:
                 raise NonElementaryQuotient("an element fails to square into W0")
         w_order += 1
-    # W0 consists of connected-component elements, whose lifts all have
-    # determinant 1, so W0 is automatically inside W.
+    # Every element of W0 has a lift of determinant 1, so W0 lies in W.
     w0_order = prod(len(w0) for w0 in w0_sets)
     return ElementaryTwoGroup(rank + _quotient_rank(w_order, w0_order))

@@ -3,6 +3,7 @@ brute-force quotient."""
 
 import math
 import time
+from fractions import Fraction
 from itertools import product as iter_product
 
 import pytest
@@ -25,7 +26,7 @@ from rgroups import (
 from rgroups import weyl
 from rgroups.centralizer import ElementaryTwoGroup, constrained_indices
 from rgroups.errors import BoundExceeded, NonElementaryQuotient
-from rgroups.weyl import SignedPermGroup, compose, sign_product
+from rgroups.weyl import SignedPermGroup, _lift_dets, compose, sign_product
 
 from helpers import identity_element, invert, is_closed, orth, sympl
 
@@ -80,7 +81,7 @@ def test_even_orthogonal_weyl_orders(k):
     full, ident = weyl_of_factor(O, 2 * k)
     assert full.order == 2**k * math.factorial(k)
     assert full.order == 2 * ident.order
-    assert ident.is_subgroup_of(full)
+    assert ident.elements <= full.elements
     assert all(sign_product(g) == 1 for g in ident.elements)
 
 
@@ -104,6 +105,84 @@ def test_special_orthogonal_weyl_groups():
     full, ident = weyl_of_factor(SO, 6)
     assert full.order == ident.order == 2**3 * math.factorial(3) // 2
     assert all(sign_product(g) == 1 for g in full.elements)
+    for m in range(1, 9):
+        assert weyl_of_factor(SO, m)[0] == weyl_of_factor(O, m)[1]
+
+
+def _determinant(matrix):
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    det = Fraction(1)
+    for col in range(len(rows)):
+        pivot = next((r for r in range(col, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, len(rows)):
+            factor = rows[r][col] / rows[col][col]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return det
+
+
+def _monomial_lift(m, g, e0_sign):
+    """The lift of g to O(m) in the basis e_1..e_k, f_1..f_k (then e_0 for
+    odd m), as a matrix whose column j is the image of basis vector j: e_i
+    and f_i go to e_perm[i] and f_perm[i], swapped when g flips i."""
+    k = m // 2
+    perm, signs = g
+    lift = [[0] * m for _ in range(m)]
+    for i in range(k):
+        e, f = (perm[i], k + perm[i]) if signs[i] == 1 else (k + perm[i], perm[i])
+        lift[e][i] = lift[f][k + i] = 1
+    if m % 2:
+        lift[2 * k][2 * k] = e0_sign
+    return lift
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def _torus_element(m, values):
+    """diag(values, 1/values, then 1 for odd m) in the lift's basis."""
+    diag = list(values) + [1 / v for v in values] + [1] * (m % 2)
+    return [[diag[i] if i == j else 0 for j in range(m)] for i in range(m)]
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_lift_rule_matches_the_monomial_lifts(m):
+    k = m // 2
+    # the symmetric form pairs e_i with f_i; e_0 has length 1
+    form = [[0] * m for _ in range(m)]
+    for i in range(k):
+        form[i][k + i] = form[k + i][i] = 1
+    if m % 2:
+        form[2 * k][2 * k] = 1
+    t = [Fraction(p) for p in (2, 3, 5)[:k]]
+    torus = _torus_element(m, t)
+    for g in weyl_of_factor(O, m)[0].elements:
+        perm, signs = g
+        moved = [Fraction(1)] * k
+        for i in range(k):
+            moved[perm[i]] = t[i] ** signs[i]
+        dets = set()
+        for e0_sign in (1, -1) if m % 2 else (1,):
+            lift = _monomial_lift(m, g, e0_sign)
+            assert _matmul(_matmul(_transpose(lift), form), lift) == form
+            # The lift normalizes the torus and acts on it as g.  It keeps
+            # the form, whose matrix is its own inverse, so its inverse is
+            # form . lift^T . form.
+            inverse = _matmul(_matmul(form, _transpose(lift)), form)
+            conj = _matmul(_matmul(lift, torus), inverse)
+            assert conj == _torus_element(m, moved)
+            dets.add(_determinant(lift))
+        assert dets == set(_lift_dets(m, g)), (m, g)
 
 
 @pytest.mark.parametrize(
@@ -222,9 +301,9 @@ def test_free_factors_are_bounded_by_the_sum_of_their_orders(monkeypatch):
     built = []
     real = weyl._signed_permutations
 
-    def counted(degree, flips):
-        built.append((degree, flips))
-        return real(degree, flips)
+    def counted(degree, signed):
+        built.append((degree, signed))
+        return real(degree, signed)
 
     monkeypatch.setattr(weyl, "_signed_permutations", counted)
     weyl._factor_weyl.cache_clear()
@@ -275,7 +354,7 @@ def _reference_quotient(desc):
     if not live:
         rank = 0
         for full, ident in pairs:
-            assert ident.is_subgroup_of(full)
+            assert ident.elements <= full.elements
             for g in full.elements:
                 assert compose(g, g) in ident.elements
             rank += (full.order // ident.order).bit_length() - 1
