@@ -18,7 +18,9 @@ multiplicity 1, which adds 2k to the ambient rank.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import count
 
 from .centralizer import ElementaryTwoGroup, arthur_r_group
 from .errors import BoundsInfeasible, InvalidInducingData
@@ -253,14 +255,11 @@ def _draw_a(rng: random.Random, parity: int, bounds: FuzzBounds) -> int | None:
 
 def _block_parity(duality: DualityType, group: GroupSpec, same_type: bool) -> int:
     """Parity of a that makes rho (x) S_a match (or miss) the dual type."""
-    matches_when_odd = duality is group.dual_type
-    if same_type:
-        return 1 if matches_when_odd else 0
-    return 0 if matches_when_odd else 1
+    return int((duality is group.dual_type) == same_type)
 
 
 def _draw_jordan(
-    rng: random.Random, bounds: FuzzBounds, fresh: "_LabelSource"
+    rng: random.Random, bounds: FuzzBounds, fresh: Iterator[str]
 ) -> JordanData | None:
     """Propose residual Jordan data; None when the draw came out invalid."""
     family = bounds.family
@@ -273,7 +272,7 @@ def _draw_jordan(
             parity = base.a % 2
         else:
             duality = _draw_self_dual_type(rng, bounds)
-            rho = CuspidalSymbol(fresh.next(), _draw_dim(rng, duality, bounds), duality)
+            rho = CuspidalSymbol(next(fresh), _draw_dim(rng, duality, bounds), duality)
             # group rank is unknown until the blocks are fixed; parity only
             # depends on the family's dual type, so probe with rank 1
             parity = _block_parity(duality, GroupSpec(family, 1), same_type=True)
@@ -284,36 +283,15 @@ def _draw_jordan(
         if candidate not in blocks:
             blocks.append(candidate)
 
+    # The blocks fill the dual group's standard representation, of odd
+    # dimension for Sp(2n) and of even dimension otherwise.
     total = sum(b.dim for b in blocks)
-    if family is Family.SYMPLECTIC:
-        if total % 2 == 0:
-            filler = Summand(
-                CuspidalSymbol(fresh.next(), 1, DualityType.ORTHOGONAL), 1
-            )
-            blocks.append(filler)
-            total += 1
-        rank = (total - 1) // 2
-    else:
-        if total % 2:
-            filler = Summand(
-                CuspidalSymbol(fresh.next(), 1, DualityType.ORTHOGONAL), 1
-            )
-            blocks.append(filler)
-            total += 1
-        rank = total // 2
-    sigma = JordanData(GroupSpec(family, rank), tuple(blocks))
+    if total % 2 != (family is Family.SYMPLECTIC):
+        filler = CuspidalSymbol(next(fresh), 1, DualityType.ORTHOGONAL)
+        blocks.append(Summand(filler, 1))
+        total += 1
+    sigma = JordanData(GroupSpec(family, total // 2), tuple(blocks))
     return sigma if validate_jordan(sigma).ok else None
-
-
-class _LabelSource:
-    """Fresh deterministic labels for generated symbols."""
-
-    def __init__(self) -> None:
-        self._counter = 0
-
-    def next(self) -> str:
-        self._counter += 1
-        return f"g{self._counter:03d}"
 
 
 def random_instance(seed: int, bounds: FuzzBounds = FuzzBounds()) -> InducingData:
@@ -326,7 +304,7 @@ def random_instance(seed: int, bounds: FuzzBounds = FuzzBounds()) -> InducingDat
     """
     rng = random.Random(seed)
     for _ in range(_MAX_ATTEMPTS):
-        fresh = _LabelSource()
+        fresh = (f"g{i:03d}" for i in count(1))
         sigma = _draw_jordan(rng, bounds, fresh)
         if sigma is None:
             continue
@@ -338,7 +316,7 @@ def random_instance(seed: int, bounds: FuzzBounds = FuzzBounds()) -> InducingDat
             summand: Summand | None = None
             if kind == "pair":
                 dim = rng.randint(1, bounds.max_dim)
-                label = fresh.next()
+                label = next(fresh)
                 rho = CuspidalSymbol(
                     label, dim, DualityType.NOT_SELF_DUAL, dual_label=label + "t"
                 )
@@ -356,7 +334,7 @@ def random_instance(seed: int, bounds: FuzzBounds = FuzzBounds()) -> InducingDat
                 a = _draw_a(rng, parity, bounds)
                 if a is not None:
                     rho = CuspidalSymbol(
-                        fresh.next(), _draw_dim(rng, duality, bounds), duality
+                        next(fresh), _draw_dim(rng, duality, bounds), duality
                     )
                     summand = Summand(rho, a)
             if summand is None or summand.sort_key() in used:

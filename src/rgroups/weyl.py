@@ -8,12 +8,13 @@ Weyl group.
 
 What is enumerated.  The determinant condition reads only the factors
 listed in ``det_constraint`` (the live factors).  Every other factor
-splits off as a direct factor of W and contributes its own rank; its
-check (every element squaring into W0, with an index that is a power of
-2) runs once per factor shape (kind, size) and is cached with the
-shape's Weyl groups.  Only the product of the live factors' Weyl groups
-is enumerated element by element, so a descriptor without live factors
-enumerates nothing.
+splits off as a direct factor of W and contributes its own rank.  One
+enumeration serves both: it walks a product of factor Weyl groups, keeps
+the elements that satisfy the condition (all of them when no factor is
+live) and runs the one check, that every element squares into W0 and
+the index is a power of 2.  A free factor runs it on its own W once per
+factor shape (kind, size), and the rank is cached; the live factors run
+it on the product of their Weyl groups on every call.
 
 The one size bound is an element cap: each factor's W, the sum over the
 free factors and the product over the live factors must stay within it.
@@ -142,17 +143,6 @@ def _weyl_order(kind_value: str, size: int, element_cap: int) -> int:
     return order
 
 
-@dataclass(frozen=True, slots=True)
-class _FactorWeyl:
-    """One factor shape's W and W0, and ``free``: the rank of W/W0 as a
-    free factor, or the message saying why that quotient is not elementary
-    abelian, raised only when the factor is used free."""
-
-    full: SignedPermGroup
-    ident: SignedPermGroup
-    free: int | str
-
-
 def _weyl_groups(kind: FactorKind, size: int) -> tuple[SignedPermGroup, SignedPermGroup]:
     degree = torus_degree(Factor(kind, size, 1))
     full = _signed_permutations(degree, kind is not FactorKind.GENERAL_LINEAR)
@@ -173,25 +163,27 @@ def weyl_of_factor(
     """(W, W0) of one factor: the full Weyl group and that of the factor's
     identity component, as signed-permutation groups on ``torus_degree``
     letters, built once the cap has admitted W's order.  Only the oracle's
-    per-shape records, with their checks, are cached."""
+    per-shape groups and free ranks are cached."""
     _weyl_order(kind.value, size, element_cap)
     return _weyl_groups(kind, size)
 
 
 @lru_cache(maxsize=None)
-def _factor_weyl(kind_value: str, size: int) -> _FactorWeyl:
-    """The groups and checks of a shape the cap admitted: as a free factor,
-    every element of W must square into W0 and the index must be a power
-    of 2.  Both caches key on the kind's value, whose hash is a string's
-    rather than a Python-level ``Enum.__hash__`` call."""
-    full, ident = _weyl_groups(FactorKind(kind_value), size)
-    try:
-        if not all(compose(g, g) in ident.elements for g in full.elements):
-            raise NonElementaryQuotient("an element fails to square into W0")
-        free: int | str = _quotient_rank(full.order, ident.order)
-    except NonElementaryQuotient as exc:
-        free = str(exc)
-    return _FactorWeyl(full, ident, free)
+def _factor_weyl(
+    kind_value: str, size: int
+) -> tuple[SignedPermGroup, SignedPermGroup]:
+    """(W, W0) of a shape the cap admitted.  The caches key on the kind's
+    value, whose hash is a string's rather than a Python-level
+    ``Enum.__hash__`` call."""
+    return _weyl_groups(FactorKind(kind_value), size)
+
+
+@lru_cache(maxsize=None)
+def _free_rank(kind_value: str, size: int) -> int:
+    """Rank of W/W0 for a shape used as a free factor.  A failed check
+    raises, and ``lru_cache`` keeps no exception, so it raises again on
+    every call."""
+    return _enumerated_rank([_factor_weyl(kind_value, size)], [])
 
 
 def _liftable(live: list[Factor], element: tuple[SignedPerm, ...]) -> bool:
@@ -200,7 +192,8 @@ def _liftable(live: list[Factor], element: tuple[SignedPerm, ...]) -> bool:
 
     The condition is that some choice of lift determinants multiplies to
     1 over the constrained factors, all full orthogonal; a factor with
-    both signs available absorbs any imbalance.
+    both signs available absorbs any imbalance.  With no live factors
+    every element lifts.
     """
     forced = 1
     for factor, coord in zip(live, element):
@@ -211,7 +204,25 @@ def _liftable(live: list[Factor], element: tuple[SignedPerm, ...]) -> bool:
     return forced == 1
 
 
-def _quotient_rank(w_order: int, w0_order: int) -> int:
+def _enumerated_rank(
+    groups: list[tuple[SignedPermGroup, SignedPermGroup]], live: list[Factor]
+) -> int:
+    """Rank of W/W0, where W is the part of the product of the (W, W0)
+    ``groups`` that :func:`_liftable` admits for the ``live`` factors
+    (the whole product when there are none) and W0 the product of the
+    W0s.  Every element of W must square into W0, coordinate by
+    coordinate, and the index must be a power of 2."""
+    w0_sets = [ident.elements for _, ident in groups]
+    w_order = 0
+    for element in iter_product(*(full.elements for full, _ in groups)):
+        if not _liftable(live, element):
+            continue
+        for coord, w0 in zip(element, w0_sets):
+            if compose(coord, coord) not in w0:
+                raise NonElementaryQuotient("an element fails to square into W0")
+        w_order += 1
+    # Every element of W0 has a lift of determinant 1, so W0 lies in W.
+    w0_order = prod(len(w0) for w0 in w0_sets)
     if w_order % w0_order:
         raise NonElementaryQuotient(
             f"|W| = {w_order} is not divisible by |W0| = {w0_order}"
@@ -238,10 +249,9 @@ def weyl_quotient(
     The condition reads only the coordinates of the live factors (those
     in ``det_constraint``), so W is the direct product of the free
     factors' Weyl groups and the liftable part of the live factors'
-    product.  Each free factor contributes its own rank from checks made
-    once per factor shape.  Only the product of the live factors' Weyl
-    groups is enumerated, element by element; without live factors
-    nothing is.
+    product.  Both go through :func:`_enumerated_rank`: each free factor
+    once per factor shape, its rank cached, and the live product on every
+    call.
 
     Bound: ``element_cap`` counts Weyl elements.  Each factor's W, the sum
     of the free factors' orders and the product of the live factors'
@@ -249,12 +259,16 @@ def weyl_quotient(
     any group is built; an overflow raises :class:`BoundExceeded`.
     """
     live_indices = constrained_indices(desc)
+    free: list[Factor] = []
+    live: list[Factor] = []
     free_total, live_total = 0, 1
     for i, f in enumerate(desc.factors):
         order = _weyl_order(f.kind._value_, f.size, element_cap)
         if i in live_indices:
+            live.append(f)
             live_total *= order
         else:
+            free.append(f)
             free_total += order
     if free_total > element_cap:
         raise BoundExceeded(
@@ -267,29 +281,9 @@ def weyl_quotient(
             f" above the cap {element_cap}"
         )
     rank = 0
-    live: list[Factor] = []
-    live_weyl: list[_FactorWeyl] = []
-    for i, f in enumerate(desc.factors):
-        record = _factor_weyl(f.kind._value_, f.size)
-        if i in live_indices:
-            live.append(f)
-            live_weyl.append(record)
-        elif isinstance(record.free, str):
-            raise NonElementaryQuotient(record.free)
-        else:
-            rank += record.free
-    if not live:
-        return ElementaryTwoGroup(rank)
-
-    w0_sets = [r.ident.elements for r in live_weyl]
-    w_order = 0
-    for element in iter_product(*(r.full.elements for r in live_weyl)):
-        if not _liftable(live, element):
-            continue
-        for coord, w0 in zip(element, w0_sets):
-            if compose(coord, coord) not in w0:
-                raise NonElementaryQuotient("an element fails to square into W0")
-        w_order += 1
-    # Every element of W0 has a lift of determinant 1, so W0 lies in W.
-    w0_order = prod(len(w0) for w0 in w0_sets)
-    return ElementaryTwoGroup(rank + _quotient_rank(w_order, w0_order))
+    for f in free:
+        rank += _free_rank(f.kind._value_, f.size)
+    if live:
+        groups = [_factor_weyl(f.kind._value_, f.size) for f in live]
+        rank += _enumerated_rank(groups, live)
+    return ElementaryTwoGroup(rank)

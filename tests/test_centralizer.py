@@ -33,6 +33,14 @@ def test_factor_validation():
         Factor(GL, 0, 1)
 
 
+def test_descriptor_describe():
+    live = CentralizerDescriptor(
+        (Factor(O, 1, 1), Factor(GL, 2, 2), Factor(O, 3, 1)), ((0, 1), (2, 1))
+    )
+    assert live.describe() == "O(1) x GL(2) x O(3)  [det condition on factors 0,2]"
+    assert CentralizerDescriptor((), None).describe() == "1"
+
+
 def test_descriptor_constraint_validation():
     factors = (Factor(O, 3, 1), Factor(GL, 2, 2))
     CentralizerDescriptor(factors, ((0, 1),))

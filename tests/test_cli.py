@@ -125,6 +125,19 @@ def test_rgroup_single_sides(capsys):
     assert "arthur rank: 1" in out and "knapp-stein" not in out
 
 
+@pytest.mark.parametrize(
+    "side,keys",
+    [
+        ("ks", {"ks_rank", "witness"}),
+        ("arthur", {"arthur_rank", "centralizer", "witness"}),
+    ],
+)
+def test_rgroup_json_single_side_results(side, keys, capsys):
+    path = str(CORPUS / "sp-mixed-valid.json")
+    assert main(["rgroup", "--json", "--side", side, path]) == 0
+    assert set(json.loads(capsys.readouterr().out)["results"]) == keys
+
+
 def test_rgroup_oracle_three_way(capsys):
     assert main(["rgroup", "--oracle", str(CORPUS / "sp-mixed-valid.json")]) == 0
     out = capsys.readouterr().out

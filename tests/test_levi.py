@@ -1,6 +1,8 @@
 """Tests for both sides of the two-sided R-group computation on standard
 Levi subgroups, and for the instance fuzzer."""
 
+import hashlib
+
 import pytest
 
 from rgroups import (
@@ -19,6 +21,7 @@ from rgroups import (
     verify_theorem,
 )
 from rgroups.errors import BoundsInfeasible, InvalidInducingData
+from rgroups.instances import Instance, serialize_instance
 from rgroups.levi import validate_inducing
 
 from helpers import CLASSICAL_FAMILIES, orth, pair, sympl
@@ -149,6 +152,24 @@ def test_witness_rows_match_counting_rule():
 def test_random_instance_is_deterministic():
     bounds = FuzzBounds(family=Family.EVEN_ORTHOGONAL)
     assert random_instance(123, bounds) == random_instance(123, bounds)
+
+
+# The fuzz criterion and the benchmark's fuzz traffic replay this stream by
+# seed, so a refactor of the generator must leave every instance unchanged.
+STREAM_DIGEST = "0bc1b1f2c79a23bf7d3a7984a942e06e6ff7118a24abc658e49e6f0114ff17a0"
+
+
+def test_random_instance_stream_is_pinned():
+    bounds = [FuzzBounds(family=family) for family in CLASSICAL_FAMILIES] + [
+        FuzzBounds(max_deltas=0, max_dim=1, max_a=1, max_mult=1),
+        FuzzBounds(max_deltas=9, max_dim=2, max_a=2, family=Family.ODD_ORTHOGONAL),
+    ]
+    digest = hashlib.sha256()
+    for b in bounds:
+        for seed in range(1000):
+            inst = Instance(b.family, random_instance(seed, b))
+            digest.update(serialize_instance(inst).encode())
+    assert digest.hexdigest() == STREAM_DIGEST
 
 
 def test_random_instance_always_validates():

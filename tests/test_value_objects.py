@@ -26,7 +26,6 @@ from rgroups import (
 from rgroups.errors import InconsistentSymbol, UnpairedDual
 from rgroups.params import checked
 from rgroups.validation import ValidationReport, Violation
-from rgroups.weyl import _factor_weyl
 
 from helpers import orth, pair
 
@@ -88,7 +87,6 @@ def _slotted_instances():
         (classify(psi, GroupSpec(Family.SYMPLECTIC, 1)), "dual_pairs"),
         (Violation("rule", "message"), "rule"),
         (ValidationReport(()), "violations"),
-        (_factor_weyl("O", 2), "free"),
     ]
 
 

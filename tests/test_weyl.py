@@ -307,6 +307,7 @@ def test_free_factors_are_bounded_by_the_sum_of_their_orders(monkeypatch):
 
     monkeypatch.setattr(weyl, "_signed_permutations", counted)
     weyl._factor_weyl.cache_clear()
+    weyl._free_rank.cache_clear()
     desc = CentralizerDescriptor(
         (Factor(SP, 14, 1), Factor(SO, 1, 1), Factor(O, 14, 1)), ()
     )
@@ -446,8 +447,10 @@ def cyclic_weyl_group(monkeypatch):
 
     monkeypatch.setattr(weyl, "_weyl_groups", patched)
     weyl._factor_weyl.cache_clear()
+    weyl._free_rank.cache_clear()
     yield
     weyl._factor_weyl.cache_clear()
+    weyl._free_rank.cache_clear()
 
 
 @pytest.mark.parametrize("constraint", [None, ((0, 1),)])
@@ -456,5 +459,7 @@ def test_weyl_quotient_rejects_elements_not_squaring_into_w0(
 ):
     # free (None) and live (a constrained odd-size factor lifts every element)
     desc = CentralizerDescriptor((Factor(O, 5, 1),), constraint)
-    with pytest.raises(NonElementaryQuotient, match="square"):
-        weyl_quotient(desc)
+    # a failed check is never cached: the second call raises as well
+    for _ in range(2):
+        with pytest.raises(NonElementaryQuotient, match="square"):
+            weyl_quotient(desc)
