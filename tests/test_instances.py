@@ -119,6 +119,171 @@ def unitary_doc():
     }
 
 
+def _mutated(mutate, make=minimal_doc) -> str:
+    doc = make()
+    mutate(doc)
+    return json.dumps(doc)
+
+
+def _with_symbol(spec):
+    return _mutated(lambda d: d["symbols"].update(bad=spec))
+
+
+def _with_delta(entry):
+    # a well-formed delta first, so that the message carries index 1
+    return _mutated(lambda d: d["deltas"].extend([{"rho": "st", "a": 1}, entry]))
+
+
+def _with_block(entry):
+    return _mutated(lambda d: d["sigma"]["blocks"].append(entry))
+
+
+_NSD_PAIR = {
+    "p": {"dim": 1, "duality": "not-self-dual", "dual": "pt"},
+    "pt": {"dim": 2, "duality": "not-self-dual", "dual": "p"},
+}
+
+# One malformed document per raise site of parse_instance, _parse_symbol
+# and _check_dual_declarations, with the exact message it must give.
+PARSE_ERROR_MESSAGES = {
+    "bad json": (
+        "{not json",
+        "not valid JSON: Expecting property name enclosed in double quotes:"
+        " line 1 column 2 (char 1)",
+    ),
+    "deep json": (
+        "[" * 100_000,
+        "not valid JSON: maximum recursion depth exceeded while decoding a JSON"
+        " array from a unicode string",
+    ),
+    "top level": ("[]", "top level must be an object"),
+    "instance keys": (
+        _mutated(lambda d: d.update(zz=1, extra=2)),
+        "unknown keys ['extra', 'zz'] in instance",
+    ),
+    "format_version": (
+        _mutated(lambda d: d.update(format_version="99")),
+        "unsupported format_version '99'",
+    ),
+    "format_version missing": (
+        _mutated(lambda d: d.pop("format_version")),
+        "unsupported format_version None",
+    ),
+    "family": (_mutated(lambda d: d.update(family="nope")), "unknown family 'nope'"),
+    "symbols": (_mutated(lambda d: d.update(symbols=[])), "symbols must be an object"),
+    "symbol object": (_with_symbol([]), "symbol 'bad' must be an object"),
+    "symbol dim": (
+        _with_symbol({"dim": 0, "duality": "orthogonal"}),
+        "symbol 'bad' needs a positive integer dim",
+    ),
+    "classical keys": (
+        _with_symbol({"dim": 1, "duality": "orthogonal", "lambda": 1}),
+        "unknown keys ['lambda'] in symbol 'bad'",
+    ),
+    "non-self-dual without dual": (
+        _with_symbol({"dim": 1, "duality": "not-self-dual"}),
+        "non-self-dual symbol 'bad' needs a dual label",
+    ),
+    "self-dual with dual": (
+        _with_symbol({"dim": 1, "duality": "orthogonal", "dual": "st"}),
+        "self-dual symbol 'bad' must not declare a dual",
+    ),
+    "conjugate-self-dual keys": (
+        _with_symbol({"dim": 1, "duality": "conjugate-self-dual", "lambda": 1, "dual": "x"}),
+        "unknown keys ['dual'] in symbol 'bad'",
+    ),
+    "lambda": (
+        _with_symbol({"dim": 1, "duality": "conjugate-self-dual", "lambda": 2}),
+        "symbol 'bad' needs lambda +1 or -1",
+    ),
+    "lambda_matches": (
+        _with_symbol(
+            {"dim": 2, "duality": "conjugate-self-dual", "lambda": 1, "lambda_matches": 0}
+        ),
+        "symbol 'bad': lambda_matches must be a boolean",
+    ),
+    "not-conjugate-self-dual keys": (
+        _with_symbol({"dim": 1, "duality": "not-conjugate-self-dual", "lambda": 1}),
+        "unknown keys ['lambda'] in symbol 'bad'",
+    ),
+    "not-conjugate-self-dual without dual": (
+        _with_symbol({"dim": 1, "duality": "not-conjugate-self-dual"}),
+        "symbol 'bad' needs a dual label",
+    ),
+    "symbol value error": (
+        _with_symbol({"dim": 3, "duality": "symplectic"}),
+        "symbol 'bad': symplectic symbol 'bad' must have even dimension",
+    ),
+    "unknown duality": (
+        _with_symbol({"dim": 1, "duality": "weird"}),
+        "symbol 'bad' has unknown duality 'weird'",
+    ),
+    "list duality": (
+        _with_symbol({"dim": 1, "duality": ["orthogonal"]}),
+        "symbol 'bad' has unknown duality ['orthogonal']",
+    ),
+    "wrong vocabulary": (
+        _with_symbol({"dim": 1, "duality": "conjugate-self-dual", "lambda": 1}),
+        "symbol 'bad' has the wrong duality vocabulary for family 'sp'",
+    ),
+    "dual not declared": (
+        _mutated(lambda d: d["symbols"].update(p=_NSD_PAIR["p"])),
+        "dual partner 'pt' of 'p' is not declared",
+    ),
+    "duals do not mirror": (
+        _mutated(lambda d: d["symbols"].update(_NSD_PAIR)),
+        "symbols 'p' and 'pt' do not mirror each other",
+    ),
+    "sigma": (_mutated(lambda d: d.update(sigma=[])), "sigma must be an object"),
+    "sigma keys": (
+        _mutated(lambda d: d["sigma"].update(extra=1)),
+        "unknown keys ['extra'] in sigma",
+    ),
+    "sigma.rank": (
+        _mutated(lambda d: d["sigma"].update(rank=-1)),
+        "sigma.rank must be a non-negative integer",
+    ),
+    "sigma.blocks": (
+        _mutated(lambda d: d["sigma"].update(blocks={})),
+        "sigma.blocks must be a list",
+    ),
+    "deltas": (_mutated(lambda d: d.update(deltas={})), "deltas must be a list"),
+    "delta object": (_with_delta([]), "delta #1 must be an object"),
+    "delta keys": (
+        _with_delta({"rho": "st", "a": 1, "b": 2}),
+        "unknown keys ['b'] in delta #1",
+    ),
+    "delta label": (
+        _with_delta({"rho": "ghost", "a": 1}),
+        "delta #1: unknown label 'ghost'",
+    ),
+    "delta a": (
+        _with_delta({"rho": "st", "a": 0}),
+        "delta #1: a must be a positive integer",
+    ),
+    "delta mult": (
+        _with_delta({"rho": "st", "a": 1, "mult": 0}),
+        "delta #1: mult must be a positive integer",
+    ),
+    "block pair": (_with_block(["st"]), "block #1 must be a [label, a] pair"),
+    "block label": (_with_block([5, 1]), "block #1: unknown label 5"),
+    "block a": (_with_block(["st", "1"]), "block #1: a must be a positive integer"),
+    "unitary lambda": (
+        _mutated(lambda d: d["symbols"]["x"].update({"lambda": True}), unitary_doc),
+        "symbol 'x' needs lambda +1 or -1",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "text,message", PARSE_ERROR_MESSAGES.values(), ids=PARSE_ERROR_MESSAGES
+)
+def test_parse_error_messages(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_instance(text)
+    assert str(info.value) == message
+
+
 # JSON booleans are ints in Python (True == 1), so each field must refuse
 # them explicitly.
 BOOLEAN_IN_INTEGER_FIELD = {
