@@ -12,7 +12,6 @@ errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import cache
 from pathlib import Path
@@ -21,6 +20,7 @@ from .centralizer import centralizer
 from .errors import BoundExceeded, BoundsInfeasible, ParseError, RGroupError
 from .instances import (
     Instance,
+    dump_json,
     instance_document,
     load_instance,
     serialize_instance,
@@ -47,7 +47,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
                 {"rule": v.rule, "message": v.message} for v in report.violations
             ],
         }
-        print(json.dumps(doc, indent=2))
+        print(dump_json(doc))
         return 0 if report.ok else 1
     if report.ok:
         print(f"{args.path}: valid ({inst.family.value})")
@@ -118,7 +118,7 @@ def cmd_rgroup(args: argparse.Namespace) -> int:
                 k: results[k] for k in ("arthur_rank", "centralizer", "witness")
             }
         doc["results"] = results
-        print(json.dumps(doc, indent=2))
+        print(dump_json(doc))
         if bound:
             print(f"oracle skipped: {bound}", file=sys.stderr)
         return code
@@ -221,7 +221,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     if args.json:
         out = instance_document(inst)
         out["results"] = doc
-        print(json.dumps(out, indent=2))
+        print(dump_json(out))
     else:
         print("\n".join(lines))
     return 0

@@ -4,15 +4,17 @@ An instance file declares a symbol table, the residual Jordan blocks and
 the delta factors.  The same schema covers the three classical families
 and the unitary family; the unitary family declares its symbols in the
 conjugate-duality vocabulary, which parses to conjugate symbols (see
-``CuspidalSymbol.conjugate``).  Serialization is canonical: keys sorted,
-blocks and deltas sorted by (label, a), and only referenced symbols
-emitted, so parse and serialize are mutually inverse on canonical form.
+``CuspidalSymbol.conjugate``).  Serialization is canonical: top-level
+keys in schema order, symbols sorted by label, blocks and deltas sorted
+by (label, a), and only referenced symbols emitted, so parse and
+serialize are mutually inverse on canonical form.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Any
 
@@ -37,71 +39,57 @@ class Instance:
     data: InducingData
 
 
-def _expect(condition: bool, message: str) -> None:
-    if not condition:
-        raise ParseError(message)
-
-
 def _is_int(value: Any) -> bool:
-    """A JSON integer; booleans are ints in Python but not in the schema."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    """A JSON integer; booleans are ints in Python but not in the schema
+    (``json.loads`` gives no other subclass of int)."""
+    return type(value) is int
 
 
-def _expect_keys(obj: dict, allowed: set[str], context: str) -> None:
-    extra = set(obj) - allowed
-    _expect(not extra, f"unknown keys {sorted(extra)} in {context}")
+def _expect_keys(obj: dict, allowed: set[str], context: str, *args: Any) -> None:
+    """Refuse keys outside ``allowed``; ``context % args`` names ``obj`` in
+    the message, which is formatted only when a key is refused."""
+    if not obj.keys() <= allowed:
+        extra = sorted(obj.keys() - allowed)
+        raise ParseError(f"unknown keys {extra} in {context % args}")
 
 
 def _parse_symbol(label: str, spec: Any) -> CuspidalSymbol:
-    _expect(isinstance(spec, dict), f"symbol {label!r} must be an object")
-    _expect(
-        _is_int(spec.get("dim")) and spec["dim"] >= 1,
-        f"symbol {label!r} needs a positive integer dim",
-    )
+    if not isinstance(spec, dict):
+        raise ParseError(f"symbol {label!r} must be an object")
+    if not (_is_int(spec.get("dim")) and spec["dim"] >= 1):
+        raise ParseError(f"symbol {label!r} needs a positive integer dim")
     duality = spec.get("duality")
     try:
         if isinstance(duality, str) and duality in _CLASSICAL_DUALITIES:
-            _expect_keys(spec, {"dim", "duality", "dual"}, f"symbol {label!r}")
+            _expect_keys(spec, {"dim", "duality", "dual"}, "symbol %r", label)
             kind = _CLASSICAL_DUALITIES[duality]
             if kind is DualityType.NOT_SELF_DUAL:
                 dual = spec.get("dual")
-                _expect(
-                    isinstance(dual, str),
-                    f"non-self-dual symbol {label!r} needs a dual label",
-                )
+                if not isinstance(dual, str):
+                    raise ParseError(f"non-self-dual symbol {label!r} needs a dual label")
                 return CuspidalSymbol(label, spec["dim"], kind, dual)
-            _expect(
-                "dual" not in spec,
-                f"self-dual symbol {label!r} must not declare a dual",
-            )
+            if "dual" in spec:
+                raise ParseError(f"self-dual symbol {label!r} must not declare a dual")
             return CuspidalSymbol(label, spec["dim"], kind)
         if duality == "conjugate-self-dual":
             _expect_keys(
-                spec,
-                {"dim", "duality", "lambda", "lambda_matches"},
-                f"symbol {label!r}",
+                spec, {"dim", "duality", "lambda", "lambda_matches"}, "symbol %r", label
             )
             lam = spec.get("lambda")
-            _expect(
-                _is_int(lam) and lam in (1, -1),
-                f"symbol {label!r} needs lambda +1 or -1",
-            )
+            if not (_is_int(lam) and lam in (1, -1)):
+                raise ParseError(f"symbol {label!r} needs lambda +1 or -1")
             matches = spec.get("lambda_matches", True)
-            _expect(
-                isinstance(matches, bool),
-                f"symbol {label!r}: lambda_matches must be a boolean",
-            )
+            if not isinstance(matches, bool):
+                raise ParseError(f"symbol {label!r}: lambda_matches must be a boolean")
             kind = DualityType.ORTHOGONAL if lam == 1 else DualityType.SYMPLECTIC
             return CuspidalSymbol(
                 label, spec["dim"], kind, conjugate=True, lambda_matches=matches
             )
         if duality == "not-conjugate-self-dual":
-            _expect_keys(spec, {"dim", "duality", "dual"}, f"symbol {label!r}")
+            _expect_keys(spec, {"dim", "duality", "dual"}, "symbol %r", label)
             dual = spec.get("dual")
-            _expect(
-                isinstance(dual, str),
-                f"symbol {label!r} needs a dual label",
-            )
+            if not isinstance(dual, str):
+                raise ParseError(f"symbol {label!r} needs a dual label")
             return CuspidalSymbol(
                 label, spec["dim"], DualityType.NOT_SELF_DUAL, dual, conjugate=True
             )
@@ -120,93 +108,86 @@ def _check_dual_declarations(symbols: dict[str, CuspidalSymbol]) -> None:
         if dual is None:
             continue
         partner = symbols.get(dual)
-        _expect(partner is not None, f"dual partner {dual!r} of {label!r} is not declared")
-        _expect(
-            partner.dual_label == label and partner.dim == sym.dim,
-            f"symbols {label!r} and {dual!r} do not mirror each other",
-        )
+        if partner is None:
+            raise ParseError(f"dual partner {dual!r} of {label!r} is not declared")
+        if not (partner.dual_label == label and partner.dim == sym.dim):
+            raise ParseError(f"symbols {label!r} and {dual!r} do not mirror each other")
 
 
 def parse_instance(text: str) -> Instance:
     """Parse instance JSON; raises :class:`ParseError` on any defect that
     keeps the file from denoting an instance (domain violations are left
-    to validation)."""
+    to validation).  No message is formatted unless its check fails."""
     try:
         doc = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         # RecursionError: nesting deeper than the interpreter's stack
         raise ParseError(f"not valid JSON: {exc}") from exc
-    _expect(isinstance(doc, dict), "top level must be an object")
+    if not isinstance(doc, dict):
+        raise ParseError("top level must be an object")
     _expect_keys(
         doc, {"format_version", "family", "symbols", "sigma", "deltas"}, "instance"
     )
-    _expect(
-        doc.get("format_version") == FORMAT_VERSION,
-        f"unsupported format_version {doc.get('format_version')!r}",
-    )
+    if doc.get("format_version") != FORMAT_VERSION:
+        raise ParseError(f"unsupported format_version {doc.get('format_version')!r}")
     try:
         family = Family(doc.get("family"))
     except ValueError as exc:
         raise ParseError(f"unknown family {doc.get('family')!r}") from exc
 
     raw_symbols = doc.get("symbols")
-    _expect(isinstance(raw_symbols, dict), "symbols must be an object")
+    if not isinstance(raw_symbols, dict):
+        raise ParseError("symbols must be an object")
     symbols = {label: _parse_symbol(label, spec) for label, spec in raw_symbols.items()}
     unitary = family is Family.UNITARY
     for label, sym in symbols.items():
-        _expect(
-            sym.conjugate == unitary,
-            f"symbol {label!r} has the wrong duality vocabulary for family"
-            f" {family.value!r}",
-        )
+        if sym.conjugate != unitary:
+            raise ParseError(
+                f"symbol {label!r} has the wrong duality vocabulary for family"
+                f" {family.value!r}"
+            )
     _check_dual_declarations(symbols)
 
     sigma_doc = doc.get("sigma")
-    _expect(isinstance(sigma_doc, dict), "sigma must be an object")
+    if not isinstance(sigma_doc, dict):
+        raise ParseError("sigma must be an object")
     _expect_keys(sigma_doc, {"rank", "blocks"}, "sigma")
     rank = sigma_doc.get("rank")
-    _expect(_is_int(rank) and rank >= 0, "sigma.rank must be a non-negative integer")
+    if not (_is_int(rank) and rank >= 0):
+        raise ParseError("sigma.rank must be a non-negative integer")
     blocks_doc = sigma_doc.get("blocks")
-    _expect(isinstance(blocks_doc, list), "sigma.blocks must be a list")
+    if not isinstance(blocks_doc, list):
+        raise ParseError("sigma.blocks must be a list")
 
-    def resolve(label: Any, a: Any, context: str):
-        _expect(isinstance(label, str) and label in symbols, f"{context}: unknown label {label!r}")
-        _expect(_is_int(a) and a >= 1, f"{context}: a must be a positive integer")
-        return symbols[label], a
+    def resolve(label: Any, a: Any, kind: str, i: int) -> Summand:
+        if not (isinstance(label, str) and label in symbols):
+            raise ParseError(f"{kind} #{i}: unknown label {label!r}")
+        if not (_is_int(a) and a >= 1):
+            raise ParseError(f"{kind} #{i}: a must be a positive integer")
+        return Summand(symbols[label], a)
 
     deltas_doc = doc.get("deltas")
-    _expect(isinstance(deltas_doc, list), "deltas must be a list")
-    parsed_deltas = []
+    if not isinstance(deltas_doc, list):
+        raise ParseError("deltas must be a list")
+    deltas = []
     for i, entry in enumerate(deltas_doc):
-        _expect(isinstance(entry, dict), f"delta #{i} must be an object")
-        _expect_keys(entry, {"rho", "a", "mult"}, f"delta #{i}")
-        rho, a = resolve(entry.get("rho"), entry.get("a"), f"delta #{i}")
+        if not isinstance(entry, dict):
+            raise ParseError(f"delta #{i} must be an object")
+        _expect_keys(entry, {"rho", "a", "mult"}, "delta #%d", i)
+        summand = resolve(entry.get("rho"), entry.get("a"), "delta", i)
         mult = entry.get("mult", 1)
-        _expect(
-            _is_int(mult) and mult >= 1,
-            f"delta #{i}: mult must be a positive integer",
-        )
-        parsed_deltas.append((rho, a, mult))
+        if not (_is_int(mult) and mult >= 1):
+            raise ParseError(f"delta #{i}: mult must be a positive integer")
+        deltas.append(DeltaFactor(summand, mult))
 
-    parsed_blocks = []
+    blocks = []
     for i, entry in enumerate(blocks_doc):
-        _expect(
-            isinstance(entry, list) and len(entry) == 2,
-            f"block #{i} must be a [label, a] pair",
-        )
-        parsed_blocks.append(resolve(entry[0], entry[1], f"block #{i}"))
+        if not (isinstance(entry, list) and len(entry) == 2):
+            raise ParseError(f"block #{i} must be a [label, a] pair")
+        blocks.append(resolve(entry[0], entry[1], "block", i))
 
-    sigma = JordanData(
-        GroupSpec(family, rank),
-        tuple(Summand(rho, a) for rho, a in parsed_blocks),
-    )
-    data = InducingData(
-        tuple(
-            DeltaFactor(Summand(rho, a), mult) for rho, a, mult in parsed_deltas
-        ),
-        sigma,
-    )
-    return Instance(family, data)
+    sigma = JordanData(GroupSpec(family, rank), tuple(blocks))
+    return Instance(family, InducingData(tuple(deltas), sigma))
 
 
 def _symbol_doc(sym: CuspidalSymbol) -> dict:
@@ -255,8 +236,38 @@ def instance_document(inst: Instance) -> dict:
     }
 
 
+def dump_json(value: Any, pad: str = "\n") -> str:
+    """Exactly ``json.dumps(value, indent=2)`` for documents of str, int,
+    bool, None, list, tuple and dict, in one pass (the ``json`` module
+    writes indented output with its pure-Python encoder).  Any other
+    type, a float or a non-str key included, raises TypeError."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [dump_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # _quote raises TypeError on a key that is not a str
+        items = [_quote(k) + ": " + dump_json(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def serialize_instance(inst: Instance) -> str:
-    return json.dumps(instance_document(inst), indent=2, sort_keys=False) + "\n"
+    return dump_json(instance_document(inst)) + "\n"
 
 
 def load_instance(path: str | Path) -> Instance:

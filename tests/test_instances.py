@@ -8,13 +8,14 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rgroups import Family
 from rgroups.cli import main
 from rgroups.errors import ParseError
 from rgroups.instances import (
     Instance,
+    dump_json,
     load_instance,
     parse_instance,
     serialize_instance,
@@ -492,3 +493,46 @@ def test_mutated_documents_are_parse_errors(family, data, tmp_path_factory):
         assert code == 2, (kind, command)
         assert err.getvalue().startswith("parse error: "), (kind, err.getvalue())
         assert "Traceback" not in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# The JSON writer: byte-identical to json.dumps(..., indent=2)
+# ---------------------------------------------------------------------------
+
+_TRICKY_TEXT = ["", '"', "\\", 'a"b\\c', "\x00\x1f\n\r\t\x7f", "é ß ∞", "\u2028", "😀"]
+
+_json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([-1, 0, 1, 2**63, -(2**100), 10**300]),
+    st.text(),
+    st.sampled_from(_TRICKY_TEXT),
+)
+_json_keys = st.text() | st.sampled_from(_TRICKY_TEXT)
+_json_documents = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_json_keys, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_json_documents)
+@example([True, 1, False, 0, None])
+@example({"t": True, "one": 1, "empty": [], "none": {}, "tuple": ()})
+@example({"": [[], {}, [[{}]]], "é\"\\\x01": -(10**40)})
+def test_dump_json_matches_json_dumps_indent_2(value):
+    assert dump_json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, [0.0], {"a": {"b": float("nan")}}, {1: "x"}, {"a": [{2: None}]}, {True: 1}, {None: 1}, {1, 2}],
+    ids=["float", "float in list", "nan in dict", "int key", "nested int key", "bool key", "None key", "set"],
+)
+def test_dump_json_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        dump_json(value)
