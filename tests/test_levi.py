@@ -14,6 +14,7 @@ from rgroups import (
     JordanData,
     Summand,
     arthur_r_group_of_induced,
+    jordan_parity_ok,
     knapp_stein_r_group,
     parameter_of_induced,
     random_instance,
@@ -25,6 +26,7 @@ from rgroups.instances import Instance, serialize_instance
 from rgroups.levi import validate_inducing
 
 from helpers import CLASSICAL_FAMILIES, orth, pair, sympl
+from test_unitary import csd, filler_sigma, maximal_levi, ncsd, sign_condition
 
 
 def sp_sigma() -> JordanData:
@@ -138,15 +140,45 @@ def test_pure_sigma_instance_has_trivial_r_groups():
     assert result.ks_rank == result.arthur_rank == 0
 
 
+def witness_instances():
+    """Fuzzed data of the three classical families, seeds 0-199 each, and
+    every unitary maximal-Levi case on small ranks: a conjugate-dual pair,
+    a conjugate-self-dual delta off sigma, and the same delta as a block."""
+    for family in CLASSICAL_FAMILIES:
+        bounds = FuzzBounds(family=family)
+        for seed in range(200):
+            yield random_instance(seed, bounds)
+    for lam in (1, -1):
+        for a in range(1, 5):
+            for d in (1, 2):
+                for rank in range(0, 7):
+                    sigma = filler_sigma(rank)
+                    yield maximal_levi(Summand(ncsd("z", d), a), sigma)
+                    delta = Summand(csd("z", lam, dim=d), a)
+                    yield maximal_levi(delta, sigma)
+                    if delta.dim <= rank and sign_condition(lam, a, rank):
+                        yield maximal_levi(delta, filler_sigma(rank, delta))
+
+
 def test_witness_rows_match_counting_rule():
-    for seed in range(200):
-        pi = random_instance(seed)
+    """Each row against a reference outside the counting code: the type
+    test of a self-dual row is ``jordan_parity_ok``, and a non-self-dual
+    row neither matches the type nor counts."""
+    for pi in witness_instances():
         result = verify_theorem(pi)
         assert result.ks_rank == sum(row.counted for row in result.witness)
+        assert result.ks_rank == knapp_stein_r_group(pi).rank
+        group = pi.sigma.group
         for row in result.witness:
             assert row.counted == (
                 row.self_dual and row.same_type and not row.in_jordan
             )
+            if row.self_dual:
+                assert row.same_type == jordan_parity_ok(
+                    row.summand.rho, row.summand.a, group
+                )
+            else:
+                assert not row.same_type and not row.counted
 
 
 def test_random_instance_is_deterministic():
