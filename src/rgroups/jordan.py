@@ -100,7 +100,7 @@ def validate_jordan(sigma: JordanData) -> ValidationReport:
                 )
             )
             continue
-        if not jordan_parity_ok(block.rho, block.a, group):
+        if block.duality is not group.dual_type:
             if unitary:
                 reason = f"fails the sign condition for {group.describe()}"
             else:
@@ -139,12 +139,13 @@ def is_reducible(rho: CuspidalSymbol, a: int, sigma: JordanData) -> bool:
     if not rho.self_dual:
         raise NotSelfDualInput(f"{rho.label!r} is not self-dual")
     validate_jordan(sigma).require(InvalidJordanData, "is_reducible")
-    return _is_reducible(rho, a, sigma)
+    return _is_reducible(Summand(rho, a), sigma)
 
 
-def _is_reducible(rho: CuspidalSymbol, a: int, sigma: JordanData) -> bool:
-    """:func:`is_reducible` for a self-dual rho and validated sigma."""
-    return jordan_parity_ok(rho, a, sigma.group) and Summand(rho, a) not in sigma.blocks
+def _is_reducible(summand: Summand, sigma: JordanData) -> bool:
+    """:func:`is_reducible` for valid sigma; a non-self-dual summand never
+    has the dual group's type, so it needs no guard."""
+    return summand.duality is sigma.group.dual_type and summand not in sigma.blocks
 
 
 def parameter_of_sigma(sigma: JordanData) -> Parameter:

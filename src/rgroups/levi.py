@@ -24,7 +24,7 @@ from itertools import count
 
 from .centralizer import ElementaryTwoGroup, arthur_r_group
 from .errors import BoundsInfeasible, InvalidInducingData
-from .jordan import JordanData, _is_reducible, jordan_parity_ok, validate_jordan
+from .jordan import JordanData, _is_reducible, validate_jordan
 from .params import (
     CuspidalSymbol,
     DualityType,
@@ -125,12 +125,7 @@ def knapp_stein_r_group(pi: InducingData) -> ElementaryTwoGroup:
     are irrelevant.
     """
     validate_inducing(pi).require(InvalidInducingData, "knapp_stein_r_group")
-    return ElementaryTwoGroup(sum(_counted(d.summand, pi.sigma) for d in pi.deltas))
-
-
-def _counted(summand: Summand, sigma: JordanData) -> bool:
-    """Whether a delta counts toward the Knapp-Stein rank (sigma valid)."""
-    return summand.self_dual and _is_reducible(summand.rho, summand.a, sigma)
+    return ElementaryTwoGroup(sum(_is_reducible(d.summand, pi.sigma) for d in pi.deltas))
 
 
 def parameter_of_induced(pi: InducingData) -> Parameter:
@@ -195,25 +190,21 @@ def verify_theorem(pi: InducingData) -> VerificationResult:
 def _verify(pi: InducingData, phi: Parameter) -> VerificationResult:
     """:func:`verify_theorem` for validated ``pi`` whose induced parameter
     ``phi`` is already assembled."""
-    rows = []
-    for d in pi.deltas:
-        self_dual = d.summand.self_dual
-        same_type = self_dual and jordan_parity_ok(
-            d.summand.rho, d.summand.a, pi.sigma.group
+    dual_type = pi.sigma.group.dual_type
+    rows = tuple(
+        WitnessRow(
+            summand=d.summand,
+            multiplicity=d.multiplicity,
+            self_dual=d.summand.self_dual,
+            same_type=d.summand.duality is dual_type,
+            in_jordan=d.summand in pi.sigma.blocks,
+            counted=_is_reducible(d.summand, pi.sigma),
         )
-        rows.append(
-            WitnessRow(
-                summand=d.summand,
-                multiplicity=d.multiplicity,
-                self_dual=self_dual,
-                same_type=same_type,
-                in_jordan=d.summand in pi.sigma.blocks,
-                counted=_counted(d.summand, pi.sigma),
-            )
-        )
+        for d in pi.deltas
+    )
     ks = sum(row.counted for row in rows)
     arthur = arthur_r_group(phi, pi.ambient_group())
-    return VerificationResult(ks, arthur.rank, tuple(rows))
+    return VerificationResult(ks, arthur.rank, rows)
 
 
 @dataclass(frozen=True)

@@ -24,12 +24,12 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def require(self, exc_type: type[Exception], context: str = "") -> None:
-        """Raise ``exc_type`` listing all violations unless the report is clean."""
+    def require(self, exc_type: type[Exception], context: str) -> None:
+        """Raise ``exc_type`` listing all violations, after ``context``,
+        unless the report is clean."""
         if self.violations:
             lines = "; ".join(str(v) for v in self.violations)
-            prefix = f"{context}: " if context else ""
-            raise exc_type(f"{prefix}{lines}")
+            raise exc_type(f"{context}: {lines}")
 
     def __add__(self, other: "ValidationReport") -> "ValidationReport":
         return ValidationReport(self.violations + other.violations)

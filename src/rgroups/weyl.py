@@ -57,7 +57,7 @@ Perm = tuple[int, ...]
 Signs = tuple[int, ...]
 SignedPerm = tuple[Perm, Signs]
 
-DEFAULT_ELEMENT_CAP = 1_000_000
+ELEMENT_CAP = 1_000_000
 
 
 def compose(g: SignedPerm, h: SignedPerm) -> SignedPerm:
@@ -157,14 +157,12 @@ def _weyl_groups(kind: FactorKind, size: int) -> tuple[SignedPermGroup, SignedPe
     return full, ident
 
 
-def weyl_of_factor(
-    kind: FactorKind, size: int, element_cap: int = DEFAULT_ELEMENT_CAP
-) -> tuple[SignedPermGroup, SignedPermGroup]:
+def weyl_of_factor(kind: FactorKind, size: int) -> tuple[SignedPermGroup, SignedPermGroup]:
     """(W, W0) of one factor: the full Weyl group and that of the factor's
     identity component, as signed-permutation groups on ``torus_degree``
-    letters, built once the cap has admitted W's order.  Only the oracle's
-    per-shape groups and free ranks are cached."""
-    _weyl_order(kind.value, size, element_cap)
+    letters, built once :data:`ELEMENT_CAP` has admitted W's order.  Only the
+    oracle's per-shape groups and free ranks are cached."""
+    _weyl_order(kind.value, size, ELEMENT_CAP)
     return _weyl_groups(kind, size)
 
 
@@ -234,9 +232,7 @@ def _enumerated_rank(
     return rank
 
 
-def weyl_quotient(
-    desc: CentralizerDescriptor, element_cap: int = DEFAULT_ELEMENT_CAP
-) -> ElementaryTwoGroup:
+def weyl_quotient(desc: CentralizerDescriptor) -> ElementaryTwoGroup:
     """Rank of W/W0 for a descriptor, by finite enumeration.
 
     W is the subgroup of the product of per-factor Weyl groups whose
@@ -253,32 +249,33 @@ def weyl_quotient(
     once per factor shape, its rank cached, and the live product on every
     call.
 
-    Bound: ``element_cap`` counts Weyl elements.  Each factor's W, the sum
-    of the free factors' orders and the product of the live factors'
-    orders must stay within it, checked from closed-form orders before
-    any group is built; an overflow raises :class:`BoundExceeded`.
+    Bound: the fixed :data:`ELEMENT_CAP`, read per call, counts Weyl
+    elements.  Each factor's W, the sum of the free factors' orders and the
+    product of the live factors' orders must stay within it, checked from
+    closed-form orders before any group is built; an overflow raises
+    :class:`BoundExceeded`.
     """
     live_indices = constrained_indices(desc)
     free: list[Factor] = []
     live: list[Factor] = []
     free_total, live_total = 0, 1
     for i, f in enumerate(desc.factors):
-        order = _weyl_order(f.kind._value_, f.size, element_cap)
+        order = _weyl_order(f.kind._value_, f.size, ELEMENT_CAP)
         if i in live_indices:
             live.append(f)
             live_total *= order
         else:
             free.append(f)
             free_total += order
-    if free_total > element_cap:
+    if free_total > ELEMENT_CAP:
         raise BoundExceeded(
             f"free factors hold {free_total} Weyl elements,"
-            f" above the cap {element_cap}"
+            f" above the cap {ELEMENT_CAP}"
         )
-    if live_total > element_cap:
+    if live_total > ELEMENT_CAP:
         raise BoundExceeded(
             f"constrained descriptor needs {live_total} candidate elements,"
-            f" above the cap {element_cap}"
+            f" above the cap {ELEMENT_CAP}"
         )
     rank = 0
     for f in free:

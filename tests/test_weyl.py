@@ -239,7 +239,7 @@ def test_weyl_quotient_single_constrained_even_factor():
     assert weyl_quotient(desc).rank == 0
 
 
-def test_weyl_quotient_bounds():
+def test_weyl_quotient_bounds(monkeypatch):
     # Every bound's message says "above the cap", the phrase callers match
     # to tell a skipped oracle from a failure.
     desc = CentralizerDescriptor((Factor(O, 30, 2),), None)
@@ -248,19 +248,19 @@ def test_weyl_quotient_bounds():
         match="order 42849873690624000 is above the cap 1000000$",
     ):
         weyl_quotient(desc)
+    monkeypatch.setattr(weyl, "ELEMENT_CAP", 100)
     with pytest.raises(BoundExceeded, match="order 384 is above the cap 100$"):
-        weyl_quotient(
-            CentralizerDescriptor((Factor(O, 8, 2),), None), element_cap=100
-        )
+        weyl_quotient(CentralizerDescriptor((Factor(O, 8, 2),), None))
     # constrained path: the joint product can overflow the cap
     desc = CentralizerDescriptor(
         (Factor(O, 8, 1), Factor(O, 8, 1)), ((0, 1), (1, 1))
     )
+    monkeypatch.setattr(weyl, "ELEMENT_CAP", 1000)
     with pytest.raises(BoundExceeded, match="147456 candidate elements, above the cap 1000$"):
-        weyl_quotient(desc, element_cap=1000)
+        weyl_quotient(desc)
 
 
-def test_weyl_of_factor_checks_the_cap_from_the_order():
+def test_weyl_of_factor_checks_the_cap_from_the_order(monkeypatch):
     for kind, size, order in (
         (O, 16, 2**8 * math.factorial(8)),
         (GL, 12, math.factorial(12)),
@@ -268,12 +268,15 @@ def test_weyl_of_factor_checks_the_cap_from_the_order():
         with pytest.raises(BoundExceeded, match=f"order {order} is above the cap 1000000$"):
             weyl_of_factor(kind, size)
     # a group whose order equals the cap is built in full
-    assert weyl_of_factor(O, 8, element_cap=384)[0].order == 384
+    monkeypatch.setattr(weyl, "ELEMENT_CAP", 384)
+    assert weyl_of_factor(O, 8)[0].order == 384
+    monkeypatch.setattr(weyl, "ELEMENT_CAP", 383)
     with pytest.raises(BoundExceeded, match="order 384 is above the cap 383$"):
-        weyl_of_factor(O, 8, element_cap=383)
+        weyl_of_factor(O, 8)
     # SO(8): only the even sign vectors, half the order of O(8)
+    monkeypatch.setattr(weyl, "ELEMENT_CAP", 191)
     with pytest.raises(BoundExceeded, match="order 192 is above the cap 191$"):
-        weyl_of_factor(SO, 8, element_cap=191)
+        weyl_of_factor(SO, 8)
 
 
 def test_a_huge_factor_is_refused_at_a_cost_independent_of_its_size():
@@ -414,17 +417,19 @@ def test_weyl_quotient_matches_full_product_enumeration(desc):
     assert weyl_quotient(desc) == _reference_quotient(desc)
 
 
-def test_element_cap_counts_the_live_product():
+def test_element_cap_counts_the_live_product(monkeypatch):
     # O(6) is free: its 48 elements fit the cap on their own, and only the
     # 8 x 8 live product is enumerated.  The full product (3,072 elements)
     # would exceed the cap.
     desc = CentralizerDescriptor(
         (Factor(O, 6, 2), Factor(O, 4, 1), Factor(O, 4, 3)), ((1, 1), (2, 1))
     )
-    assert weyl_quotient(desc, element_cap=100).rank == 2
+    monkeypatch.setattr(weyl, "ELEMENT_CAP", 100)
+    assert weyl_quotient(desc).rank == 2
     # Every factor still fits a cap of 50, but the live product does not.
+    monkeypatch.setattr(weyl, "ELEMENT_CAP", 50)
     with pytest.raises(BoundExceeded, match="needs 64 candidate elements"):
-        weyl_quotient(desc, element_cap=50)
+        weyl_quotient(desc)
 
 
 @pytest.fixture
