@@ -16,15 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .errors import InvalidParameter, UnresolvedConstraint
-from .params import (
-    DualityType,
-    Family,
-    GroupSpec,
-    Parameter,
-    checked,
-)
+from .params import DualityType, Family, GroupSpec, Parameter, checked
 
 
 class FactorKind(Enum):
@@ -129,16 +124,26 @@ class ElementaryTwoGroup:
         return "1" if self.rank == 0 else f"Z2^{self.rank}"
 
 
+# The value objects fixed by a shape, built and checked once per shape.  A
+# bad shape raises on every call, since ``lru_cache`` keeps no exception;
+# nothing is cached per parameter or per descriptor.  Factors key on the
+# kind's value, as ``weyl._factor_weyl`` does.
+@lru_cache(maxsize=None)
+def _factor(kind_value: str, size: int, source_dim: int) -> Factor:
+    return Factor(FactorKind(kind_value), size, source_dim)
+
+
+@lru_cache(maxsize=None)
+def rank_group(rank: int) -> ElementaryTwoGroup:
+    """The one shared (Z/2)^rank."""
+    return ElementaryTwoGroup(rank)
+
+
 def constrained_indices(desc: CentralizerDescriptor) -> tuple[int, ...]:
     return tuple(idx for idx, _ in desc.det_constraint or ())
 
 
-_BUCKET_KINDS = (
-    FactorKind.GENERAL_LINEAR,
-    FactorKind.SYMPLECTIC,
-    FactorKind.FULL_ORTHOGONAL,
-    FactorKind.FULL_ORTHOGONAL,
-)
+_BUCKET_KINDS = ("GL", "Sp", "O", "O")
 
 
 def _centralizer_factors(
@@ -156,16 +161,13 @@ def _centralizer_factors(
     report, buckets = checked(psi, group)
     report.require(InvalidParameter, caller)
     if group.family is Family.UNITARY:
-        kinds = {
-            DualityType.NOT_SELF_DUAL: FactorKind.GENERAL_LINEAR,
-            group.dual_type: FactorKind.FULL_ORTHOGONAL,
-        }
+        kinds = {DualityType.NOT_SELF_DUAL: "GL", group.dual_type: "O"}
         return [
-            Factor(kinds.get(s.duality, FactorKind.SYMPLECTIC), m, s.dim)
+            _factor(kinds.get(s.duality, "Sp"), m, s.dim)
             for s, m in psi.expanded_entries()
         ], None
     factors = [
-        Factor(kind, entry.multiplicity, entry.summand.dim)
+        _factor(kind, entry.multiplicity, entry.summand.dim)
         for kind, bucket in zip(_BUCKET_KINDS, buckets.buckets)
         for entry in bucket
     ]
@@ -198,9 +200,7 @@ def centralizer(psi: Parameter, group: GroupSpec) -> CentralizerDescriptor:
         )
     if demotable:
         i = demotable[0]
-        factors[i] = Factor(
-            FactorKind.SPECIAL_ORTHOGONAL, factors[i].size, factors[i].source_dim
-        )
+        factors[i] = _factor("SO", factors[i].size, factors[i].source_dim)
     return CentralizerDescriptor(tuple(factors), None if live is None else ())
 
 
@@ -230,7 +230,7 @@ def arthur_r_group(psi: Parameter, group: GroupSpec) -> ElementaryTwoGroup:
     """
     report, buckets = checked(psi, group)
     report.require(InvalidParameter, "arthur_r_group")
-    return ElementaryTwoGroup(buckets.d)
+    return rank_group(buckets.d)
 
 
 def descriptor_rank(desc: CentralizerDescriptor) -> ElementaryTwoGroup:
@@ -244,9 +244,4 @@ def descriptor_rank(desc: CentralizerDescriptor) -> ElementaryTwoGroup:
             "descriptor rank is defined for resolved descriptors only;"
             " use the brute-force quotient for live constraints"
         )
-    rank = sum(
-        1
-        for f in desc.factors
-        if f.kind is _O and f.size % 2 == 0
-    )
-    return ElementaryTwoGroup(rank)
+    return rank_group(sum(f.kind is _O and f.size % 2 == 0 for f in desc.factors))

@@ -35,6 +35,8 @@ _CLASSICAL_DUALITIES = {
 
 @dataclass(frozen=True)
 class Instance:
+    """An instance file's content: the family and the inducing datum."""
+
     family: Family
     data: InducingData
 

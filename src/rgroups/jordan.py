@@ -24,7 +24,7 @@ from .params import (
     canonicalize,
     tensor_type,
 )
-from .validation import ValidationReport, Violation
+from .validation import ValidationReport, Violation, report
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,8 @@ class JordanData:
 
     group: GroupSpec
     blocks: tuple[Summand, ...]
+    # The report of `validate_jordan`: not a field, so not in ==/hash/repr.
+    _report = None
 
     def __post_init__(self) -> None:
         ordered = tuple(sorted(set(self.blocks), key=Summand.sort_key))
@@ -67,8 +69,10 @@ def validate_jordan(sigma: JordanData) -> ValidationReport:
     the dimensions fill the dual group, and the even orthogonal family
     excludes rank 1 (O(2, F) has no discrete series).  U(m) words the
     rules in conjugate duality and reports a mixed parity only through
-    the J-1 line it always comes with.
+    the J-1 line it always comes with.  Run once and kept on ``sigma``.
     """
+    if sigma._report is not None:
+        return sigma._report
     violations: list[Violation] = []
     group = sigma.group
     unitary = group.family is Family.UNITARY
@@ -125,7 +129,8 @@ def validate_jordan(sigma: JordanData) -> ValidationReport:
                 f"blocks fill dimension {total}, {target} needs {group.dual_dimension}",
             )
         )
-    return ValidationReport(tuple(violations))
+    object.__setattr__(sigma, "_report", report(violations))
+    return sigma._report
 
 
 def is_reducible(rho: CuspidalSymbol, a: int, sigma: JordanData) -> bool:

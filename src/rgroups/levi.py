@@ -22,7 +22,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import count
 
-from .centralizer import ElementaryTwoGroup, arthur_r_group
+from .centralizer import ElementaryTwoGroup, arthur_r_group, rank_group
 from .errors import BoundsInfeasible, InvalidInducingData
 from .jordan import JordanData, _is_reducible, validate_jordan
 from .params import (
@@ -34,7 +34,7 @@ from .params import (
     Summand,
     canonicalize,
 )
-from .validation import ValidationReport, Violation
+from .validation import ValidationReport, Violation, report
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,8 @@ class InducingData:
 
     deltas: tuple[DeltaFactor, ...]
     sigma: JordanData
+    # The report of `validate_inducing`: not a field, so not in ==/hash/repr.
+    _report = None
 
     def ambient_group(self) -> GroupSpec:
         """GL(k) adds k to the rank of G_m; Res GL_k(E) adds 2k to U(m)."""
@@ -109,12 +111,15 @@ def _delta_rules(pi: InducingData) -> ValidationReport:
                     " and no sign-agreement hypothesis",
                 )
             )
-    return ValidationReport(tuple(violations))
+    return report(violations)
 
 
 def validate_inducing(pi: InducingData) -> ValidationReport:
-    """Report violations: invalid residual data or delta factors."""
-    return validate_jordan(pi.sigma) + _delta_rules(pi)
+    """Report violations: invalid residual data or delta factors.  Run
+    once and kept on ``pi``."""
+    if pi._report is None:
+        object.__setattr__(pi, "_report", validate_jordan(pi.sigma) + _delta_rules(pi))
+    return pi._report
 
 
 def knapp_stein_r_group(pi: InducingData) -> ElementaryTwoGroup:
@@ -125,7 +130,7 @@ def knapp_stein_r_group(pi: InducingData) -> ElementaryTwoGroup:
     are irrelevant.
     """
     validate_inducing(pi).require(InvalidInducingData, "knapp_stein_r_group")
-    return ElementaryTwoGroup(sum(_is_reducible(d.summand, pi.sigma) for d in pi.deltas))
+    return rank_group(sum(_is_reducible(d.summand, pi.sigma) for d in pi.deltas))
 
 
 def parameter_of_induced(pi: InducingData) -> Parameter:
@@ -172,6 +177,8 @@ class WitnessRow:
 
 @dataclass(frozen=True)
 class VerificationResult:
+    """Both ranks of one inducing datum and the witness rows of the count."""
+
     ks_rank: int
     arthur_rank: int
     witness: tuple[WitnessRow, ...]
@@ -209,6 +216,8 @@ def _verify(pi: InducingData, phi: Parameter) -> VerificationResult:
 
 @dataclass(frozen=True)
 class FuzzBounds:
+    """Bounds of :func:`random_instance`'s draws, in a classical family."""
+
     max_deltas: int = 5
     max_dim: int = 4
     max_a: int = 5
@@ -254,6 +263,7 @@ def _draw_jordan(
 ) -> JordanData | None:
     """Propose residual Jordan data; None when the draw came out invalid."""
     family = bounds.family
+    probe = GroupSpec(family, 1)  # a block's parity reads only the dual type
     blocks: list[Summand] = []
     for _ in range(rng.randint(0, 3)):
         reuse = blocks and rng.random() < 0.3
@@ -264,9 +274,7 @@ def _draw_jordan(
         else:
             duality = _draw_self_dual_type(rng, bounds)
             rho = CuspidalSymbol(next(fresh), _draw_dim(rng, duality, bounds), duality)
-            # group rank is unknown until the blocks are fixed; parity only
-            # depends on the family's dual type, so probe with rank 1
-            parity = _block_parity(duality, GroupSpec(family, 1), same_type=True)
+            parity = _block_parity(duality, probe, same_type=True)
         a = _draw_a(rng, parity, bounds)
         if a is None:
             continue
@@ -333,7 +341,7 @@ def random_instance(seed: int, bounds: FuzzBounds = FuzzBounds()) -> InducingDat
             used.add(summand.sort_key())
             deltas.append(DeltaFactor(summand, rng.randint(1, bounds.max_mult)))
         pi = InducingData(tuple(deltas), sigma)
-        if _delta_rules(pi).ok:  # sigma was validated by _draw_jordan
+        if validate_inducing(pi).ok:  # kept on pi; sigma's part is kept from _draw_jordan
             return pi
     raise BoundsInfeasible(
         f"no valid instance found within {_MAX_ATTEMPTS} attempts for {bounds}"

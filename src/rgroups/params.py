@@ -23,7 +23,7 @@ from operator import lt
 from typing import Iterable
 
 from .errors import InconsistentSymbol, InvalidParameter, UnpairedDual
-from .validation import ValidationReport, Violation
+from .validation import ValidationReport, Violation, report
 
 
 class Family(Enum):
@@ -53,11 +53,14 @@ _ORTHOGONAL = DualityType.ORTHOGONAL
 _SYMPLECTIC = DualityType.SYMPLECTIC
 
 
-_FAMILY_NAMES = {
-    Family.SYMPLECTIC: "Sp({m}, F)",
-    Family.ODD_ORTHOGONAL: "SO({m}, F)",
-    Family.EVEN_ORTHOGONAL: "O({m}, F)",
-    Family.UNITARY: "U({m})",
+# Per family value: the group's name, the dual type for even and for odd
+# rank, and the dimensions m * rank + offset of the dual group's standard
+# representation and of the group's own.
+_FAMILY_TABLE = {
+    "sp": ("Sp({m}, F)", (_ORTHOGONAL, _ORTHOGONAL), 2, 1, 0),
+    "so-odd": ("SO({m}, F)", (_SYMPLECTIC, _SYMPLECTIC), 2, 0, 1),
+    "o-even": ("O({m}, F)", (_ORTHOGONAL, _ORTHOGONAL), 2, 0, 0),
+    "unitary": ("U({m})", (_SYMPLECTIC, _ORTHOGONAL), 1, 0, 0),
 }
 
 
@@ -82,30 +85,20 @@ class GroupSpec:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.rank < 0:
-            raise ValueError(f"rank must be non-negative, got {self.rank}")
-        family, n = self.family, self.rank
-        unitary = family is Family.UNITARY
-        if family is Family.ODD_ORTHOGONAL or (unitary and n % 2 == 0):
-            dual_type = _SYMPLECTIC
-        else:
-            dual_type = _ORTHOGONAL
-        dimension = n if unitary else 2 * n + (family is Family.SYMPLECTIC)
-        object.__setattr__(self, "dual_type", dual_type)
-        object.__setattr__(self, "dual_dimension", dimension)
-        object.__setattr__(self, "_hash", hash((family, n)))
+        n = self.rank
+        if n < 0:
+            raise ValueError(f"rank must be non-negative, got {n}")
+        _, types, m, offset, _ = _FAMILY_TABLE[self.family._value_]
+        object.__setattr__(self, "dual_type", types[n % 2])
+        object.__setattr__(self, "dual_dimension", m * n + offset)
+        object.__setattr__(self, "_hash", hash((self.family, n)))
 
     def __hash__(self) -> int:
         return self._hash
 
     def describe(self) -> str:
-        if self.family is Family.SYMPLECTIC:
-            return _FAMILY_NAMES[self.family].format(m=2 * self.rank)
-        if self.family is Family.ODD_ORTHOGONAL:
-            return _FAMILY_NAMES[self.family].format(m=2 * self.rank + 1)
-        if self.family is Family.EVEN_ORTHOGONAL:
-            return _FAMILY_NAMES[self.family].format(m=2 * self.rank)
-        return _FAMILY_NAMES[self.family].format(m=self.rank)
+        name, _, m, _, offset = _FAMILY_TABLE[self.family._value_]
+        return name.format(m=m * self.rank + offset)
 
 
 def tensor_type(rho_type: DualityType, a: int) -> DualityType:
@@ -181,11 +174,7 @@ class CuspidalSymbol:
         if self.dual_label is None:
             raise ValueError(f"{self.label!r} is self-dual")
         return CuspidalSymbol(
-            label=self.dual_label,
-            dim=self.dim,
-            duality=_NOT_SELF_DUAL,
-            dual_label=self.label,
-            conjugate=self.conjugate,
+            self.dual_label, self.dim, _NOT_SELF_DUAL, self.label, self.conjugate
         )
 
 
@@ -261,7 +250,8 @@ class Parameter:
         if not all(map(lt, keys, keys[1:])):
             raise ValueError("entries must be sorted and pairwise distinct")
         for e in self.entries:
-            if e.is_dual_pair and e.summand.rho.label > e.summand.rho.dual_label:
+            rho = e.summand.rho  # a dual pair's symbol is the one with a dual_label
+            if rho.dual_label is not None and rho.label > rho.dual_label:
                 raise ValueError(
                     f"dual pair {e.summand.describe()} is not stored under its"
                     " lexicographic representative"
@@ -317,7 +307,7 @@ def canonicalize(entries: Iterable[tuple[Summand, int]]) -> Parameter:
     if clash is not None:
         raise InconsistentSymbol(f"label {clash!r} declared with conflicting attributes")
     for sym in symbols.values():
-        partner = symbols.get(sym.dual_label)
+        partner = None if sym.dual_label is None else symbols.get(sym.dual_label)
         if partner is not None and (
             partner.dual_label != sym.label
             or partner.dim != sym.dim
@@ -329,8 +319,7 @@ def canonicalize(entries: Iterable[tuple[Summand, int]]) -> Parameter:
             )
 
     canonical: list[ParameterEntry] = []
-    for key in sorted(merged):
-        summand, mult = merged[key]
+    for key, (summand, mult) in sorted(merged.items()):
         if summand.duality is not _NOT_SELF_DUAL:
             canonical.append(ParameterEntry(summand, mult))
             continue
@@ -420,13 +409,8 @@ def _check_entries(psi: Parameter, group: GroupSpec) -> _Checked:
                 f" {group.describe()} needs {group.dual_dimension}",
             ),
         )
-    buckets = Classification(
-        dual_pairs=tuple(pairs),
-        opposite_type=tuple(opposite),
-        same_type_odd_mult=tuple(same_odd),
-        same_type_even_mult=tuple(same_even),
-    )
-    return ValidationReport(tuple(violations)), buckets
+    buckets = Classification(tuple(pairs), tuple(opposite), tuple(same_odd), tuple(same_even))
+    return report(violations), buckets
 
 
 def checked(psi: Parameter, group: GroupSpec) -> _Checked:

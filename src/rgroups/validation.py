@@ -18,6 +18,9 @@ class Violation:
 
 @dataclass(frozen=True, slots=True)
 class ValidationReport:
+    """The violations one check found, in the order found; ``ok`` when
+    there are none.  Build through :func:`report`."""
+
     violations: tuple[Violation, ...] = ()
 
     @property
@@ -32,4 +35,15 @@ class ValidationReport:
             raise exc_type(f"{context}: {lines}")
 
     def __add__(self, other: "ValidationReport") -> "ValidationReport":
+        if not other.violations:
+            return self
         return ValidationReport(self.violations + other.violations)
+
+
+CLEAN = ValidationReport()
+
+
+def report(violations: list[Violation]) -> ValidationReport:
+    """A report of ``violations``: the one shared :data:`CLEAN` when there
+    are none, so that a clean check builds nothing."""
+    return ValidationReport(tuple(violations)) if violations else CLEAN

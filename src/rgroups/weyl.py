@@ -50,6 +50,7 @@ from .centralizer import (
     Factor,
     FactorKind,
     constrained_indices,
+    rank_group,
 )
 from .errors import BoundExceeded, NonElementaryQuotient
 
@@ -283,4 +284,4 @@ def weyl_quotient(desc: CentralizerDescriptor) -> ElementaryTwoGroup:
     if live:
         groups = [_factor_weyl(f.kind._value_, f.size) for f in live]
         rank += _enumerated_rank(groups, live)
-    return ElementaryTwoGroup(rank)
+    return rank_group(rank)

@@ -8,6 +8,7 @@ lambda (-1)^(a+1) and (-1)^(n+1), independently of ``tensor_type``.
 """
 
 import json
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -21,13 +22,16 @@ from rgroups import (
     InducingData,
     JordanData,
     Summand,
+    arthur_r_group,
     canonicalize,
     centralizer,
     descriptor_rank,
     jordan_parity_ok,
     parameter_of_induced,
     parameter_of_sigma,
+    unresolved_centralizer,
     validate_jordan,
+    validate_parameter,
     verify_theorem,
     weyl_quotient,
 )
@@ -266,6 +270,58 @@ def test_unitary_centralizer_errors():
     odd_sp = canonicalize([(Summand(csd("x", parity_sign(3)), 1), 3)])
     with pytest.raises(InvalidParameter, match="^centralizer: odd-multiplicity"):
         centralizer(odd_sp, U(3))
+
+
+def unitary_alphabet():
+    """Entry shapes of a unitary parameter: a conjugate-dual pair
+    (dim, mult) or a conjugate-self-dual summand (lambda, a, dim, mult)."""
+    dims, mults = (1, 2), (1, 2, 3, 4)
+    pairs = [("pair", None, 1, d, m) for d in dims for m in mults]
+    signed = [("csd", lam, a, d, m) for lam in (1, -1) for a in (1, 2) for d in dims for m in mults]
+    return pairs + signed
+
+
+def test_unitary_closed_form_equals_oracle_exhaustively():
+    """Over every unitary parameter of at most 3 canonical entries from
+    :func:`unitary_alphabet`, up to relabeling, the closed-form rank, the
+    rank read off the centralizer and the brute-force Weyl quotient agree,
+    and equal the count of entries whose sign lambda (-1)^(a+1) is
+    (-1)^(n+1) with even multiplicity.  U(n) has no determinant
+    condition, so the unresolved descriptor is the resolved one."""
+    valid = 0
+    seen_types, seen_ranks = set(), set()
+    alphabet = unitary_alphabet()
+    for size in (1, 2, 3):
+        for combo in combinations_with_replacement(alphabet, size):
+            raw, expected, n = [], [], 0
+            for i, (kind, lam, a, dim, mult) in enumerate(combo):
+                if kind == "pair":
+                    rho = ncsd(f"s{i}", dim)
+                    raw += [(Summand(rho, a), mult), (Summand(rho.dual_partner(), a), mult)]
+                    n += 2 * dim * a * mult
+                else:
+                    raw.append((Summand(csd(f"s{i}", lam, dim), a), mult))
+                    n += dim * a * mult
+                    expected.append((twisted_sign(lam, a), mult))
+            group = U(n)
+            psi = canonicalize(raw)
+            if not validate_parameter(psi, group).ok:
+                # only an opposite-sign entry of odd multiplicity is refused
+                assert any(sign != parity_sign(n + 1) and mult % 2 for sign, mult in expected)
+                continue
+            rank = sum(sign == parity_sign(n + 1) and mult % 2 == 0 for sign, mult in expected)
+            desc = centralizer(psi, group)
+            assert desc.det_constraint is None
+            assert unresolved_centralizer(psi, group) == desc
+            closed = arthur_r_group(psi, group)
+            assert closed == weyl_quotient(desc) == descriptor_rank(desc), psi.describe()
+            assert closed.rank == rank, psi.describe()
+            valid += 1
+            seen_types.add(group.dual_type)
+            seen_ranks.add(rank)
+    assert valid > 6_000
+    assert seen_types == {DualityType.ORTHOGONAL, DualityType.SYMPLECTIC}
+    assert seen_ranks == {0, 1, 2, 3}
 
 
 # ---------------------------------------------------------------------------

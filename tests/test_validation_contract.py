@@ -14,6 +14,7 @@ import rgroups.params
 from rgroups import (
     DeltaFactor,
     Family,
+    FuzzBounds,
     GroupSpec,
     InducingData,
     JordanData,
@@ -26,6 +27,7 @@ from rgroups import (
     is_reducible,
     knapp_stein_r_group,
     parameter_of_sigma,
+    random_instance,
     unresolved_centralizer,
     validate_jordan,
     validate_parameter,
@@ -33,8 +35,10 @@ from rgroups import (
 )
 from rgroups.cli import main
 from rgroups.errors import InvalidInducingData, InvalidJordanData, InvalidParameter
+from rgroups.levi import validate_inducing
+from rgroups.validation import CLEAN
 
-from helpers import orth, pair, sympl
+from helpers import CLASSICAL_FAMILIES, orth, pair, sympl
 from test_unitary import csd
 
 SP3 = GroupSpec(Family.SYMPLECTIC, 1)  # dual group SO(3, C)
@@ -142,6 +146,40 @@ def test_verify_theorem_validates_the_jordan_data_once(monkeypatch):
     result = verify_theorem(valid_inducing())
     assert result.agree and result.ks_rank == 1
     assert len(calls) == 1
+
+
+def test_a_validated_datum_is_not_checked_again(monkeypatch):
+    """``random_instance`` accepts a datum through ``validate_inducing``,
+    whose report stays on the datum, so no entry point checks it again."""
+    drawn = [
+        random_instance(seed, FuzzBounds(family=family))
+        for family in CLASSICAL_FAMILIES
+        for seed in range(20)
+    ]
+
+    def again(*_):
+        raise AssertionError("a validated datum was checked again")
+
+    monkeypatch.setattr(rgroups.levi, "_delta_rules", again)
+    monkeypatch.setattr(rgroups.levi, "validate_jordan", again)
+    for pi in drawn:
+        assert verify_theorem(pi).agree
+        assert knapp_stein_r_group(pi) == arthur_r_group_of_induced(pi)
+
+
+def test_the_kept_reports_are_not_part_of_the_value():
+    pi, fresh = valid_inducing(), valid_inducing()
+    before = repr(pi)
+    assert validate_inducing(pi).ok and validate_inducing(pi) is validate_inducing(pi)
+    assert validate_jordan(pi.sigma) is validate_jordan(pi.sigma)
+    assert pi._report is not None and fresh._report is None and fresh.sigma._report is None
+    assert pi == fresh and hash(pi) == hash(fresh) and repr(pi) == before
+    assert pi.sigma == fresh.sigma and hash(pi.sigma) == hash(fresh.sigma)
+    # a clean check builds no report of its own
+    assert validate_inducing(pi) is validate_jordan(pi.sigma) is CLEAN
+    bad = InducingData((), invalid_sigma())
+    assert not validate_inducing(bad).ok
+    assert validate_inducing(bad) is validate_inducing(bad)
 
 
 # ---------------------------------------------------------------------------

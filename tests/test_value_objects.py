@@ -1,13 +1,18 @@
 """The value objects of the parameter side: what their derived attributes
-leave out of ``==``, ``hash`` and ``repr``, that they stay frozen, and a
+leave out of ``==``, ``hash`` and ``repr``, that they stay frozen, a
 differential check of the one-pass ``canonicalize`` against the
-two-pass version it replaced."""
+two-pass version it replaced, and the factors and rank groups shared
+per shape."""
 
-from dataclasses import FrozenInstanceError
+import importlib
+import inspect
+import pkgutil
+from dataclasses import FrozenInstanceError, is_dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rgroups
 from rgroups import (
     CentralizerDescriptor,
     CuspidalSymbol,
@@ -20,9 +25,15 @@ from rgroups import (
     Parameter,
     ParameterEntry,
     Summand,
+    arthur_r_group,
     canonicalize,
+    centralizer,
     classify,
+    descriptor_rank,
+    unresolved_centralizer,
+    weyl_quotient,
 )
+from rgroups.centralizer import _factor, rank_group
 from rgroups.errors import InconsistentSymbol, UnpairedDual
 from rgroups.params import checked
 from rgroups.validation import ValidationReport, Violation
@@ -286,3 +297,101 @@ def test_reference_differs_only_where_intended():
     for raw in (mismatch, late):
         assert isinstance(_outcome(_reference_canonicalize, raw)[0], Parameter)
         assert _outcome(canonicalize, raw) in _intended_differences(raw)
+
+
+# ---------------------------------------------------------------------------
+# Objects shared per shape
+# ---------------------------------------------------------------------------
+
+GL, SO = FactorKind.GENERAL_LINEAR, FactorKind.SPECIAL_ORTHOGONAL
+O, SP = FactorKind.FULL_ORTHOGONAL, FactorKind.SYMPLECTIC
+SP8 = GroupSpec(Family.SYMPLECTIC, 4)  # dual dimension 9
+
+
+def _sp8_parameter(odd: str, even: str, dual: str):
+    """GL(2) x O(3) x O(2) in Sp(8): a pair of multiplicity 2, an odd
+    and an even same-type multiplicity, each summand of dimension 1."""
+    rho = pair(dual)
+    return canonicalize([
+        (Summand(orth(odd), 1), 3),
+        (Summand(orth(even), 1), 2),
+        (Summand(rho, 1), 2),
+        (Summand(rho.dual_partner(), 1), 2),
+    ])
+
+
+def test_equal_shapes_share_their_factors_and_rank_groups():
+    first, second = _sp8_parameter("a", "b", "p"), _sp8_parameter("x", "y", "q")
+    assert first != second
+    resolved = centralizer(first, SP8), centralizer(second, SP8)
+    unresolved = unresolved_centralizer(first, SP8), unresolved_centralizer(second, SP8)
+    for one, other in (resolved, unresolved):
+        assert all(f is g for f, g in zip(one.factors, other.factors, strict=True))
+    # the demoted SO factor is shared too, and its O twin is another object
+    assert [f.kind for f in resolved[0].factors] == [GL, SO, O]
+    assert resolved[0].factors[1] is not unresolved[0].factors[1]
+    rank = arthur_r_group(first, SP8)
+    assert rank.rank == 1
+    assert rank is arthur_r_group(second, SP8) is descriptor_rank(resolved[1])
+    assert rank is weyl_quotient(resolved[0]) is weyl_quotient(unresolved[1])
+
+
+def test_shared_descriptors_keep_their_value():
+    desc = centralizer(_sp8_parameter("a", "b", "p"), SP8)
+    fresh = CentralizerDescriptor((Factor(GL, 2, 1), Factor(SO, 3, 1), Factor(O, 2, 1)), ())
+    assert desc == fresh and hash(desc) == hash(fresh) and repr(desc) == repr(fresh)
+    assert desc.describe() == fresh.describe() == "GL(2) x SO(3) x O(2)"
+    assert descriptor_rank(desc) == ElementaryTwoGroup(1)
+    assert hash(descriptor_rank(desc)) == hash(ElementaryTwoGroup(1))
+
+
+def test_a_shared_factor_stays_frozen():
+    shared = centralizer(_sp8_parameter("a", "b", "p"), SP8).factors[0]
+    assert shared is centralizer(_sp8_parameter("x", "y", "q"), SP8).factors[0]
+    with pytest.raises(FrozenInstanceError):
+        shared.size = 5
+    assert shared == Factor(GL, 2, 1)
+    assert rank_group(1) is rank_group(1)
+    with pytest.raises(FrozenInstanceError):
+        rank_group(1).rank = 2
+    assert rank_group(1).rank == 1
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: Factor(SP, 3, 1), "symplectic factors need even size"),
+        (lambda: _factor("Sp", 3, 1), "symplectic factors need even size"),
+        (lambda: _factor("O", 0, 1), "factor size must be positive, got 0"),
+        (lambda: ElementaryTwoGroup(-1), "rank must be non-negative, got -1"),
+        (lambda: rank_group(-1), "rank must be non-negative, got -1"),
+    ]
+    + [
+        (lambda family=family: GroupSpec(family, -1), "rank must be non-negative, got -1")
+        for family in Family
+    ],
+)
+def test_bad_shapes_raise_on_every_call(build, message):
+    for _ in range(3):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+
+
+def test_no_dataclass_has_a_synthesized_docstring():
+    """``dataclass`` writes ``Name(signature)`` into a class without a
+    docstring, through ``inspect.signature``, at import."""
+    modules = [
+        importlib.import_module(f"rgroups.{info.name}")
+        for info in pkgutil.iter_modules(rgroups.__path__)
+    ]
+    classes = [
+        obj
+        for module in modules
+        for obj in vars(module).values()
+        if isinstance(obj, type) and is_dataclass(obj) and obj.__module__ == module.__name__
+    ]
+    assert len(classes) > 10
+    for cls in classes:
+        synthesized = cls.__name__ + str(inspect.signature(cls)).replace(" -> None", "")
+        assert cls.__doc__ != synthesized, cls.__name__
+        assert cls.__doc__ and cls.__doc__.strip(), cls.__name__
