@@ -319,7 +319,8 @@ def canonicalize(entries: Iterable[tuple[Summand, int]]) -> Parameter:
             )
 
     canonical: list[ParameterEntry] = []
-    for key, (summand, mult) in sorted(merged.items()):
+    for key in sorted(merged):  # sorting the keys beats sorting the items
+        summand, mult = merged[key]
         if summand.duality is not _NOT_SELF_DUAL:
             canonical.append(ParameterEntry(summand, mult))
             continue
