@@ -12,20 +12,13 @@ from .centralizer import (
     descriptor_rank,
     unresolved_centralizer,
 )
-from .jordan import (
-    JordanData,
-    is_reducible,
-    jordan_parity_ok,
-    parameter_of_sigma,
-    validate_jordan,
-)
+from .jordan import JordanData, validate_jordan
 from .levi import (
     DeltaFactor,
     FuzzBounds,
     InducingData,
     VerificationResult,
     WitnessRow,
-    arthur_r_group_of_induced,
     knapp_stein_r_group,
     parameter_of_induced,
     random_instance,
@@ -45,7 +38,7 @@ from .params import (
     tensor_type,
     validate_parameter,
 )
-from .weyl import SignedPermGroup, weyl_of_factor, weyl_quotient
+from .weyl import weyl_of_factor, weyl_quotient
 
 __all__ = [
     "CentralizerDescriptor",
@@ -63,21 +56,16 @@ __all__ = [
     "JordanData",
     "Parameter",
     "ParameterEntry",
-    "SignedPermGroup",
     "Summand",
     "VerificationResult",
     "WitnessRow",
     "arthur_r_group",
-    "arthur_r_group_of_induced",
     "canonicalize",
     "centralizer",
     "classify",
     "descriptor_rank",
-    "is_reducible",
-    "jordan_parity_ok",
     "knapp_stein_r_group",
     "parameter_of_induced",
-    "parameter_of_sigma",
     "random_instance",
     "tensor_type",
     "unresolved_centralizer",

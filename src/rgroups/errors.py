@@ -18,15 +18,6 @@ class InvalidParameter(RGroupError):
     """A parameter failed validation against its target dual group."""
 
 
-class NotSelfDualInput(RGroupError):
-    """An operation defined only for self-dual cuspidal data received a
-    non-self-dual input."""
-
-
-class InvalidJordanData(RGroupError):
-    """Jordan-block data failed validation."""
-
-
 class InvalidInducingData(RGroupError):
     """Inducing data for a standard Levi subgroup failed validation."""
 

@@ -14,16 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidJordanData, NotSelfDualInput
-from .params import (
-    CuspidalSymbol,
-    Family,
-    GroupSpec,
-    Parameter,
-    Summand,
-    canonicalize,
-    tensor_type,
-)
+from .params import Family, GroupSpec, Summand
 from .validation import ValidationReport, Violation, report
 
 
@@ -47,17 +38,6 @@ class JordanData:
 
     def total_dimension(self) -> int:
         return sum(b.dim for b in self.blocks)
-
-
-def jordan_parity_ok(rho: CuspidalSymbol, a: int, group: GroupSpec) -> bool:
-    """Whether rho (x) S_a has the same duality type as the dual group.
-
-    This is the membership-side parity condition: for fixed rho only one
-    parity of a can pass.
-    """
-    if not rho.self_dual:
-        raise NotSelfDualInput(f"{rho.label!r} is not self-dual")
-    return tensor_type(rho.duality, a) is group.dual_type
 
 
 def validate_jordan(sigma: JordanData) -> ValidationReport:
@@ -133,27 +113,9 @@ def validate_jordan(sigma: JordanData) -> ValidationReport:
     return sigma._report
 
 
-def is_reducible(rho: CuspidalSymbol, a: int, sigma: JordanData) -> bool:
-    """Whether the segment representation built from (rho, a) induces
-    reducibly against sigma.
-
-    Reducible exactly when rho (x) S_a has the same type as the dual
-    group and (rho, a) is not a Jordan block of sigma: opposite-type
-    pairs always induce irreducibly, and blocks do by definition.
-    """
-    if not rho.self_dual:
-        raise NotSelfDualInput(f"{rho.label!r} is not self-dual")
-    validate_jordan(sigma).require(InvalidJordanData, "is_reducible")
-    return _is_reducible(Summand(rho, a), sigma)
-
-
 def _is_reducible(summand: Summand, sigma: JordanData) -> bool:
-    """:func:`is_reducible` for valid sigma; a non-self-dual summand never
-    has the dual group's type, so it needs no guard."""
+    """Whether the segment representation of ``summand`` induces reducibly
+    against a valid sigma: exactly when the summand has the dual group's
+    type and is not a Jordan block.  A non-self-dual summand never has
+    that type, so it needs no guard."""
     return summand.duality is sigma.group.dual_type and summand not in sigma.blocks
-
-
-def parameter_of_sigma(sigma: JordanData) -> Parameter:
-    """The parameter of sigma: each Jordan block contributes once."""
-    validate_jordan(sigma).require(InvalidJordanData, "parameter_of_sigma")
-    return canonicalize((block, 1) for block in sigma.blocks)

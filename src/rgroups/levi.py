@@ -153,16 +153,6 @@ def parameter_of_induced(pi: InducingData) -> Parameter:
     return canonicalize(raw)
 
 
-def arthur_r_group_of_induced(pi: InducingData) -> ElementaryTwoGroup:
-    """Arthur R-group rank via the assembled parameter's classification.
-
-    A valid inducing datum always assembles to a valid parameter; an
-    InvalidParameter propagating from here signals inconsistent input.
-    """
-    validate_inducing(pi).require(InvalidInducingData, "arthur_r_group_of_induced")
-    return arthur_r_group(parameter_of_induced(pi), pi.ambient_group())
-
-
 @dataclass(frozen=True)
 class WitnessRow:
     """Per-delta breakdown of the Knapp-Stein count."""

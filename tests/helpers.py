@@ -12,11 +12,11 @@ from rgroups import (
     GroupSpec,
     Parameter,
     ParameterEntry,
-    SignedPermGroup,
     Summand,
     canonicalize,
+    tensor_type,
 )
-from rgroups.weyl import SignedPerm, compose
+from rgroups.weyl import SignedPerm, SignedPermGroup, compose
 
 CLASSICAL_FAMILIES = (
     Family.SYMPLECTIC,
@@ -39,6 +39,13 @@ def pair(label: str, dim: int = 1) -> CuspidalSymbol:
 
 def self_dual_symbol(label: str, duality: DualityType, dim: int) -> CuspidalSymbol:
     return CuspidalSymbol(label, dim, duality)
+
+
+def jordan_parity_ok(rho: CuspidalSymbol, a: int, group: GroupSpec) -> bool:
+    """Whether rho (x) S_a is self-dual of the dual group's type: the
+    block-side parity condition, read from the symbol and ``tensor_type``
+    rather than from ``Summand.duality``."""
+    return rho.self_dual and tensor_type(rho.duality, a) is group.dual_type
 
 
 def opposite_of(duality: DualityType) -> DualityType:

@@ -15,10 +15,12 @@ from rgroups import (
     centralizer,
     classify,
     descriptor_rank,
+    unresolved_centralizer,
 )
 from rgroups.errors import InvalidParameter
 
 from helpers import exhaustive_valid_parameters, orth, pair, sympl, total_dimension
+from test_unitary import csd, ncsd
 
 GL = FactorKind.GENERAL_LINEAR
 SP = FactorKind.SYMPLECTIC
@@ -153,6 +155,118 @@ def test_demotion_with_multiple_odd_factors():
         Factor(O, 1, 3),
         Factor(O, 1, 5),
     )
+
+
+# Each factor's source_dim is the dimension of the whole summand rho (x) S_a,
+# not of rho: with a > 1 the two differ, and in so-odd their parities can
+# differ too, which decides whether the determinant condition is live.  The
+# (kind, size, source_dim) rows are worked out by hand: classical factors
+# come in the bucket order GL, Sp, O of odd multiplicity, O of even
+# multiplicity, and by (label, a) inside a bucket.
+SOURCE_DIM_TABLE = [
+    # 2 r(x)S_2 of SO(5), r orthogonal of dimension 1: r(x)S_2 is
+    # symplectic of dimension 2, the dual group's type, so O(2) with no
+    # live condition and rank 1.
+    (
+        GroupSpec(Family.ODD_ORTHOGONAL, 2),
+        [(Summand(orth("r", 1), 2), 2)],
+        [(O, 2, 2)],
+        [(O, 2, 2)],
+        (),
+        1,
+    ),
+    # so-odd, dual Sp(24): p(x)S_2 + its dual (dim 4), c(x)S_3 orthogonal of
+    # dim 3 twice (6), b(x)S_4 symplectic of dim 4 (4), s(x)S_3 symplectic
+    # of dim 6 (6), a(x)S_2 symplectic of dim 2 twice (4).  Every same-type
+    # summand has even dimension, so the condition is vacuous.
+    (
+        GroupSpec(Family.ODD_ORTHOGONAL, 12),
+        [
+            (Summand(pair("p", 1), 2), 1),
+            (Summand(pair("p", 1).dual_partner(), 2), 1),
+            (Summand(orth("c", 1), 3), 2),
+            (Summand(orth("b", 1), 4), 1),
+            (Summand(sympl("s", 2), 3), 1),
+            (Summand(orth("a", 1), 2), 2),
+        ],
+        [(GL, 1, 2), (SP, 2, 3), (O, 1, 4), (O, 1, 6), (O, 2, 2)],
+        [(GL, 1, 2), (SP, 2, 3), (O, 1, 4), (O, 1, 6), (O, 2, 2)],
+        (),
+        1,
+    ),
+    # sp, dual SO(43): p(x)S_3 + its dual (dim 12), c(x)S_2 symplectic of
+    # dim 2 twice (4), a(x)S_3 orthogonal of dim 3 three times (9), b(x)S_5
+    # of dim 5 twice (10), s(x)S_2 orthogonal of dim 4 twice (8).  The O
+    # factors of odd source dimension, a and b, carry the live condition;
+    # the odd-size one, a, absorbs it as SO(3).
+    (
+        GroupSpec(Family.SYMPLECTIC, 21),
+        [
+            (Summand(pair("p", 2), 3), 1),
+            (Summand(pair("p", 2).dual_partner(), 3), 1),
+            (Summand(orth("c", 1), 2), 2),
+            (Summand(orth("a", 1), 3), 3),
+            (Summand(orth("b", 1), 5), 2),
+            (Summand(sympl("s", 2), 2), 2),
+        ],
+        [(GL, 1, 6), (SP, 2, 2), (SO, 3, 3), (O, 2, 5), (O, 2, 4)],
+        [(GL, 1, 6), (SP, 2, 2), (O, 3, 3), (O, 2, 5), (O, 2, 4)],
+        ((2, 1), (3, 1)),
+        2,
+    ),
+    # o-even, dual SO(30): p(x)S_2 + its dual twice (8), b(x)S_2 symplectic
+    # of dim 6 twice (12), s(x)S_2 orthogonal of dim 4 (4), a(x)S_3
+    # orthogonal of dim 3 twice (6).  No determinant condition.
+    (
+        GroupSpec(Family.EVEN_ORTHOGONAL, 15),
+        [
+            (Summand(pair("p", 1), 2), 2),
+            (Summand(pair("p", 1).dual_partner(), 2), 2),
+            (Summand(orth("b", 3), 2), 2),
+            (Summand(sympl("s", 2), 2), 1),
+            (Summand(orth("a", 1), 3), 2),
+        ],
+        [(GL, 2, 2), (SP, 2, 6), (O, 1, 4), (O, 2, 3)],
+        [(GL, 2, 2), (SP, 2, 6), (O, 1, 4), (O, 2, 3)],
+        None,
+        1,
+    ),
+    # U(12), dual type symplectic: one factor per summand in (label, a)
+    # order.  p(x)S_2 and its conjugate dual give GL(1) each (4), x(x)S_2
+    # of sign +1 twisted to -1 twice (4), y(x)S_2 of sign -1 twisted to +1
+    # twice (4).  No determinant condition.
+    (
+        GroupSpec(Family.UNITARY, 12),
+        [
+            (Summand(ncsd("p"), 2), 1),
+            (Summand(ncsd("p").dual_partner(), 2), 1),
+            (Summand(csd("x", 1), 2), 2),
+            (Summand(csd("y", -1), 2), 2),
+        ],
+        [(GL, 1, 2), (GL, 1, 2), (O, 2, 2), (SP, 2, 2)],
+        [(GL, 1, 2), (GL, 1, 2), (O, 2, 2), (SP, 2, 2)],
+        None,
+        1,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "group, entries, resolved, unresolved, live, rank",
+    SOURCE_DIM_TABLE,
+    ids=["so-odd-single", "so-odd", "sp", "o-even", "unitary"],
+)
+def test_source_dim_is_the_summand_dimension(
+    group, entries, resolved, unresolved, live, rank
+):
+    psi = canonicalize(entries)
+    desc = centralizer(psi, group)
+    assert [(f.kind, f.size, f.source_dim) for f in desc.factors] == resolved
+    assert desc.det_constraint == (None if live is None else ())
+    assert descriptor_rank(desc).rank == arthur_r_group(psi, group).rank == rank
+    desc = unresolved_centralizer(psi, group)
+    assert [(f.kind, f.size, f.source_dim) for f in desc.factors] == unresolved
+    assert desc.det_constraint == live
 
 
 def test_arthur_rank_examples():

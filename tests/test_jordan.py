@@ -1,24 +1,26 @@
-"""Tests for Jordan-block data, the parity predicate, reducibility and the
-reconstruction of the parameter of sigma."""
+"""Tests for Jordan-block data, the reducibility predicate and the
+parameter of sigma.
 
-import pytest
+The block-side parity condition is ``helpers.jordan_parity_ok``, a
+reference outside the product; reducibility is the product's
+``jordan._is_reducible``, and the parameter of sigma is the parameter
+induced from sigma with no delta factors."""
 
 from rgroups import (
     CuspidalSymbol,
     DualityType,
     Family,
     GroupSpec,
+    InducingData,
     JordanData,
     Summand,
-    is_reducible,
-    jordan_parity_ok,
-    parameter_of_sigma,
+    parameter_of_induced,
     validate_jordan,
     validate_parameter,
 )
-from rgroups.errors import InvalidJordanData, NotSelfDualInput
+from rgroups.jordan import _is_reducible
 
-from helpers import orth, pair, sympl, total_dimension
+from helpers import jordan_parity_ok, orth, pair, sympl, total_dimension
 
 
 def steinberg_sigma(rank: int) -> JordanData:
@@ -102,8 +104,7 @@ def test_jordan_parity_table():
     assert not jordan_parity_ok(orth("o"), 2, sp)
     assert jordan_parity_ok(orth("o"), 2, so)
     assert jordan_parity_ok(sympl("s"), 1, so)
-    with pytest.raises(NotSelfDualInput):
-        jordan_parity_ok(pair("p"), 1, sp)
+    assert not jordan_parity_ok(pair("p"), 1, sp)
 
 
 def test_is_reducible_table():
@@ -113,22 +114,16 @@ def test_is_reducible_table():
     )
     assert validate_jordan(sigma).ok
     # members are irreducible
-    assert not is_reducible(orth("a"), 1, sigma)
-    assert not is_reducible(orth("b"), 3, sigma)
+    assert not _is_reducible(Summand(orth("a"), 1), sigma)
+    assert not _is_reducible(Summand(orth("b"), 3), sigma)
     # same type, not a member: reducible
-    assert is_reducible(orth("a"), 3, sigma)
-    assert is_reducible(orth("z"), 5, sigma)
+    assert _is_reducible(Summand(orth("a"), 3), sigma)
+    assert _is_reducible(Summand(orth("z"), 5), sigma)
     # opposite type: irreducible
-    assert not is_reducible(sympl("s"), 1, sigma)
-    assert not is_reducible(orth("a"), 2, sigma)
-    with pytest.raises(NotSelfDualInput):
-        is_reducible(pair("p"), 1, sigma)
-
-
-def test_is_reducible_requires_valid_sigma():
-    bad = JordanData(GroupSpec(Family.SYMPLECTIC, 4), (Summand(orth("a"), 1),))
-    with pytest.raises(InvalidJordanData):
-        is_reducible(orth("a"), 3, bad)
+    assert not _is_reducible(Summand(sympl("s"), 1), sigma)
+    assert not _is_reducible(Summand(orth("a"), 2), sigma)
+    # not self-dual: never the dual group's type, so irreducible
+    assert not _is_reducible(Summand(pair("p"), 1), sigma)
 
 
 def test_is_reducible_formula_by_table():
@@ -142,7 +137,7 @@ def test_is_reducible_formula_by_table():
             expected = jordan_parity_ok(rho, a, sigma.group) and Summand(
                 rho, a
             ) not in sigma.blocks
-            assert is_reducible(rho, a, sigma) == expected
+            assert _is_reducible(Summand(rho, a), sigma) == expected
 
 
 def test_blocks_always_pass_parity():
@@ -158,7 +153,7 @@ def test_blocks_always_pass_parity():
 def test_parameter_of_sigma_empty_residual():
     sigma = JordanData(GroupSpec(Family.EVEN_ORTHOGONAL, 0), ())
     assert validate_jordan(sigma).ok
-    phi = parameter_of_sigma(sigma)
+    phi = parameter_of_induced(InducingData((), sigma))
     assert phi.entries == ()
     assert total_dimension(phi) == 0
 
@@ -168,7 +163,7 @@ def test_parameter_of_sigma_rank_zero_symplectic():
     # dual, filled by a single 1-dimensional orthogonal block.
     sigma = JordanData(GroupSpec(Family.SYMPLECTIC, 0), (Summand(orth("triv"), 1),))
     assert validate_jordan(sigma).ok
-    phi = parameter_of_sigma(sigma)
+    phi = parameter_of_induced(InducingData((), sigma))
     assert total_dimension(phi) == 1
 
 
@@ -178,16 +173,10 @@ def test_parameter_of_sigma_two_blocks():
         (Summand(sympl("r", 2), 2), Summand(orth("t"), 1)),
     )
     assert validate_jordan(sigma).ok
-    phi = parameter_of_sigma(sigma)
+    phi = parameter_of_induced(InducingData((), sigma))
     assert total_dimension(phi) == 5
     assert all(e.multiplicity == 1 for e in phi.entries)
     assert validate_parameter(phi, sigma.group).ok
-
-
-def test_parameter_of_sigma_requires_valid_data():
-    bad = JordanData(GroupSpec(Family.SYMPLECTIC, 4), (Summand(orth("a"), 1),))
-    with pytest.raises(InvalidJordanData):
-        parameter_of_sigma(bad)
 
 
 def test_parameter_of_sigma_is_multiplicity_free_and_valid():
@@ -204,6 +193,6 @@ def test_parameter_of_sigma_is_multiplicity_free_and_valid():
     ]
     for sigma in cases:
         assert validate_jordan(sigma).ok
-        phi = parameter_of_sigma(sigma)
+        phi = parameter_of_induced(InducingData((), sigma))
         assert all(e.multiplicity == 1 for e in phi.entries)
         assert validate_parameter(phi, sigma.group).ok

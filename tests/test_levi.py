@@ -13,8 +13,7 @@ from rgroups import (
     InducingData,
     JordanData,
     Summand,
-    arthur_r_group_of_induced,
-    jordan_parity_ok,
+    arthur_r_group,
     knapp_stein_r_group,
     parameter_of_induced,
     random_instance,
@@ -25,7 +24,7 @@ from rgroups.errors import BoundsInfeasible, InvalidInducingData
 from rgroups.instances import Instance, serialize_instance
 from rgroups.levi import validate_inducing
 
-from helpers import CLASSICAL_FAMILIES, orth, pair, sympl
+from helpers import CLASSICAL_FAMILIES, jordan_parity_ok, orth, pair, sympl
 from test_unitary import csd, filler_sigma, maximal_levi, ncsd, sign_condition
 
 
@@ -86,18 +85,18 @@ def test_arthur_side_merges_multiplicities():
     phi = parameter_of_induced(pi)
     entry = next(e for e in phi.entries if e.summand.rho.label == "x")
     assert entry.multiplicity == 2
-    assert arthur_r_group_of_induced(pi).rank == 1
+    assert arthur_r_group(phi, pi.ambient_group()).rank == 1
     # a block as delta merges to 2m + 1
     pi = InducingData((DeltaFactor(Summand(orth("a"), 1), 2),), sigma)
     phi = parameter_of_induced(pi)
     entry = next(e for e in phi.entries if e.summand.rho.label == "a")
     assert entry.multiplicity == 5
-    assert arthur_r_group_of_induced(pi).rank == 0
+    assert arthur_r_group(phi, pi.ambient_group()).rank == 0
     # non-self-dual deltas assemble to a dual pair and contribute nothing
     pi = InducingData((DeltaFactor(Summand(pair("p", 2), 1), 3),), sigma)
     phi = parameter_of_induced(pi)
     assert phi.entries[0 if phi.entries[0].is_dual_pair else 1].multiplicity == 3
-    assert arthur_r_group_of_induced(pi).rank == 0
+    assert arthur_r_group(phi, pi.ambient_group()).rank == 0
 
 
 def test_assembled_parameter_is_valid():

@@ -26,17 +26,18 @@ from rgroups import (
     canonicalize,
     centralizer,
     descriptor_rank,
-    jordan_parity_ok,
+    knapp_stein_r_group,
     parameter_of_induced,
-    parameter_of_sigma,
     unresolved_centralizer,
     validate_jordan,
     validate_parameter,
     verify_theorem,
     weyl_quotient,
 )
-from rgroups.errors import InvalidInducingData, InvalidJordanData, InvalidParameter, ParseError
+from rgroups.errors import InvalidInducingData, InvalidParameter, ParseError
 from rgroups.instances import parse_instance
+
+from helpers import jordan_parity_ok
 
 GL = FactorKind.GENERAL_LINEAR
 SP = FactorKind.SYMPLECTIC
@@ -196,8 +197,8 @@ def test_unitary_summand_sign():
     s = Summand(csd("x", 1), 2)
     assert s.dim == 2 and sign_of(s.duality) == -1
     unusable = JordanData(U(2), (Summand(csd("x", -1, dim=2, matches=False), 1),))
-    with pytest.raises(InvalidJordanData, match="sign-hypothesis"):
-        parameter_of_sigma(unusable)
+    with pytest.raises(InvalidInducingData, match="sign-hypothesis"):
+        knapp_stein_r_group(InducingData((), unusable))
 
 
 def test_validate_unitary_jordan():

@@ -1,13 +1,16 @@
-"""The validation contract: every public entry point rejects invalid input
-under its own name, in every family, and the checking pass runs once per
-(parameter, group) and once per inducing datum; an ``rgroup`` run builds
-its parameter once."""
+"""The validation contract: the package root exports exactly the public
+surface, every public entry point rejects invalid input under its own
+name, in every family, and the checking pass runs once per (parameter,
+group) and once per inducing datum; an ``rgroup`` run builds its
+parameter once."""
 
 import json
 from pathlib import Path
 
 import pytest
 
+import rgroups
+import rgroups.errors
 import rgroups.jordan
 import rgroups.levi
 import rgroups.params
@@ -20,13 +23,11 @@ from rgroups import (
     JordanData,
     Summand,
     arthur_r_group,
-    arthur_r_group_of_induced,
     canonicalize,
     centralizer,
     classify,
-    is_reducible,
     knapp_stein_r_group,
-    parameter_of_sigma,
+    parameter_of_induced,
     random_instance,
     unresolved_centralizer,
     validate_jordan,
@@ -34,7 +35,7 @@ from rgroups import (
     verify_theorem,
 )
 from rgroups.cli import main
-from rgroups.errors import InvalidInducingData, InvalidJordanData, InvalidParameter
+from rgroups.errors import InvalidInducingData, InvalidParameter
 from rgroups.levi import validate_inducing
 from rgroups.validation import CLEAN
 
@@ -73,6 +74,66 @@ def valid_inducing() -> InducingData:
     )
 
 
+PUBLIC_NAMES = [
+    "CentralizerDescriptor",
+    "Classification",
+    "CuspidalSymbol",
+    "DeltaFactor",
+    "DualityType",
+    "ElementaryTwoGroup",
+    "Factor",
+    "FactorKind",
+    "Family",
+    "FuzzBounds",
+    "GroupSpec",
+    "InducingData",
+    "JordanData",
+    "Parameter",
+    "ParameterEntry",
+    "Summand",
+    "VerificationResult",
+    "WitnessRow",
+    "arthur_r_group",
+    "canonicalize",
+    "centralizer",
+    "classify",
+    "descriptor_rank",
+    "knapp_stein_r_group",
+    "parameter_of_induced",
+    "random_instance",
+    "tensor_type",
+    "unresolved_centralizer",
+    "validate_jordan",
+    "validate_parameter",
+    "verify_theorem",
+    "weyl_of_factor",
+    "weyl_quotient",
+]
+
+# Entry points and errors that no product path used; the tests read the
+# product paths that replace them.
+RETIRED_NAMES = [
+    "is_reducible",
+    "jordan_parity_ok",
+    "parameter_of_sigma",
+    "arthur_r_group_of_induced",
+    "NotSelfDualInput",
+    "InvalidJordanData",
+]
+
+
+def test_the_package_root_exports_exactly_the_public_surface():
+    assert sorted(rgroups.__all__) == sorted(PUBLIC_NAMES)
+    for name in PUBLIC_NAMES:
+        assert getattr(rgroups, name) is not None
+    for name in RETIRED_NAMES:
+        assert not hasattr(rgroups, name)
+        assert not hasattr(rgroups.errors, name)
+    # the Weyl group type stays in its module, off the root
+    assert not hasattr(rgroups, "SignedPermGroup")
+    assert hasattr(rgroups.weyl, "SignedPermGroup")
+
+
 def test_validate_parameter_reports_the_invalid_parameter():
     report = validate_parameter(invalid_parameter(), SP3)
     assert not report.ok
@@ -87,21 +148,11 @@ def test_parameter_entries_reject_under_their_own_name(entry):
         entry(invalid_parameter(), SP3)
 
 
-@pytest.mark.parametrize(
-    "entry", [knapp_stein_r_group, arthur_r_group_of_induced, verify_theorem]
-)
+@pytest.mark.parametrize("entry", [knapp_stein_r_group, verify_theorem])
 def test_inducing_entries_reject_under_their_own_name(entry):
     pi = InducingData((DeltaFactor(Summand(orth("z", 3), 1), 1),), invalid_sigma())
     with pytest.raises(InvalidInducingData, match=f"^{entry.__name__}: dimension"):
         entry(pi)
-
-
-def test_jordan_entries_reject_under_their_own_name():
-    sigma = invalid_sigma()
-    with pytest.raises(InvalidJordanData, match="^is_reducible: dimension"):
-        is_reducible(orth("z", 3), 1, sigma)
-    with pytest.raises(InvalidJordanData, match="^parameter_of_sigma: dimension"):
-        parameter_of_sigma(sigma)
 
 
 def test_one_parameter_pass_serves_every_entry(monkeypatch):
@@ -164,7 +215,9 @@ def test_a_validated_datum_is_not_checked_again(monkeypatch):
     monkeypatch.setattr(rgroups.levi, "validate_jordan", again)
     for pi in drawn:
         assert verify_theorem(pi).agree
-        assert knapp_stein_r_group(pi) == arthur_r_group_of_induced(pi)
+        assert knapp_stein_r_group(pi) == arthur_r_group(
+            parameter_of_induced(pi), pi.ambient_group()
+        )
 
 
 def test_the_kept_reports_are_not_part_of_the_value():
@@ -251,7 +304,7 @@ def test_rgroup_builds_and_checks_the_parameter_once(monkeypatch, capsys, name):
         passes.append(group)
         return check(psi, group)
 
-    for module in (rgroups.params, rgroups.levi, rgroups.jordan):
+    for module in (rgroups.params, rgroups.levi):
         monkeypatch.setattr(module, "canonicalize", counted_canonicalize)
     monkeypatch.setattr(rgroups.params, "_check_entries", counted_check)
     assert main(["rgroup", "--oracle", "--json", str(CORPUS / name)]) == 0
