@@ -19,10 +19,11 @@ from enum import Enum
 from functools import lru_cache
 
 from .errors import InvalidParameter, UnresolvedConstraint
-from .params import DualityType, Family, GroupSpec, Parameter, checked
+from .params import _NOT_SELF_DUAL, Family, GroupSpec, Parameter, checked
 
 
 class FactorKind(Enum):
+    __hash__ = object.__hash__  # see ``params._NOT_SELF_DUAL``
     GENERAL_LINEAR = "GL"
     SYMPLECTIC = "Sp"
     FULL_ORTHOGONAL = "O"
@@ -30,8 +31,10 @@ class FactorKind(Enum):
 
 
 # Module globals for the per-factor paths (see ``params._NOT_SELF_DUAL``).
+_GL = FactorKind.GENERAL_LINEAR
 _SP = FactorKind.SYMPLECTIC
 _O = FactorKind.FULL_ORTHOGONAL
+_SO = FactorKind.SPECIAL_ORTHOGONAL
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,7 +86,7 @@ class CentralizerDescriptor:
             if not 0 <= idx < len(self.factors):
                 raise ValueError(f"constraint index {idx} out of range")
             factor = self.factors[idx]
-            if factor.kind is not FactorKind.FULL_ORTHOGONAL:
+            if factor.kind is not _O:
                 raise ValueError(
                     "determinant constraints apply only to full orthogonal"
                     f" factors, not {factor.describe()}"
@@ -116,21 +119,11 @@ class ElementaryTwoGroup:
         if self.rank < 0:
             raise ValueError(f"rank must be non-negative, got {self.rank}")
 
-    @property
-    def order(self) -> int:
-        return 1 << self.rank
-
-    def __str__(self) -> str:
-        return "1" if self.rank == 0 else f"Z2^{self.rank}"
-
 
 # The value objects fixed by a shape, built and checked once per shape.  A
 # bad shape raises on every call, since ``lru_cache`` keeps no exception;
-# nothing is cached per parameter or per descriptor.  Factors key on the
-# kind's value, as ``weyl._factor_weyl`` does.
-@lru_cache(maxsize=None)
-def _factor(kind_value: str, size: int, source_dim: int) -> Factor:
-    return Factor(FactorKind(kind_value), size, source_dim)
+# nothing is cached per parameter or per descriptor.
+_factor = lru_cache(maxsize=None)(Factor)
 
 
 @lru_cache(maxsize=None)
@@ -143,7 +136,7 @@ def constrained_indices(desc: CentralizerDescriptor) -> tuple[int, ...]:
     return tuple(idx for idx, _ in desc.det_constraint or ())
 
 
-_BUCKET_KINDS = ("GL", "Sp", "O", "O")
+_BUCKET_KINDS = (_GL, _SP, _O, _O)
 
 
 def _centralizer_factors(
@@ -161,9 +154,9 @@ def _centralizer_factors(
     report, buckets = checked(psi, group)
     report.require(InvalidParameter, caller)
     if group.family is Family.UNITARY:
-        kinds = {DualityType.NOT_SELF_DUAL: "GL", group.dual_type: "O"}
+        kinds = {_NOT_SELF_DUAL: _GL, group.dual_type: _O}
         return [
-            _factor(kinds.get(s.duality, "Sp"), m, s.dim)
+            _factor(kinds.get(s.duality, _SP), m, s.dim)
             for s, m in psi.expanded_entries()
         ], None
     factors = [
@@ -200,7 +193,7 @@ def centralizer(psi: Parameter, group: GroupSpec) -> CentralizerDescriptor:
         )
     if demotable:
         i = demotable[0]
-        factors[i] = _factor("SO", factors[i].size, factors[i].source_dim)
+        factors[i] = _factor(_SO, factors[i].size, factors[i].source_dim)
     return CentralizerDescriptor(tuple(factors), None if live is None else ())
 
 

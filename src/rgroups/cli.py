@@ -24,9 +24,15 @@ from .instances import (
     instance_document,
     load_instance,
     serialize_instance,
-    validate_instance,
 )
-from .levi import FuzzBounds, _verify, parameter_of_induced, random_instance, verify_theorem
+from .levi import (
+    FuzzBounds,
+    _verify,
+    parameter_of_induced,
+    random_instance,
+    validate_inducing,
+    verify_theorem,
+)
 from .params import DualityType, Family, classify
 from .weyl import weyl_quotient
 
@@ -38,7 +44,7 @@ def _print_violations(report, file=None) -> None:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     inst = load_instance(args.path)
-    report = validate_instance(inst)
+    report = validate_inducing(inst.data)
     if args.json:
         doc = instance_document(inst)
         doc["results"] = {
@@ -95,7 +101,7 @@ def _rgroup_results(inst: Instance, oracle: bool) -> tuple[dict, str | None]:
 def _load_valid(path: str) -> Instance | None:
     """The instance at ``path``, or None after reporting its violations."""
     inst = load_instance(path)
-    report = validate_instance(inst)
+    report = validate_inducing(inst.data)
     if report.ok:
         return inst
     print(f"{path}: invalid instance", file=sys.stderr)

@@ -20,17 +20,12 @@ from typing import Any
 
 from .errors import ParseError
 from .jordan import JordanData
-from .levi import DeltaFactor, InducingData, validate_inducing
+from .levi import DeltaFactor, InducingData
 from .params import CuspidalSymbol, DualityType, Family, GroupSpec, Summand
-from .validation import ValidationReport
 
 FORMAT_VERSION = "1"
 
-_CLASSICAL_DUALITIES = {
-    "orthogonal": DualityType.ORTHOGONAL,
-    "symplectic": DualityType.SYMPLECTIC,
-    "not-self-dual": DualityType.NOT_SELF_DUAL,
-}
+_CLASSICAL_DUALITIES = {t.value: t for t in DualityType}
 
 
 @dataclass(frozen=True)
@@ -278,8 +273,3 @@ def load_instance(path: str | Path) -> Instance:
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return parse_instance(text)
-
-
-def validate_instance(inst: Instance) -> ValidationReport:
-    """Domain validation of a parsed instance."""
-    return validate_inducing(inst.data)

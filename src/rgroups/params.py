@@ -29,6 +29,7 @@ from .validation import ValidationReport, Violation, report
 class Family(Enum):
     """Classical group families over a p-adic field F."""
 
+    __hash__ = object.__hash__  # see ``_NOT_SELF_DUAL``
     SYMPLECTIC = "sp"           # Sp(2n, F), dual group SO(2n+1, C)
     ODD_ORTHOGONAL = "so-odd"   # SO(2n+1, F), dual group Sp(2n, C)
     EVEN_ORTHOGONAL = "o-even"  # O(2n, F), dual group O(2n, C)
@@ -40,27 +41,31 @@ class DualityType(Enum):
     (orthogonal), an alternating form (symplectic), or no form at all.
     The two self-dual variants are mutually exclusive."""
 
+    __hash__ = object.__hash__  # see ``_NOT_SELF_DUAL``
     NOT_SELF_DUAL = "not-self-dual"
     ORTHOGONAL = "orthogonal"
     SYMPLECTIC = "symplectic"
 
 
-# The members as module globals, for the paths that run per summand.  Up to
-# Python 3.11 every ``DualityType.X`` read goes through the enum metaclass's
-# ``__getattr__`` hook, about ten times the cost of a global read.
+# Two rules for the package's enums, stated here once.  Members hash by
+# identity (``__hash__ = object.__hash__``), which agrees with their ``==``,
+# so tables and caches key on the members, not through the Python-level
+# ``Enum.__hash__``.  Paths that run per summand read members through module
+# globals like these: up to Python 3.11 a ``DualityType.X`` read goes through
+# the metaclass's ``__getattr__`` hook, about ten times a global read.
 _NOT_SELF_DUAL = DualityType.NOT_SELF_DUAL
 _ORTHOGONAL = DualityType.ORTHOGONAL
 _SYMPLECTIC = DualityType.SYMPLECTIC
 
 
-# Per family value: the group's name, the dual type for even and for odd
-# rank, and the dimensions m * rank + offset of the dual group's standard
+# Per family: the group's name, the dual type for even and for odd rank,
+# and the dimensions m * rank + offset of the dual group's standard
 # representation and of the group's own.
 _FAMILY_TABLE = {
-    "sp": ("Sp({m}, F)", (_ORTHOGONAL, _ORTHOGONAL), 2, 1, 0),
-    "so-odd": ("SO({m}, F)", (_SYMPLECTIC, _SYMPLECTIC), 2, 0, 1),
-    "o-even": ("O({m}, F)", (_ORTHOGONAL, _ORTHOGONAL), 2, 0, 0),
-    "unitary": ("U({m})", (_SYMPLECTIC, _ORTHOGONAL), 1, 0, 0),
+    Family.SYMPLECTIC: ("Sp({m}, F)", (_ORTHOGONAL, _ORTHOGONAL), 2, 1, 0),
+    Family.ODD_ORTHOGONAL: ("SO({m}, F)", (_SYMPLECTIC, _SYMPLECTIC), 2, 0, 1),
+    Family.EVEN_ORTHOGONAL: ("O({m}, F)", (_ORTHOGONAL, _ORTHOGONAL), 2, 0, 0),
+    Family.UNITARY: ("U({m})", (_SYMPLECTIC, _ORTHOGONAL), 1, 0, 0),
 }
 
 
@@ -81,23 +86,17 @@ class GroupSpec:
     rank: int
     dual_type: DualityType = field(init=False, repr=False, compare=False)
     dual_dimension: int = field(init=False, repr=False, compare=False)
-    # hash((family, rank)), the dataclass hash, computed once.
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.rank
         if n < 0:
             raise ValueError(f"rank must be non-negative, got {n}")
-        _, types, m, offset, _ = _FAMILY_TABLE[self.family._value_]
+        _, types, m, offset, _ = _FAMILY_TABLE[self.family]
         object.__setattr__(self, "dual_type", types[n % 2])
         object.__setattr__(self, "dual_dimension", m * n + offset)
-        object.__setattr__(self, "_hash", hash((self.family, n)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def describe(self) -> str:
-        name, _, m, _, offset = _FAMILY_TABLE[self.family._value_]
+        name, _, m, _, offset = _FAMILY_TABLE[self.family]
         return name.format(m=m * self.rank + offset)
 
 
@@ -227,10 +226,6 @@ class ParameterEntry:
                 f"multiplicity must be positive, got {self.multiplicity}"
             )
 
-    @property
-    def is_dual_pair(self) -> bool:
-        return self.summand.duality is _NOT_SELF_DUAL
-
 
 @dataclass(frozen=True)
 class Parameter:
@@ -263,7 +258,7 @@ class Parameter:
         out: list[tuple[Summand, int]] = []
         for e in self.entries:
             out.append((e.summand, e.multiplicity))
-            if e.is_dual_pair:
+            if e.summand.duality is _NOT_SELF_DUAL:
                 out.append((e.summand.dual_partner(), e.multiplicity))
         return sorted(out, key=lambda item: item[0].sort_key())
 
@@ -271,7 +266,7 @@ class Parameter:
         parts = []
         for e in self.entries:
             piece = f"{e.multiplicity}*{e.summand.describe()}"
-            if e.is_dual_pair:
+            if e.summand.duality is _NOT_SELF_DUAL:
                 piece += f" (+) {e.multiplicity}*{e.summand.rho.dual_label}(x)S_{e.summand.a}"
             parts.append(piece)
         return " (+) ".join(parts) if parts else "0"

@@ -122,11 +122,10 @@ def _lift_dets(size: int, element: SignedPerm) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _weyl_order(kind_value: str, size: int, element_cap: int) -> int:
+def _weyl_order(kind: FactorKind, size: int, element_cap: int) -> int:
     """|W| of a factor shape from its closed form, refused above the cap.
     W on k letters has at least k! >= 2**(k-1) elements, so more letters
     than the cap has bits are refused before the order is computed."""
-    kind = FactorKind(kind_value)
     degree = torus_degree(Factor(kind, size, 1))
     if degree > element_cap.bit_length():
         raise BoundExceeded(
@@ -163,26 +162,22 @@ def weyl_of_factor(kind: FactorKind, size: int) -> tuple[SignedPermGroup, Signed
     identity component, as signed-permutation groups on ``torus_degree``
     letters, built once :data:`ELEMENT_CAP` has admitted W's order.  Only the
     oracle's per-shape groups and free ranks are cached."""
-    _weyl_order(kind.value, size, ELEMENT_CAP)
+    _weyl_order(kind, size, ELEMENT_CAP)
     return _weyl_groups(kind, size)
 
 
 @lru_cache(maxsize=None)
-def _factor_weyl(
-    kind_value: str, size: int
-) -> tuple[SignedPermGroup, SignedPermGroup]:
-    """(W, W0) of a shape the cap admitted.  The caches key on the kind's
-    value, whose hash is a string's rather than a Python-level
-    ``Enum.__hash__`` call."""
-    return _weyl_groups(FactorKind(kind_value), size)
+def _factor_weyl(kind: FactorKind, size: int) -> tuple[SignedPermGroup, SignedPermGroup]:
+    """(W, W0) of a shape the cap admitted."""
+    return _weyl_groups(kind, size)
 
 
 @lru_cache(maxsize=None)
-def _free_rank(kind_value: str, size: int) -> int:
+def _free_rank(kind: FactorKind, size: int) -> int:
     """Rank of W/W0 for a shape used as a free factor.  A failed check
     raises, and ``lru_cache`` keeps no exception, so it raises again on
     every call."""
-    return _enumerated_rank([_factor_weyl(kind_value, size)], [])
+    return _enumerated_rank([_factor_weyl(kind, size)], [])
 
 
 def _liftable(live: list[Factor], element: tuple[SignedPerm, ...]) -> bool:
@@ -261,7 +256,7 @@ def weyl_quotient(desc: CentralizerDescriptor) -> ElementaryTwoGroup:
     live: list[Factor] = []
     free_total, live_total = 0, 1
     for i, f in enumerate(desc.factors):
-        order = _weyl_order(f.kind._value_, f.size, ELEMENT_CAP)
+        order = _weyl_order(f.kind, f.size, ELEMENT_CAP)
         if i in live_indices:
             live.append(f)
             live_total *= order
@@ -280,8 +275,8 @@ def weyl_quotient(desc: CentralizerDescriptor) -> ElementaryTwoGroup:
         )
     rank = 0
     for f in free:
-        rank += _free_rank(f.kind._value_, f.size)
+        rank += _free_rank(f.kind, f.size)
     if live:
-        groups = [_factor_weyl(f.kind._value_, f.size) for f in live]
+        groups = [_factor_weyl(f.kind, f.size) for f in live]
         rank += _enumerated_rank(groups, live)
     return rank_group(rank)

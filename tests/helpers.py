@@ -58,7 +58,7 @@ def opposite_of(duality: DualityType) -> DualityType:
 
 def entry_dimension(entry: ParameterEntry) -> int:
     """Dimension of a canonical entry, both members of a dual pair counted."""
-    copies = 2 if entry.is_dual_pair else 1
+    copies = 1 if entry.summand.self_dual else 2
     return copies * entry.multiplicity * entry.summand.dim
 
 

@@ -19,8 +19,8 @@ from rgroups.instances import (
     load_instance,
     parse_instance,
     serialize_instance,
-    validate_instance,
 )
+from rgroups.levi import validate_inducing
 
 CORPUS = Path(__file__).resolve().parent.parent / "instances"
 CORPUS_FILES = sorted(CORPUS.glob("*.json"))
@@ -47,7 +47,7 @@ def test_corpus_round_trips(path):
 @pytest.mark.parametrize("path", CORPUS_FILES, ids=lambda p: p.name)
 def test_corpus_validation_matches_file_name(path):
     inst = load_instance(path)
-    report = validate_instance(inst)
+    report = validate_inducing(inst.data)
     assert report.ok == path.name.endswith("-valid.json")
 
 
@@ -83,7 +83,7 @@ def minimal_doc():
 def test_parse_minimal_document():
     inst = parse_instance(json.dumps(minimal_doc()))
     assert isinstance(inst, Instance)
-    assert validate_instance(inst).ok
+    assert validate_inducing(inst.data).ok
 
 
 @pytest.mark.parametrize(
@@ -360,13 +360,13 @@ def test_unitary_maximal_levi_rules_are_domain_violations():
         "deltas": [{"rho": "c", "a": 1, "mult": 2}],
     }
     inst = parse_instance(json.dumps(doc))
-    report = validate_instance(inst)
+    report = validate_inducing(inst.data)
     assert any(v.rule == "maximal-levi" for v in report.violations)
     doc["deltas"] = [
         {"rho": "c", "a": 1, "mult": 1},
         {"rho": "c", "a": 2, "mult": 1},
     ]
-    report = validate_instance(parse_instance(json.dumps(doc)))
+    report = validate_inducing(parse_instance(json.dumps(doc)).data)
     assert any(v.rule == "maximal-levi" for v in report.violations)
 
 

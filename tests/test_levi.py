@@ -95,7 +95,7 @@ def test_arthur_side_merges_multiplicities():
     # non-self-dual deltas assemble to a dual pair and contribute nothing
     pi = InducingData((DeltaFactor(Summand(pair("p", 2), 1), 3),), sigma)
     phi = parameter_of_induced(pi)
-    assert phi.entries[0 if phi.entries[0].is_dual_pair else 1].multiplicity == 3
+    assert phi.entries[1 if phi.entries[0].summand.self_dual else 0].multiplicity == 3
     assert arthur_r_group(phi, pi.ambient_group()).rank == 0
 
 

@@ -198,7 +198,7 @@ def test_canonicalize_stores_dual_pair_once():
     psi = canonicalize([(s, 2), (s.dual_partner(), 2)])
     assert len(psi.entries) == 1
     entry = psi.entries[0]
-    assert entry.is_dual_pair and entry.multiplicity == 2
+    assert entry.summand.duality is NSD and entry.multiplicity == 2
     assert entry.summand.rho.label == "a"  # lexicographic representative
     assert entry_dimension(entry) == 2 * 2 * 2
 

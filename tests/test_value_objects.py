@@ -358,11 +358,23 @@ def test_a_shared_factor_stays_frozen():
 
 
 @pytest.mark.parametrize(
+    "member", [*Family, *DualityType, *FactorKind], ids=lambda m: f"{type(m).__name__}.{m.name}"
+)
+def test_enum_members_hash_by_identity(member):
+    """Members are singletons compared by identity, so tables and caches
+    key on the members themselves, hashed as plain objects."""
+    assert hash(member) == object.__hash__(member)
+    if isinstance(member, FactorKind):
+        assert _factor(member, 2, 1) is _factor(member, 2, 1)
+        assert _factor(member, 2, 1).kind is member
+
+
+@pytest.mark.parametrize(
     "build,message",
     [
         (lambda: Factor(SP, 3, 1), "symplectic factors need even size"),
-        (lambda: _factor("Sp", 3, 1), "symplectic factors need even size"),
-        (lambda: _factor("O", 0, 1), "factor size must be positive, got 0"),
+        (lambda: _factor(SP, 3, 1), "symplectic factors need even size"),
+        (lambda: _factor(O, 0, 1), "factor size must be positive, got 0"),
         (lambda: ElementaryTwoGroup(-1), "rank must be non-negative, got -1"),
         (lambda: rank_group(-1), "rank must be non-negative, got -1"),
     ]
