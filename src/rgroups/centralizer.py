@@ -19,7 +19,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .errors import InvalidParameter, UnresolvedConstraint
-from .params import _NOT_SELF_DUAL, Family, GroupSpec, Parameter, checked
+from .params import _NOT_SELF_DUAL, _O_EVEN, _UNITARY, GroupSpec, Parameter, checked
 
 
 class FactorKind(Enum):
@@ -37,7 +37,7 @@ _O = FactorKind.FULL_ORTHOGONAL
 _SO = FactorKind.SPECIAL_ORTHOGONAL
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Factor:
     """One classical factor of a centralizer.
 
@@ -50,21 +50,28 @@ class Factor:
     size: int
     source_dim: int
 
-    def __post_init__(self) -> None:
-        if self.size < 1:
-            raise ValueError(f"factor size must be positive, got {self.size}")
-        if self.source_dim < 1:
-            raise ValueError(
-                f"source_dim must be positive, got {self.source_dim}"
-            )
-        if self.kind is _SP and self.size % 2:
+    def __init__(self, kind: FactorKind, size: int, source_dim: int) -> None:
+        if size < 1:
+            raise ValueError(f"factor size must be positive, got {size}")
+        if source_dim < 1:
+            raise ValueError(f"source_dim must be positive, got {source_dim}")
+        if kind is _SP and size % 2:
             raise ValueError("symplectic factors need even size")
+        _set_factor_kind(self, kind)
+        _set_factor_size(self, size)
+        _set_factor_source_dim(self, source_dim)
 
     def describe(self) -> str:
         return f"{self.kind.value}({self.size})"
 
 
-@dataclass(frozen=True, slots=True)
+# Built in one ``__init__`` through the slots' setters (see ``params``).
+_set_factor_kind = Factor.kind.__set__
+_set_factor_size = Factor.size.__set__
+_set_factor_source_dim = Factor.source_dim.__set__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class CentralizerDescriptor:
     """A product of classical factors plus an optional determinant condition.
 
@@ -81,11 +88,14 @@ class CentralizerDescriptor:
     factors: tuple[Factor, ...]
     det_constraint: tuple[tuple[int, int], ...] | None = None
 
-    def __post_init__(self) -> None:
-        for idx, exponent in self.det_constraint or ():
-            if not 0 <= idx < len(self.factors):
+    def __init__(
+        self, factors: tuple[Factor, ...],
+        det_constraint: tuple[tuple[int, int], ...] | None = None,
+    ) -> None:
+        for idx, exponent in det_constraint or ():
+            if not 0 <= idx < len(factors):
                 raise ValueError(f"constraint index {idx} out of range")
-            factor = self.factors[idx]
+            factor = factors[idx]
             if factor.kind is not _O:
                 raise ValueError(
                     "determinant constraints apply only to full orthogonal"
@@ -96,6 +106,8 @@ class CentralizerDescriptor:
                     "constraint exponents equal source_dim mod 2; even"
                     " source dimensions are dropped"
                 )
+        _set_descriptor_factors(self, factors)
+        _set_descriptor_det_constraint(self, det_constraint)
 
     @property
     def has_live_constraint(self) -> bool:
@@ -107,6 +119,10 @@ class CentralizerDescriptor:
             idxs = ",".join(str(i) for i, _ in self.det_constraint)
             body += f"  [det condition on factors {idxs}]"
         return body
+
+
+_set_descriptor_factors = CentralizerDescriptor.factors.__set__
+_set_descriptor_det_constraint = CentralizerDescriptor.det_constraint.__set__
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,7 +169,7 @@ def _centralizer_factors(
     """
     report, buckets = checked(psi, group)
     report.require(InvalidParameter, caller)
-    if group.family is Family.UNITARY:
+    if group.family is _UNITARY:
         kinds = {_NOT_SELF_DUAL: _GL, group.dual_type: _O}
         return [
             _factor(kinds.get(s.duality, _SP), m, s.dim)
@@ -164,7 +180,7 @@ def _centralizer_factors(
         for kind, bucket in zip(_BUCKET_KINDS, buckets.buckets)
         for entry in bucket
     ]
-    if group.family is Family.EVEN_ORTHOGONAL:
+    if group.family is _O_EVEN:
         return factors, None
     return factors, [
         i for i, f in enumerate(factors) if f.kind is _O and f.source_dim % 2

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .params import Family, GroupSpec, Summand
+from .params import _O_EVEN, _UNITARY, GroupSpec, Summand
 from .validation import ValidationReport, Violation, report
 
 
@@ -55,10 +55,10 @@ def validate_jordan(sigma: JordanData) -> ValidationReport:
         return sigma._report
     violations: list[Violation] = []
     group = sigma.group
-    unitary = group.family is Family.UNITARY
+    unitary = group.family is _UNITARY
     conj = "conjugate-" if unitary else ""
 
-    if group.family is Family.EVEN_ORTHOGONAL and group.rank == 1:
+    if group.family is _O_EVEN and group.rank == 1:
         violations.append(
             Violation(
                 "no-discrete-series",

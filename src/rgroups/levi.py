@@ -25,6 +25,7 @@ from itertools import count
 from .centralizer import ElementaryTwoGroup, arthur_r_group, rank_group
 from .errors import BoundsInfeasible, InvalidInducingData
 from .jordan import JordanData, _is_reducible, validate_jordan
+from .params import _NOT_SELF_DUAL, _ORTHOGONAL, _SP_FAMILY, _SYMPLECTIC, _UNITARY
 from .params import (
     CuspidalSymbol,
     DualityType,
@@ -64,7 +65,7 @@ class InducingData:
         """GL(k) adds k to the rank of G_m; Res GL_k(E) adds 2k to U(m)."""
         group = self.sigma.group
         gl_rank = sum(d.summand.dim * d.multiplicity for d in self.deltas)
-        if group.family is Family.UNITARY:
+        if group.family is _UNITARY:
             gl_rank *= 2
         return GroupSpec(group.family, group.rank + gl_rank)
 
@@ -73,7 +74,7 @@ def _delta_rules(pi: InducingData) -> ValidationReport:
     """The delta-level rules: equivalent delta factors must be merged, or
     for U(m) the Levi subgroup must be maximal; a delta's sign must be
     usable."""
-    unitary = pi.sigma.group.family is Family.UNITARY
+    unitary = pi.sigma.group.family is _UNITARY
     violations = []
     if unitary and len(pi.deltas) > 1:
         violations.append(
@@ -227,12 +228,12 @@ _MAX_ATTEMPTS = 200
 def _draw_self_dual_type(rng: random.Random, bounds: FuzzBounds) -> DualityType:
     # 1-dimensional symplectic symbols do not exist, so respect max_dim.
     if bounds.max_dim < 2:
-        return DualityType.ORTHOGONAL
-    return rng.choice((DualityType.ORTHOGONAL, DualityType.SYMPLECTIC))
+        return _ORTHOGONAL
+    return rng.choice((_ORTHOGONAL, _SYMPLECTIC))
 
 
 def _draw_dim(rng: random.Random, duality: DualityType, bounds: FuzzBounds) -> int:
-    if duality is DualityType.SYMPLECTIC:
+    if duality is _SYMPLECTIC:
         return 2 * rng.randint(1, bounds.max_dim // 2)
     return rng.randint(1, bounds.max_dim)
 
@@ -275,8 +276,8 @@ def _draw_jordan(
     # The blocks fill the dual group's standard representation, of odd
     # dimension for Sp(2n) and of even dimension otherwise.
     total = sum(b.dim for b in blocks)
-    if total % 2 != (family is Family.SYMPLECTIC):
-        filler = CuspidalSymbol(next(fresh), 1, DualityType.ORTHOGONAL)
+    if total % 2 != (family is _SP_FAMILY):
+        filler = CuspidalSymbol(next(fresh), 1, _ORTHOGONAL)
         blocks.append(Summand(filler, 1))
         total += 1
     sigma = JordanData(GroupSpec(family, total // 2), tuple(blocks))
@@ -306,9 +307,7 @@ def random_instance(seed: int, bounds: FuzzBounds = FuzzBounds()) -> InducingDat
             if kind == "pair":
                 dim = rng.randint(1, bounds.max_dim)
                 label = next(fresh)
-                rho = CuspidalSymbol(
-                    label, dim, DualityType.NOT_SELF_DUAL, dual_label=label + "t"
-                )
+                rho = CuspidalSymbol(label, dim, _NOT_SELF_DUAL, dual_label=label + "t")
                 summand = Summand(rho, rng.randint(1, bounds.max_a))
             elif kind == "member":
                 candidates = [

@@ -56,6 +56,7 @@ class DualityType(Enum):
 _NOT_SELF_DUAL = DualityType.NOT_SELF_DUAL
 _ORTHOGONAL = DualityType.ORTHOGONAL
 _SYMPLECTIC = DualityType.SYMPLECTIC
+_SP_FAMILY, _O_EVEN, _UNITARY = Family.SYMPLECTIC, Family.EVEN_ORTHOGONAL, Family.UNITARY
 
 
 # Per family: the group's name, the dual type for even and for odd rank,
@@ -68,8 +69,14 @@ _FAMILY_TABLE = {
     Family.UNITARY: ("U({m})", (_SYMPLECTIC, _ORTHOGONAL), 1, 0, 0),
 }
 
+# Value objects built per parameter take ``init=False`` and one ``__init__``
+# that checks its arguments and stores every slot, derived ones too, through
+# the slot descriptor's ``__set__``, fetched once after the class (``_set_*``).
+# The generated frozen ``__init__`` plus ``__post_init__`` takes 1.5 to 2
+# times as long.  No ``super()`` in them: ``slots=True`` recreates the class.
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class GroupSpec:
     """A group G in one of the four families, identified by its rank.
 
@@ -87,17 +94,24 @@ class GroupSpec:
     dual_type: DualityType = field(init=False, repr=False, compare=False)
     dual_dimension: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        n = self.rank
-        if n < 0:
-            raise ValueError(f"rank must be non-negative, got {n}")
-        _, types, m, offset, _ = _FAMILY_TABLE[self.family]
-        object.__setattr__(self, "dual_type", types[n % 2])
-        object.__setattr__(self, "dual_dimension", m * n + offset)
+    def __init__(self, family: Family, rank: int) -> None:
+        if rank < 0:
+            raise ValueError(f"rank must be non-negative, got {rank}")
+        _, types, m, offset, _ = _FAMILY_TABLE[family]
+        _set_group_family(self, family)
+        _set_group_rank(self, rank)
+        _set_group_dual_type(self, types[rank % 2])
+        _set_group_dual_dimension(self, m * rank + offset)
 
     def describe(self) -> str:
         name, _, m, _, offset = _FAMILY_TABLE[self.family]
         return name.format(m=m * self.rank + offset)
+
+
+_set_group_family = GroupSpec.family.__set__
+_set_group_rank = GroupSpec.rank.__set__
+_set_group_dual_type = GroupSpec.dual_type.__set__
+_set_group_dual_dimension = GroupSpec.dual_dimension.__set__
 
 
 def tensor_type(rho_type: DualityType, a: int) -> DualityType:
@@ -115,7 +129,7 @@ def tensor_type(rho_type: DualityType, a: int) -> DualityType:
     return _SYMPLECTIC if rho_type is _ORTHOGONAL else _ORTHOGONAL
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CuspidalSymbol:
     """A formal irreducible cuspidal datum of some GL(dim, F).
 
@@ -140,29 +154,32 @@ class CuspidalSymbol:
     conjugate: bool = False
     lambda_matches: bool = True
 
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError(f"dim must be positive, got {self.dim}")
-        if self.duality is _SYMPLECTIC and self.dim % 2 and not self.conjugate:
-            raise ValueError(
-                f"symplectic symbol {self.label!r} must have even dimension"
-            )
-        if not self.lambda_matches:
-            if self.dim % 2:
+    def __init__(
+        self, label: str, dim: int, duality: DualityType, dual_label: str | None = None,
+        conjugate: bool = False, lambda_matches: bool = True,
+    ) -> None:
+        if dim < 1:
+            raise ValueError(f"dim must be positive, got {dim}")
+        if duality is _SYMPLECTIC and dim % 2 and not conjugate:
+            raise ValueError(f"symplectic symbol {label!r} must have even dimension")
+        if not lambda_matches:
+            if dim % 2:
                 raise ValueError("the two signs agree automatically in odd dimension")
-            if not (self.conjugate and self.self_dual):
+            if not conjugate or duality is _NOT_SELF_DUAL:
                 raise ValueError("only a conjugate-self-dual symbol has a sign to match")
-        if self.duality is _NOT_SELF_DUAL:
-            if self.dual_label is None:
-                raise ValueError(
-                    f"non-self-dual symbol {self.label!r} needs a dual_label"
-                )
-            if self.dual_label == self.label:
-                raise ValueError(f"symbol {self.label!r} cannot be its own dual")
-        elif self.dual_label is not None:
-            raise ValueError(
-                f"self-dual symbol {self.label!r} must not carry a dual_label"
-            )
+        if duality is _NOT_SELF_DUAL:
+            if dual_label is None:
+                raise ValueError(f"non-self-dual symbol {label!r} needs a dual_label")
+            if dual_label == label:
+                raise ValueError(f"symbol {label!r} cannot be its own dual")
+        elif dual_label is not None:
+            raise ValueError(f"self-dual symbol {label!r} must not carry a dual_label")
+        _set_symbol_label(self, label)
+        _set_symbol_dim(self, dim)
+        _set_symbol_duality(self, duality)
+        _set_symbol_dual_label(self, dual_label)
+        _set_symbol_conjugate(self, conjugate)
+        _set_symbol_lambda_matches(self, lambda_matches)
 
     @property
     def self_dual(self) -> bool:
@@ -177,7 +194,15 @@ class CuspidalSymbol:
         )
 
 
-@dataclass(frozen=True, slots=True)
+_set_symbol_label = CuspidalSymbol.label.__set__
+_set_symbol_dim = CuspidalSymbol.dim.__set__
+_set_symbol_duality = CuspidalSymbol.duality.__set__
+_set_symbol_dual_label = CuspidalSymbol.dual_label.__set__
+_set_symbol_conjugate = CuspidalSymbol.conjugate.__set__
+_set_symbol_lambda_matches = CuspidalSymbol.lambda_matches.__set__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Summand:
     """An irreducible summand rho (x) S_a.
 
@@ -190,10 +215,12 @@ class Summand:
     dim: int = field(init=False, repr=False, compare=False)
     duality: DualityType = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    def __init__(self, rho: CuspidalSymbol, a: int) -> None:
         # tensor_type rejects a < 1 with this class's message.
-        object.__setattr__(self, "duality", tensor_type(self.rho.duality, self.a))
-        object.__setattr__(self, "dim", self.rho.dim * self.a)
+        _set_summand_duality(self, tensor_type(rho.duality, a))
+        _set_summand_rho(self, rho)
+        _set_summand_a(self, a)
+        _set_summand_dim(self, rho.dim * a)
 
     @property
     def self_dual(self) -> bool:
@@ -209,7 +236,13 @@ class Summand:
         return f"{self.rho.label}(x)S_{self.a}"
 
 
-@dataclass(frozen=True, slots=True)
+_set_summand_rho = Summand.rho.__set__
+_set_summand_a = Summand.a.__set__
+_set_summand_dim = Summand.dim.__set__
+_set_summand_duality = Summand.duality.__set__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class ParameterEntry:
     """One canonical entry: a summand with its multiplicity.
 
@@ -220,11 +253,15 @@ class ParameterEntry:
     summand: Summand
     multiplicity: int
 
-    def __post_init__(self) -> None:
-        if self.multiplicity < 1:
-            raise ValueError(
-                f"multiplicity must be positive, got {self.multiplicity}"
-            )
+    def __init__(self, summand: Summand, multiplicity: int) -> None:
+        if multiplicity < 1:
+            raise ValueError(f"multiplicity must be positive, got {multiplicity}")
+        _set_entry_summand(self, summand)
+        _set_entry_multiplicity(self, multiplicity)
+
+
+_set_entry_summand = ParameterEntry.summand.__set__
+_set_entry_multiplicity = ParameterEntry.multiplicity.__set__
 
 
 @dataclass(frozen=True)
@@ -337,7 +374,7 @@ def canonicalize(entries: Iterable[tuple[Summand, int]]) -> Parameter:
     return Parameter(tuple(canonical))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Classification:
     """Partition of canonical entries into the four centralizer buckets.
 
@@ -351,6 +388,14 @@ class Classification:
     same_type_odd_mult: tuple[ParameterEntry, ...]
     same_type_even_mult: tuple[ParameterEntry, ...]
 
+    def __init__(
+        self, dual_pairs, opposite_type, same_type_odd_mult, same_type_even_mult
+    ) -> None:
+        _set_dual_pairs(self, dual_pairs)
+        _set_opposite_type(self, opposite_type)
+        _set_same_type_odd_mult(self, same_type_odd_mult)
+        _set_same_type_even_mult(self, same_type_even_mult)
+
     @property
     def d(self) -> int:
         return len(self.same_type_even_mult)
@@ -363,6 +408,12 @@ class Classification:
             self.same_type_odd_mult,
             self.same_type_even_mult,
         )
+
+
+_set_dual_pairs = Classification.dual_pairs.__set__
+_set_opposite_type = Classification.opposite_type.__set__
+_set_same_type_odd_mult = Classification.same_type_odd_mult.__set__
+_set_same_type_even_mult = Classification.same_type_even_mult.__set__
 
 
 _Checked = tuple[ValidationReport, Classification]

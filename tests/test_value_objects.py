@@ -6,8 +6,9 @@ per shape."""
 
 import importlib
 import inspect
+import pickle
 import pkgutil
-from dataclasses import FrozenInstanceError, is_dataclass
+from dataclasses import MISSING, FrozenInstanceError, fields, is_dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 import rgroups
 from rgroups import (
     CentralizerDescriptor,
+    Classification,
     CuspidalSymbol,
     DualityType,
     ElementaryTwoGroup,
@@ -108,6 +110,104 @@ def test_slotted_value_objects_stay_frozen(obj, name):
     assert not hasattr(obj, "__dict__")
     with pytest.raises(FrozenInstanceError):
         setattr(obj, name, getattr(obj, name))
+
+
+_GL2 = Factor(FactorKind.GENERAL_LINEAR, 2, 1)
+_O2 = Factor(FactorKind.FULL_ORTHOGONAL, 2, 1)
+_O2_EVEN = Factor(FactorKind.FULL_ORTHOGONAL, 2, 2)
+_NOT_O = "determinant constraints apply only to full orthogonal factors, not GL(2)"
+_EXPONENT = "constraint exponents equal source_dim mod 2; even source dimensions are dropped"
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: CuspidalSymbol("x", 0, ORTH), "dim must be positive, got 0"),
+        (lambda: CuspidalSymbol("x", -1, SYMPL, "y"), "dim must be positive, got -1"),
+        (lambda: CuspidalSymbol("x", 3, SYMPL), "symplectic symbol 'x' must have even dimension"),
+        (
+            lambda: CuspidalSymbol("x", 1, SYMPL, "y", lambda_matches=False),
+            "symplectic symbol 'x' must have even dimension",
+        ),
+        (
+            lambda: CuspidalSymbol("x", 1, ORTH, conjugate=True, lambda_matches=False),
+            "the two signs agree automatically in odd dimension",
+        ),
+        (
+            lambda: CuspidalSymbol("x", 2, ORTH, lambda_matches=False),
+            "only a conjugate-self-dual symbol has a sign to match",
+        ),
+        (
+            lambda: CuspidalSymbol("x", 2, NSD, "y", True, lambda_matches=False),
+            "only a conjugate-self-dual symbol has a sign to match",
+        ),
+        (lambda: CuspidalSymbol("x", 1, NSD), "non-self-dual symbol 'x' needs a dual_label"),
+        (lambda: CuspidalSymbol("x", 1, NSD, "x"), "symbol 'x' cannot be its own dual"),
+        (
+            lambda: CuspidalSymbol("x", 1, ORTH, "y"),
+            "self-dual symbol 'x' must not carry a dual_label",
+        ),
+        (lambda: Summand(orth("x"), 0), "a must be a positive integer, got 0"),
+        (lambda: Summand(orth("x"), -2), "a must be a positive integer, got -2"),
+        (lambda: ParameterEntry(Summand(orth("x"), 1), 0), "multiplicity must be positive, got 0"),
+        (lambda: Factor(FactorKind.SYMPLECTIC, 0, 0), "factor size must be positive, got 0"),
+        (lambda: Factor(FactorKind.SYMPLECTIC, 3, 0), "source_dim must be positive, got 0"),
+        (lambda: CentralizerDescriptor((_O2,), ((1, 1),)), "constraint index 1 out of range"),
+        (lambda: CentralizerDescriptor((_O2,), ((-1, 1),)), "constraint index -1 out of range"),
+        (lambda: CentralizerDescriptor((_O2, _GL2), ((0, 1), (1, 1))), _NOT_O),
+        (lambda: CentralizerDescriptor((_O2,), ((0, 3),)), _EXPONENT),
+        (lambda: CentralizerDescriptor((_O2_EVEN,), ((0, 1),)), _EXPONENT),
+        (lambda: CentralizerDescriptor((_GL2,), ((0, 2), (5, 1))), _NOT_O),
+    ],
+)
+def test_value_object_checks_keep_their_messages(build, message):
+    """Each check's exact message, and which check wins when several fail."""
+    with pytest.raises(ValueError) as info:
+        build()
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
+
+
+_HAND_BUILT = [
+    (CuspidalSymbol, ("p", 3, NSD, "q", True)),
+    (CuspidalSymbol, ("u", 2, SYMPL, None, True, False)),
+    (Summand, (orth("x", 2), 3)),
+    (ParameterEntry, (Summand(orth("x"), 2), 3)),
+    (GroupSpec, (Family.UNITARY, 3)),
+    (Classification, ((), (ParameterEntry(Summand(orth("x"), 2), 2),), (), ())),
+    (Factor, (FactorKind.SYMPLECTIC, 4, 3)),
+    (CentralizerDescriptor, ((_GL2, _O2), ((1, 1),))),
+]
+
+
+@pytest.mark.parametrize("cls,args", _HAND_BUILT, ids=[cls.__name__ for cls, _ in _HAND_BUILT])
+def test_hand_written_inits_match_their_fields(cls, args):
+    """The classes built in one ``__init__`` (see ``rgroups.params``) take
+    their init fields in field order, with the defaults, store every slot,
+    and keep what the decorator writes."""
+    init_fields = [f for f in fields(cls) if f.init]
+    params = list(inspect.signature(cls).parameters.values())
+    assert [(p.name, p.kind) for p in params] == [
+        (f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD) for f in init_fields
+    ]
+    assert [p.default for p in params] == [
+        inspect.Parameter.empty if f.default is MISSING else f.default for f in init_fields
+    ]
+    assert cls.__match_args__ == tuple(f.name for f in init_fields)
+    assert cls.__slots__ == tuple(f.name for f in fields(cls))
+    assert not hasattr(cls, "__post_init__")
+
+    obj = cls(*args)
+    values = [getattr(obj, name) for name in cls.__slots__]  # AttributeError if unset
+    by_keyword = cls(**{f.name: value for f, value in zip(init_fields, args)})
+    assert by_keyword == obj and hash(by_keyword) == hash(obj)
+    assert repr(by_keyword) == repr(obj)
+    assert [getattr(by_keyword, name) for name in cls.__slots__] == values
+    copy = pickle.loads(pickle.dumps(obj))
+    assert copy == obj and [getattr(copy, name) for name in cls.__slots__] == values
+    assert is_dataclass(obj)
+    with pytest.raises(FrozenInstanceError):
+        setattr(obj, cls.__slots__[0], values[0])
 
 
 def test_kept_checking_pass_stays_out_of_parameter_eq_hash_repr():
