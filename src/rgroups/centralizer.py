@@ -14,12 +14,12 @@ there is no determinant condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
 from .errors import InvalidParameter, UnresolvedConstraint
 from .params import _NOT_SELF_DUAL, _O_EVEN, _UNITARY, GroupSpec, Parameter, checked
+from .validation import Value
 
 
 class FactorKind(Enum):
@@ -37,8 +37,7 @@ _O = FactorKind.FULL_ORTHOGONAL
 _SO = FactorKind.SPECIAL_ORTHOGONAL
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Factor:
+class Factor(Value):
     """One classical factor of a centralizer.
 
     ``size`` is the rank of the matrix group; ``source_dim`` is the
@@ -46,9 +45,7 @@ class Factor:
     determinant condition raises each factor's determinant to.
     """
 
-    kind: FactorKind
-    size: int
-    source_dim: int
+    __slots__ = __match_args__ = ("kind", "size", "source_dim")
 
     def __init__(self, kind: FactorKind, size: int, source_dim: int) -> None:
         if size < 1:
@@ -65,14 +62,12 @@ class Factor:
         return f"{self.kind.value}({self.size})"
 
 
-# Built in one ``__init__`` through the slots' setters (see ``params``).
 _set_factor_kind = Factor.kind.__set__
 _set_factor_size = Factor.size.__set__
 _set_factor_source_dim = Factor.source_dim.__set__
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class CentralizerDescriptor:
+class CentralizerDescriptor(Value):
     """A product of classical factors plus an optional determinant condition.
 
     ``det_constraint`` lists (factor index, exponent) pairs for the live
@@ -85,8 +80,7 @@ class CentralizerDescriptor:
     resolved; :func:`unresolved_centralizer` keeps the condition live.
     """
 
-    factors: tuple[Factor, ...]
-    det_constraint: tuple[tuple[int, int], ...] | None = None
+    __slots__ = __match_args__ = ("factors", "det_constraint")
 
     def __init__(
         self, factors: tuple[Factor, ...],
@@ -125,15 +119,18 @@ _set_descriptor_factors = CentralizerDescriptor.factors.__set__
 _set_descriptor_det_constraint = CentralizerDescriptor.det_constraint.__set__
 
 
-@dataclass(frozen=True, slots=True)
-class ElementaryTwoGroup:
+class ElementaryTwoGroup(Value):
     """(Z/2)^rank; rank 0 is the trivial group."""
 
-    rank: int
+    __slots__ = __match_args__ = ("rank",)
 
-    def __post_init__(self) -> None:
-        if self.rank < 0:
-            raise ValueError(f"rank must be non-negative, got {self.rank}")
+    def __init__(self, rank: int) -> None:
+        if rank < 0:
+            raise ValueError(f"rank must be non-negative, got {rank}")
+        _set_two_group_rank(self, rank)
+
+
+_set_two_group_rank = ElementaryTwoGroup.rank.__set__
 
 
 # The value objects fixed by a shape, built and checked once per shape.  A

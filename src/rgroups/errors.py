@@ -48,3 +48,8 @@ class BoundsInfeasible(RGroupError):
 
 class ParseError(RGroupError):
     """An instance file could not be parsed."""
+
+
+class FrozenInstanceError(AttributeError):
+    """An attribute of a value object was assigned or deleted.  Not an
+    :class:`RGroupError`: it signals a bug, not bad input."""

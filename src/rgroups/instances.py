@@ -13,7 +13,6 @@ serialize are mutually inverse on canonical form.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Any
@@ -22,18 +21,25 @@ from .errors import ParseError
 from .jordan import JordanData
 from .levi import DeltaFactor, InducingData
 from .params import CuspidalSymbol, DualityType, Family, GroupSpec, Summand
+from .validation import Value
 
 FORMAT_VERSION = "1"
 
 _CLASSICAL_DUALITIES = {t.value: t for t in DualityType}
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(Value):
     """An instance file's content: the family and the inducing datum."""
 
-    family: Family
-    data: InducingData
+    __slots__ = __match_args__ = ("family", "data")
+
+    def __init__(self, family: Family, data: InducingData) -> None:
+        _set_instance_family(self, family)
+        _set_instance_data(self, data)
+
+
+_set_instance_family = Instance.family.__set__
+_set_instance_data = Instance.data.__set__
 
 
 def _is_int(value: Any) -> bool:
@@ -178,10 +184,14 @@ def parse_instance(text: str) -> Instance:
         deltas.append(DeltaFactor(summand, mult))
 
     blocks = []
+    seen: dict[tuple[str, int], int] = {}  # (label, a) -> index; Jord(sigma) is a set
     for i, entry in enumerate(blocks_doc):
         if not (isinstance(entry, list) and len(entry) == 2):
             raise ParseError(f"block #{i} must be a [label, a] pair")
         blocks.append(resolve(entry[0], entry[1], "block", i))
+        first = seen.setdefault(tuple(entry), i)
+        if first != i:
+            raise ParseError(f"block #{i} repeats block #{first}")
 
     sigma = JordanData(GroupSpec(family, rank), tuple(blocks))
     return Instance(family, InducingData(tuple(deltas), sigma))

@@ -12,14 +12,11 @@ the dual group" (see :mod:`rgroups.params`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .params import _O_EVEN, _UNITARY, GroupSpec, Summand
-from .validation import ValidationReport, Violation, report
+from .validation import ValidationReport, Value, Violation, report
 
 
-@dataclass(frozen=True)
-class JordanData:
+class JordanData(Value):
     """The set Jord(sigma) defining a discrete series sigma of ``group``.
 
     Blocks are stored sorted and deduplicated, so the set semantics are
@@ -27,17 +24,23 @@ class JordanData:
     reports broken invariants as data.
     """
 
-    group: GroupSpec
-    blocks: tuple[Summand, ...]
-    # The report of `validate_jordan`: not a field, so not in ==/hash/repr.
-    _report = None
+    __match_args__ = ("group", "blocks")
+    __slots__ = (*__match_args__, "_report")
+    # The report of `validate_jordan`, outside the value (see `Value`).
+    _report: ValidationReport | None
 
-    def __post_init__(self) -> None:
-        ordered = tuple(sorted(set(self.blocks), key=Summand.sort_key))
-        object.__setattr__(self, "blocks", ordered)
+    def __init__(self, group: GroupSpec, blocks: tuple[Summand, ...]) -> None:
+        _set_jordan_group(self, group)
+        _set_jordan_blocks(self, tuple(sorted(set(blocks), key=Summand.sort_key)))
+        _set_jordan_report(self, None)
 
     def total_dimension(self) -> int:
         return sum(b.dim for b in self.blocks)
+
+
+_set_jordan_group = JordanData.group.__set__
+_set_jordan_blocks = JordanData.blocks.__set__
+_set_jordan_report = JordanData._report.__set__
 
 
 def validate_jordan(sigma: JordanData) -> ValidationReport:
@@ -109,7 +112,7 @@ def validate_jordan(sigma: JordanData) -> ValidationReport:
                 f"blocks fill dimension {total}, {target} needs {group.dual_dimension}",
             )
         )
-    object.__setattr__(sigma, "_report", report(violations))
+    _set_jordan_report(sigma, report(violations))
     return sigma._report
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import count
 
 from .centralizer import ElementaryTwoGroup, arthur_r_group, rank_group
@@ -35,31 +34,37 @@ from .params import (
     Summand,
     canonicalize,
 )
-from .validation import ValidationReport, Violation, report
+from .validation import ValidationReport, Value, Violation, report
 
 
-@dataclass(frozen=True)
-class DeltaFactor:
+class DeltaFactor(Value):
     """A segment factor delta(rho, a) occurring ``multiplicity`` times."""
 
-    summand: Summand
-    multiplicity: int
+    __slots__ = __match_args__ = ("summand", "multiplicity")
 
-    def __post_init__(self) -> None:
-        if self.multiplicity < 1:
-            raise ValueError(
-                f"multiplicity must be positive, got {self.multiplicity}"
-            )
+    def __init__(self, summand: Summand, multiplicity: int) -> None:
+        if multiplicity < 1:
+            raise ValueError(f"multiplicity must be positive, got {multiplicity}")
+        _set_delta_summand(self, summand)
+        _set_delta_multiplicity(self, multiplicity)
 
 
-@dataclass(frozen=True)
-class InducingData:
+_set_delta_summand = DeltaFactor.summand.__set__
+_set_delta_multiplicity = DeltaFactor.multiplicity.__set__
+
+
+class InducingData(Value):
     """The inducing datum: delta factors plus residual Jordan data."""
 
-    deltas: tuple[DeltaFactor, ...]
-    sigma: JordanData
-    # The report of `validate_inducing`: not a field, so not in ==/hash/repr.
-    _report = None
+    __match_args__ = ("deltas", "sigma")
+    __slots__ = (*__match_args__, "_report")
+    # The report of `validate_inducing`, outside the value (see `Value`).
+    _report: ValidationReport | None
+
+    def __init__(self, deltas: tuple[DeltaFactor, ...], sigma: JordanData) -> None:
+        _set_inducing_deltas(self, deltas)
+        _set_inducing_sigma(self, sigma)
+        _set_inducing_report(self, None)
 
     def ambient_group(self) -> GroupSpec:
         """GL(k) adds k to the rank of G_m; Res GL_k(E) adds 2k to U(m)."""
@@ -68,6 +73,11 @@ class InducingData:
         if group.family is _UNITARY:
             gl_rank *= 2
         return GroupSpec(group.family, group.rank + gl_rank)
+
+
+_set_inducing_deltas = InducingData.deltas.__set__
+_set_inducing_sigma = InducingData.sigma.__set__
+_set_inducing_report = InducingData._report.__set__
 
 
 def _delta_rules(pi: InducingData) -> ValidationReport:
@@ -119,7 +129,7 @@ def validate_inducing(pi: InducingData) -> ValidationReport:
     """Report violations: invalid residual data or delta factors.  Run
     once and kept on ``pi``."""
     if pi._report is None:
-        object.__setattr__(pi, "_report", validate_jordan(pi.sigma) + _delta_rules(pi))
+        _set_inducing_report(pi, validate_jordan(pi.sigma) + _delta_rules(pi))
     return pi._report
 
 
@@ -154,29 +164,51 @@ def parameter_of_induced(pi: InducingData) -> Parameter:
     return canonicalize(raw)
 
 
-@dataclass(frozen=True)
-class WitnessRow:
+class WitnessRow(Value):
     """Per-delta breakdown of the Knapp-Stein count."""
 
-    summand: Summand
-    multiplicity: int
-    self_dual: bool
-    same_type: bool
-    in_jordan: bool
-    counted: bool
+    __slots__ = __match_args__ = (
+        "summand", "multiplicity", "self_dual", "same_type", "in_jordan", "counted"
+    )
+
+    def __init__(
+        self, summand: Summand, multiplicity: int, self_dual: bool,
+        same_type: bool, in_jordan: bool, counted: bool,
+    ) -> None:
+        _set_row_summand(self, summand)
+        _set_row_multiplicity(self, multiplicity)
+        _set_row_self_dual(self, self_dual)
+        _set_row_same_type(self, same_type)
+        _set_row_in_jordan(self, in_jordan)
+        _set_row_counted(self, counted)
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+_set_row_summand = WitnessRow.summand.__set__
+_set_row_multiplicity = WitnessRow.multiplicity.__set__
+_set_row_self_dual = WitnessRow.self_dual.__set__
+_set_row_same_type = WitnessRow.same_type.__set__
+_set_row_in_jordan = WitnessRow.in_jordan.__set__
+_set_row_counted = WitnessRow.counted.__set__
+
+
+class VerificationResult(Value):
     """Both ranks of one inducing datum and the witness rows of the count."""
 
-    ks_rank: int
-    arthur_rank: int
-    witness: tuple[WitnessRow, ...]
+    __slots__ = __match_args__ = ("ks_rank", "arthur_rank", "witness")
+
+    def __init__(self, ks_rank: int, arthur_rank: int, witness: tuple[WitnessRow, ...]) -> None:
+        _set_result_ks_rank(self, ks_rank)
+        _set_result_arthur_rank(self, arthur_rank)
+        _set_result_witness(self, witness)
 
     @property
     def agree(self) -> bool:
         return self.ks_rank == self.arthur_rank
+
+
+_set_result_ks_rank = VerificationResult.ks_rank.__set__
+_set_result_arthur_rank = VerificationResult.arthur_rank.__set__
+_set_result_witness = VerificationResult.witness.__set__
 
 
 def verify_theorem(pi: InducingData) -> VerificationResult:
@@ -205,21 +237,31 @@ def _verify(pi: InducingData, phi: Parameter) -> VerificationResult:
     return VerificationResult(ks, arthur.rank, rows)
 
 
-@dataclass(frozen=True)
-class FuzzBounds:
+class FuzzBounds(Value):
     """Bounds of :func:`random_instance`'s draws, in a classical family."""
 
-    max_deltas: int = 5
-    max_dim: int = 4
-    max_a: int = 5
-    max_mult: int = 3
-    family: Family = Family.SYMPLECTIC
+    __slots__ = __match_args__ = ("max_deltas", "max_dim", "max_a", "max_mult", "family")
 
-    def __post_init__(self) -> None:
-        if self.family is Family.UNITARY:
+    def __init__(
+        self, max_deltas: int = 5, max_dim: int = 4, max_a: int = 5, max_mult: int = 3,
+        family: Family = _SP_FAMILY,
+    ) -> None:
+        if family is _UNITARY:
             raise ValueError("the fuzzer covers the three classical families")
-        if min(self.max_dim, self.max_a, self.max_mult) < 1 or self.max_deltas < 0:
+        if min(max_dim, max_a, max_mult) < 1 or max_deltas < 0:
             raise BoundsInfeasible("bounds must be positive")
+        _set_bounds_max_deltas(self, max_deltas)
+        _set_bounds_max_dim(self, max_dim)
+        _set_bounds_max_a(self, max_a)
+        _set_bounds_max_mult(self, max_mult)
+        _set_bounds_family(self, family)
+
+
+_set_bounds_max_deltas = FuzzBounds.max_deltas.__set__
+_set_bounds_max_dim = FuzzBounds.max_dim.__set__
+_set_bounds_max_a = FuzzBounds.max_a.__set__
+_set_bounds_max_mult = FuzzBounds.max_mult.__set__
+_set_bounds_family = FuzzBounds.family.__set__
 
 
 _MAX_ATTEMPTS = 200

@@ -17,13 +17,12 @@ are the same, with no determinant condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from operator import lt
 from typing import Iterable
 
 from .errors import InconsistentSymbol, InvalidParameter, UnpairedDual
-from .validation import ValidationReport, Violation, report
+from .validation import ValidationReport, Value, Violation, report
 
 
 class Family(Enum):
@@ -69,15 +68,8 @@ _FAMILY_TABLE = {
     Family.UNITARY: ("U({m})", (_SYMPLECTIC, _ORTHOGONAL), 1, 0, 0),
 }
 
-# Value objects built per parameter take ``init=False`` and one ``__init__``
-# that checks its arguments and stores every slot, derived ones too, through
-# the slot descriptor's ``__set__``, fetched once after the class (``_set_*``).
-# The generated frozen ``__init__`` plus ``__post_init__`` takes 1.5 to 2
-# times as long.  No ``super()`` in them: ``slots=True`` recreates the class.
 
-
-@dataclass(frozen=True, slots=True, init=False)
-class GroupSpec:
+class GroupSpec(Value):
     """A group G in one of the four families, identified by its rank.
 
     Rank 0 is the trivial group; it occurs as the residual factor of a
@@ -89,10 +81,10 @@ class GroupSpec:
     sign (-1)^(n-1): orthogonal for n odd, symplectic for n even.
     """
 
-    family: Family
-    rank: int
-    dual_type: DualityType = field(init=False, repr=False, compare=False)
-    dual_dimension: int = field(init=False, repr=False, compare=False)
+    __match_args__ = ("family", "rank")
+    __slots__ = (*__match_args__, "dual_type", "dual_dimension")
+    dual_type: DualityType
+    dual_dimension: int
 
     def __init__(self, family: Family, rank: int) -> None:
         if rank < 0:
@@ -129,8 +121,7 @@ def tensor_type(rho_type: DualityType, a: int) -> DualityType:
     return _SYMPLECTIC if rho_type is _ORTHOGONAL else _ORTHOGONAL
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class CuspidalSymbol:
+class CuspidalSymbol(Value):
     """A formal irreducible cuspidal datum of some GL(dim, F).
 
     Labels are opaque and compared as plain strings.  The duality type and
@@ -147,12 +138,9 @@ class CuspidalSymbol:
     and validation then rejects every block or delta on the symbol.
     """
 
-    label: str
-    dim: int
-    duality: DualityType
-    dual_label: str | None = None
-    conjugate: bool = False
-    lambda_matches: bool = True
+    __slots__ = __match_args__ = (
+        "label", "dim", "duality", "dual_label", "conjugate", "lambda_matches"
+    )
 
     def __init__(
         self, label: str, dim: int, duality: DualityType, dual_label: str | None = None,
@@ -202,18 +190,17 @@ _set_symbol_conjugate = CuspidalSymbol.conjugate.__set__
 _set_symbol_lambda_matches = CuspidalSymbol.lambda_matches.__set__
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Summand:
+class Summand(Value):
     """An irreducible summand rho (x) S_a.
 
     ``dim`` and ``duality`` are derived at construction and take no part
     in ``==``, ``hash`` or ``repr``.
     """
 
-    rho: CuspidalSymbol
-    a: int
-    dim: int = field(init=False, repr=False, compare=False)
-    duality: DualityType = field(init=False, repr=False, compare=False)
+    __match_args__ = ("rho", "a")
+    __slots__ = (*__match_args__, "dim", "duality")
+    dim: int
+    duality: DualityType
 
     def __init__(self, rho: CuspidalSymbol, a: int) -> None:
         # tensor_type rejects a < 1 with this class's message.
@@ -242,16 +229,14 @@ _set_summand_dim = Summand.dim.__set__
 _set_summand_duality = Summand.duality.__set__
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class ParameterEntry:
+class ParameterEntry(Value):
     """One canonical entry: a summand with its multiplicity.
 
     A non-self-dual entry stands for the whole dual pair at this
     multiplicity, stored once under the lexicographically smaller label.
     """
 
-    summand: Summand
-    multiplicity: int
+    __slots__ = __match_args__ = ("summand", "multiplicity")
 
     def __init__(self, summand: Summand, multiplicity: int) -> None:
         if multiplicity < 1:
@@ -264,8 +249,7 @@ _set_entry_summand = ParameterEntry.summand.__set__
 _set_entry_multiplicity = ParameterEntry.multiplicity.__set__
 
 
-@dataclass(frozen=True)
-class Parameter:
+class Parameter(Value):
     """A parameter in canonical form.
 
     Entries are sorted by (label, a), summands are pairwise distinct, and
@@ -273,21 +257,24 @@ class Parameter:
     :func:`canonicalize`.
     """
 
-    entries: tuple[ParameterEntry, ...]
-    # Checking passes by group (see `checked`): not a field, so not in ==/hash/repr.
-    _checked = None
+    __match_args__ = ("entries",)
+    __slots__ = (*__match_args__, "_checked")
+    # Checking passes by group (see `checked`), outside the value (see `Value`).
+    _checked: dict[GroupSpec, _Checked] | None
 
-    def __post_init__(self) -> None:
-        keys = [(e.summand.rho.label, e.summand.a) for e in self.entries]
+    def __init__(self, entries: tuple[ParameterEntry, ...]) -> None:
+        keys = [(e.summand.rho.label, e.summand.a) for e in entries]
         if not all(map(lt, keys, keys[1:])):
             raise ValueError("entries must be sorted and pairwise distinct")
-        for e in self.entries:
+        for e in entries:
             rho = e.summand.rho  # a dual pair's symbol is the one with a dual_label
             if rho.dual_label is not None and rho.label > rho.dual_label:
                 raise ValueError(
                     f"dual pair {e.summand.describe()} is not stored under its"
                     " lexicographic representative"
                 )
+        _set_parameter_entries(self, entries)
+        _set_parameter_checked(self, None)
 
     def expanded_entries(self) -> list[tuple[Summand, int]]:
         """Raw (summand, multiplicity) list with dual pairs expanded,
@@ -307,6 +294,10 @@ class Parameter:
                 piece += f" (+) {e.multiplicity}*{e.summand.rho.dual_label}(x)S_{e.summand.a}"
             parts.append(piece)
         return " (+) ".join(parts) if parts else "0"
+
+
+_set_parameter_entries = Parameter.entries.__set__
+_set_parameter_checked = Parameter._checked.__set__
 
 
 def canonicalize(entries: Iterable[tuple[Summand, int]]) -> Parameter:
@@ -374,8 +365,7 @@ def canonicalize(entries: Iterable[tuple[Summand, int]]) -> Parameter:
     return Parameter(tuple(canonical))
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Classification:
+class Classification(Value):
     """Partition of canonical entries into the four centralizer buckets.
 
     The rank of the parameter's R-group is the size of the last bucket:
@@ -383,13 +373,14 @@ class Classification:
     even multiplicity.
     """
 
-    dual_pairs: tuple[ParameterEntry, ...]
-    opposite_type: tuple[ParameterEntry, ...]
-    same_type_odd_mult: tuple[ParameterEntry, ...]
-    same_type_even_mult: tuple[ParameterEntry, ...]
+    __slots__ = __match_args__ = (
+        "dual_pairs", "opposite_type", "same_type_odd_mult", "same_type_even_mult"
+    )
 
     def __init__(
-        self, dual_pairs, opposite_type, same_type_odd_mult, same_type_even_mult
+        self, dual_pairs: tuple[ParameterEntry, ...], opposite_type: tuple[ParameterEntry, ...],
+        same_type_odd_mult: tuple[ParameterEntry, ...],
+        same_type_even_mult: tuple[ParameterEntry, ...],
     ) -> None:
         _set_dual_pairs(self, dual_pairs)
         _set_opposite_type(self, opposite_type)
@@ -465,7 +456,7 @@ def checked(psi: Parameter, group: GroupSpec) -> _Checked:
     done = psi._checked
     if done is None:
         done = {}
-        object.__setattr__(psi, "_checked", done)
+        _set_parameter_checked(psi, done)
     result = done.get(group)
     if result is None:
         result = done[group] = _check_entries(psi, group)

@@ -39,7 +39,6 @@ which tuples of live elements satisfy the determinant condition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product as iter_product
 from math import factorial, prod
@@ -53,6 +52,7 @@ from .centralizer import (
     rank_group,
 )
 from .errors import BoundExceeded, NonElementaryQuotient
+from .validation import Value
 
 Perm = tuple[int, ...]
 Signs = tuple[int, ...]
@@ -74,16 +74,22 @@ def sign_product(g: SignedPerm) -> int:
     return prod(g[1], start=1)
 
 
-@dataclass(frozen=True)
-class SignedPermGroup:
+class SignedPermGroup(Value):
     """A finite group of signed permutations of fixed degree."""
 
-    degree: int
-    elements: frozenset[SignedPerm]
+    __slots__ = __match_args__ = ("degree", "elements")
+
+    def __init__(self, degree: int, elements: frozenset[SignedPerm]) -> None:
+        _set_perm_degree(self, degree)
+        _set_perm_elements(self, elements)
 
     @property
     def order(self) -> int:
         return len(self.elements)
+
+
+_set_perm_degree = SignedPermGroup.degree.__set__
+_set_perm_elements = SignedPermGroup.elements.__set__
 
 
 def _signed_permutations(degree: int, signed: bool) -> SignedPermGroup:

@@ -97,6 +97,21 @@ def test_undecodable_file_exit_two(tmp_path, capsys, command, content):
     assert capsys.readouterr().err.startswith("parse error: ")
 
 
+@pytest.mark.parametrize(
+    "command", [["validate"], ["rgroup", "--oracle"], ["explain"]], ids=" ".join
+)
+def test_repeated_block_exit_two(tmp_path, capsys, command):
+    """Jord(sigma) is a set: a file that lists a block twice denotes no
+    instance, though the data would deduplicate it."""
+    doc = json.loads((CORPUS / "sp-mixed-valid.json").read_text())
+    doc["sigma"]["blocks"] += doc["sigma"]["blocks"]
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(doc))
+    for extra in ([], ["--json"]):
+        assert main([*command, *extra, str(path)]) == 2
+        assert capsys.readouterr().err.startswith("parse error: block #")
+
+
 def test_validate_json_mode(capsys):
     assert main(["validate", "--json", str(CORPUS / "sp-steinberg-valid.json")]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -269,6 +269,11 @@ PARSE_ERROR_MESSAGES = {
     "block pair": (_with_block(["st"]), "block #1 must be a [label, a] pair"),
     "block label": (_with_block([5, 1]), "block #1: unknown label 5"),
     "block a": (_with_block(["st", "1"]), "block #1: a must be a positive integer"),
+    "block repeated": (_with_block(["st", 3]), "block #1 repeats block #0"),
+    "blocks repeated": (
+        _mutated(lambda d: d["sigma"].update(blocks=[["st", 3], ["st", 1], ["st", 1], ["st", 3]])),
+        "block #2 repeats block #1",
+    ),
     "unitary lambda": (
         _mutated(lambda d: d["symbols"]["x"].update({"lambda": True}), unitary_doc),
         "symbol 'x' needs lambda +1 or -1",

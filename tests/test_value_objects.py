@@ -1,14 +1,18 @@
-"""The value objects of the parameter side: what their derived attributes
-leave out of ``==``, ``hash`` and ``repr``, that they stay frozen, a
-differential check of the one-pass ``canonicalize`` against the
-two-pass version it replaced, and the factors and rank groups shared
-per shape."""
+"""The value objects: the contract of their ``Value`` base, what their
+derived attributes and kept caches leave out of ``==``, ``hash``,
+``repr`` and pickling, that they stay frozen, a differential check of
+the one-pass ``canonicalize`` against the two-pass version it replaced,
+and the factors and rank groups shared per shape."""
 
+import copy
 import importlib
 import inspect
+import os
 import pickle
 import pkgutil
-from dataclasses import MISSING, FrozenInstanceError, fields, is_dataclass
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,27 +22,37 @@ from rgroups import (
     CentralizerDescriptor,
     Classification,
     CuspidalSymbol,
+    DeltaFactor,
     DualityType,
     ElementaryTwoGroup,
     Factor,
     FactorKind,
     Family,
+    FuzzBounds,
     GroupSpec,
+    InducingData,
+    JordanData,
     Parameter,
     ParameterEntry,
     Summand,
+    VerificationResult,
+    WitnessRow,
     arthur_r_group,
     canonicalize,
     centralizer,
     classify,
     descriptor_rank,
     unresolved_centralizer,
+    validate_jordan,
     weyl_quotient,
 )
 from rgroups.centralizer import _factor, rank_group
-from rgroups.errors import InconsistentSymbol, UnpairedDual
+from rgroups.errors import FrozenInstanceError, InconsistentSymbol, RGroupError, UnpairedDual
+from rgroups.instances import Instance
+from rgroups.levi import validate_inducing
 from rgroups.params import checked
-from rgroups.validation import ValidationReport, Violation
+from rgroups.validation import ValidationReport, Value, Violation
+from rgroups.weyl import SignedPermGroup
 
 from helpers import orth, pair
 
@@ -168,46 +182,170 @@ def test_value_object_checks_keep_their_messages(build, message):
     assert str(info.value) == message
 
 
-_HAND_BUILT = [
-    (CuspidalSymbol, ("p", 3, NSD, "q", True)),
-    (CuspidalSymbol, ("u", 2, SYMPL, None, True, False)),
-    (Summand, (orth("x", 2), 3)),
-    (ParameterEntry, (Summand(orth("x"), 2), 3)),
-    (GroupSpec, (Family.UNITARY, 3)),
-    (Classification, ((), (ParameterEntry(Summand(orth("x"), 2), 2),), (), ())),
-    (Factor, (FactorKind.SYMPLECTIC, 4, 3)),
-    (CentralizerDescriptor, ((_GL2, _O2), ((1, 1),))),
+_REQUIRED = inspect.Parameter.empty
+_X = Summand(orth("x"), 1)
+_SIGMA_ARGS = (GroupSpec(Family.SYMPLECTIC, 1), (Summand(orth("y"), 3),))
+_DATUM_ARGS = ((DeltaFactor(_X, 2),), JordanData(*_SIGMA_ARGS))
+_ROW_ARGS = (_X, 2, True, True, False, True)
+
+# Per class: the arguments of one build, the ``__init__`` parameters with
+# their defaults, and every slot; the first slots are the init fields.
+_VALUES = [
+    (Violation, ("rule", "message"), {"rule": _REQUIRED, "message": _REQUIRED}, ()),
+    (ValidationReport, ((Violation("r", "m"),),), {"violations": ()}, ()),
+    (
+        GroupSpec, (Family.UNITARY, 3), {"family": _REQUIRED, "rank": _REQUIRED},
+        ("dual_type", "dual_dimension"),
+    ),
+    *(
+        (
+            CuspidalSymbol, args,
+            {"label": _REQUIRED, "dim": _REQUIRED, "duality": _REQUIRED,
+             "dual_label": None, "conjugate": False, "lambda_matches": True},
+            (),
+        )
+        for args in (("p", 3, NSD, "q", True), ("u", 2, SYMPL, None, True, False))
+    ),
+    (Summand, (orth("x", 2), 3), {"rho": _REQUIRED, "a": _REQUIRED}, ("dim", "duality")),
+    (ParameterEntry, (_X, 3), {"summand": _REQUIRED, "multiplicity": _REQUIRED}, ()),
+    (
+        Parameter, ((ParameterEntry(_X, 2), ParameterEntry(Summand(orth("z"), 1), 1)),),
+        {"entries": _REQUIRED}, ("_checked",),
+    ),
+    (
+        Classification, ((), (ParameterEntry(Summand(orth("x"), 2), 2),), (), ()),
+        {"dual_pairs": _REQUIRED, "opposite_type": _REQUIRED,
+         "same_type_odd_mult": _REQUIRED, "same_type_even_mult": _REQUIRED},
+        (),
+    ),
+    (
+        Factor, (FactorKind.SYMPLECTIC, 4, 3),
+        {"kind": _REQUIRED, "size": _REQUIRED, "source_dim": _REQUIRED}, (),
+    ),
+    (
+        CentralizerDescriptor, ((_GL2, _O2), ((1, 1),)),
+        {"factors": _REQUIRED, "det_constraint": None}, (),
+    ),
+    (ElementaryTwoGroup, (2,), {"rank": _REQUIRED}, ()),
+    (JordanData, _SIGMA_ARGS, {"group": _REQUIRED, "blocks": _REQUIRED}, ("_report",)),
+    (DeltaFactor, (_X, 2), {"summand": _REQUIRED, "multiplicity": _REQUIRED}, ()),
+    (InducingData, _DATUM_ARGS, {"deltas": _REQUIRED, "sigma": _REQUIRED}, ("_report",)),
+    (
+        WitnessRow, _ROW_ARGS,
+        {"summand": _REQUIRED, "multiplicity": _REQUIRED, "self_dual": _REQUIRED,
+         "same_type": _REQUIRED, "in_jordan": _REQUIRED, "counted": _REQUIRED},
+        (),
+    ),
+    (
+        VerificationResult, (1, 1, (WitnessRow(*_ROW_ARGS),)),
+        {"ks_rank": _REQUIRED, "arthur_rank": _REQUIRED, "witness": _REQUIRED}, (),
+    ),
+    (
+        FuzzBounds, (3, 2, 4, 1, Family.ODD_ORTHOGONAL),
+        {"max_deltas": 5, "max_dim": 4, "max_a": 5, "max_mult": 3, "family": Family.SYMPLECTIC},
+        (),
+    ),
+    (
+        SignedPermGroup, (1, frozenset({((0,), (1,)), ((0,), (-1,))})),
+        {"degree": _REQUIRED, "elements": _REQUIRED}, (),
+    ),
+    (
+        Instance, (Family.SYMPLECTIC, InducingData(*_DATUM_ARGS)),
+        {"family": _REQUIRED, "data": _REQUIRED}, (),
+    ),
 ]
 
 
-@pytest.mark.parametrize("cls,args", _HAND_BUILT, ids=[cls.__name__ for cls, _ in _HAND_BUILT])
-def test_hand_written_inits_match_their_fields(cls, args):
-    """The classes built in one ``__init__`` (see ``rgroups.params``) take
-    their init fields in field order, with the defaults, store every slot,
-    and keep what the decorator writes."""
-    init_fields = [f for f in fields(cls) if f.init]
-    params = list(inspect.signature(cls).parameters.values())
-    assert [(p.name, p.kind) for p in params] == [
-        (f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD) for f in init_fields
+@pytest.mark.parametrize(
+    "cls,args,params,extra", _VALUES, ids=[cls.__name__ for cls, *_ in _VALUES]
+)
+def test_hand_written_inits_match_their_fields(cls, args, params, extra):
+    """Each value object takes its init fields in order, with the
+    defaults, in one ``__init__`` that stores every slot, and keeps the
+    contract of its ``Value`` base."""
+    signature = list(inspect.signature(cls).parameters.values())
+    assert [(p.name, p.kind, p.default) for p in signature] == [
+        (name, inspect.Parameter.POSITIONAL_OR_KEYWORD, default)
+        for name, default in params.items()
     ]
-    assert [p.default for p in params] == [
-        inspect.Parameter.empty if f.default is MISSING else f.default for f in init_fields
-    ]
-    assert cls.__match_args__ == tuple(f.name for f in init_fields)
-    assert cls.__slots__ == tuple(f.name for f in fields(cls))
+    assert cls.__match_args__ == tuple(params)
+    assert cls.__slots__ == tuple(params) + extra
     assert not hasattr(cls, "__post_init__")
 
     obj = cls(*args)
+    assert isinstance(obj, Value) and not hasattr(obj, "__dict__")
     values = [getattr(obj, name) for name in cls.__slots__]  # AttributeError if unset
-    by_keyword = cls(**{f.name: value for f, value in zip(init_fields, args)})
+    by_keyword = cls(**dict(zip(params, args)))
     assert by_keyword == obj and hash(by_keyword) == hash(obj)
     assert repr(by_keyword) == repr(obj)
     assert [getattr(by_keyword, name) for name in cls.__slots__] == values
-    copy = pickle.loads(pickle.dumps(obj))
-    assert copy == obj and [getattr(copy, name) for name in cls.__slots__] == values
-    assert is_dataclass(obj)
-    with pytest.raises(FrozenInstanceError):
-        setattr(obj, cls.__slots__[0], values[0])
+    for twin in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
+        assert type(twin) is cls and twin == obj and hash(twin) == hash(obj)
+        assert [getattr(twin, name) for name in cls.__slots__] == values
+
+    fields = tuple(getattr(obj, name) for name in cls.__match_args__)
+    assert hash(obj) == hash(fields)
+    assert obj != fields and fields != obj and obj != object()
+    body = ", ".join(f"{name}={value!r}" for name, value in zip(cls.__match_args__, fields))
+    assert repr(obj) == f"{cls.__name__}({body})"
+    for name in cls.__slots__:
+        with pytest.raises(FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+            setattr(obj, name, getattr(obj, name))
+        with pytest.raises(FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+            delattr(obj, name)
+    assert [getattr(obj, name) for name in cls.__slots__] == values
+
+
+def test_the_table_covers_every_value_class():
+    assert {cls for cls, *_ in _VALUES} == set(_value_classes())
+
+
+def test_equal_fields_in_another_class_are_not_equal():
+    delta, entry = DeltaFactor(_X, 2), ParameterEntry(_X, 2)
+    assert delta.__match_args__ == entry.__match_args__ and hash(delta) == hash(entry)
+    assert delta != entry and entry != delta
+
+
+def test_frozen_instance_error_is_not_a_domain_error():
+    assert issubclass(FrozenInstanceError, AttributeError)
+    assert not issubclass(FrozenInstanceError, RGroupError)
+
+
+@pytest.mark.parametrize(
+    "cls,fill",
+    [
+        (Parameter, lambda psi: checked(psi, GroupSpec(Family.SYMPLECTIC, 1))),
+        (JordanData, validate_jordan),
+        (InducingData, validate_inducing),
+    ],
+    ids=["Parameter", "JordanData", "InducingData"],
+)
+def test_kept_caches_stay_out_of_the_value(cls, fill):
+    args = next(args for c, args, *_ in _VALUES if c is cls)
+    obj, fresh = cls(*args), cls(*args)
+    fill(obj)
+    cache = cls.__slots__[-1]
+    assert getattr(obj, cache) is not None and getattr(fresh, cache) is None
+    assert obj == fresh and hash(obj) == hash(fresh) and repr(obj) == repr(fresh)
+    for twin in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
+        assert twin == obj and getattr(twin, cache) is None
+
+
+def test_the_cli_imports_no_class_generation_machinery():
+    """The value objects define no code at import, so a CLI run loads
+    none of the modules that generate it."""
+    probe = (
+        "import rgroups.cli, sys;"
+        " print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))"
+    )
+    src = str(Path(rgroups.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )}
+    run = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.strip() == "[]"
 
 
 def test_kept_checking_pass_stays_out_of_parameter_eq_hash_repr():
@@ -489,21 +627,23 @@ def test_bad_shapes_raise_on_every_call(build, message):
             build()
 
 
-def test_no_dataclass_has_a_synthesized_docstring():
-    """``dataclass`` writes ``Name(signature)`` into a class without a
-    docstring, through ``inspect.signature``, at import."""
+def _value_classes():
     modules = [
         importlib.import_module(f"rgroups.{info.name}")
         for info in pkgutil.iter_modules(rgroups.__path__)
     ]
-    classes = [
+    return [
         obj
         for module in modules
         for obj in vars(module).values()
-        if isinstance(obj, type) and is_dataclass(obj) and obj.__module__ == module.__name__
+        if isinstance(obj, type) and issubclass(obj, Value) and obj.__module__ == module.__name__
+        and obj is not Value
     ]
-    assert len(classes) > 10
+
+
+def test_every_value_class_has_its_own_docstring():
+    classes = _value_classes()
+    assert len(classes) == 19
     for cls in classes:
-        synthesized = cls.__name__ + str(inspect.signature(cls)).replace(" -> None", "")
-        assert cls.__doc__ != synthesized, cls.__name__
-        assert cls.__doc__ and cls.__doc__.strip(), cls.__name__
+        doc = vars(cls)["__doc__"]
+        assert doc and doc.strip(), cls.__name__
