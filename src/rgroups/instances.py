@@ -117,12 +117,25 @@ def _check_dual_declarations(symbols: dict[str, CuspidalSymbol]) -> None:
             raise ParseError(f"symbols {label!r} and {dual!r} do not mirror each other")
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object's dict, refusing a repeated key (``json.loads`` alone
+    would keep its last value)."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ParseError(f"repeated key {key!r}")
+            seen.add(key)
+    return obj
+
+
 def parse_instance(text: str) -> Instance:
     """Parse instance JSON; raises :class:`ParseError` on any defect that
     keeps the file from denoting an instance (domain violations are left
     to validation).  No message is formatted unless its check fails."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, RecursionError) as exc:
         # RecursionError: nesting deeper than the interpreter's stack
         raise ParseError(f"not valid JSON: {exc}") from exc

@@ -259,8 +259,9 @@ class Parameter(Value):
 
     __match_args__ = ("entries",)
     __slots__ = (*__match_args__, "_checked")
-    # Checking passes by group (see `checked`), outside the value (see `Value`).
-    _checked: dict[GroupSpec, _Checked] | None
+    # The last group, its checking pass and the passes by group once there
+    # are two (see `checked`), outside the value (see `Value`).
+    _checked: tuple[GroupSpec, _Checked, dict[GroupSpec, _Checked] | None] | None
 
     def __init__(self, entries: tuple[ParameterEntry, ...]) -> None:
         keys = [(e.summand.rho.label, e.summand.a) for e in entries]
@@ -298,6 +299,7 @@ class Parameter(Value):
 
 _set_parameter_entries = Parameter.entries.__set__
 _set_parameter_checked = Parameter._checked.__set__
+_new = object.__new__
 
 
 def canonicalize(entries: Iterable[tuple[Summand, int]]) -> Parameter:
@@ -341,28 +343,39 @@ def canonicalize(entries: Iterable[tuple[Summand, int]]) -> Parameter:
                 " is not a dimension-preserving involution"
             )
 
+    # The merge has proved what the constructors would check again: every
+    # multiplicity is positive (checked per raw entry, and sums of positives
+    # stay positive), the keys are sorted and distinct (sorted dict keys),
+    # and each dual pair is kept under its smaller label (the
+    # ``dual_key < key`` skip).  So the entries and the result are built
+    # without their ``__init__``; it still checks every direct construction,
+    # unpickling and copy.
     canonical: list[ParameterEntry] = []
     for key in sorted(merged):  # sorting the keys beats sorting the items
         summand, mult = merged[key]
-        if summand.duality is not _NOT_SELF_DUAL:
-            canonical.append(ParameterEntry(summand, mult))
-            continue
-        dual_key = (summand.rho.dual_label, summand.a)
-        partner = merged.get(dual_key)
-        if partner is None:
-            raise UnpairedDual(
-                f"{summand.describe()} has no dual partner"
-                f" {summand.rho.dual_label!r} in the parameter"
-            )
-        if dual_key < key:
-            continue  # kept under its representative, visited first
-        if partner[1] != mult:
-            raise UnpairedDual(
-                f"{summand.describe()} appears {mult} times but its"
-                f" dual appears {partner[1]} times"
-            )
-        canonical.append(ParameterEntry(summand, mult))
-    return Parameter(tuple(canonical))
+        if summand.duality is _NOT_SELF_DUAL:
+            dual_key = (summand.rho.dual_label, summand.a)
+            partner = merged.get(dual_key)
+            if partner is None:
+                raise UnpairedDual(
+                    f"{summand.describe()} has no dual partner"
+                    f" {summand.rho.dual_label!r} in the parameter"
+                )
+            if dual_key < key:
+                continue  # kept under its representative, visited first
+            if partner[1] != mult:
+                raise UnpairedDual(
+                    f"{summand.describe()} appears {mult} times but its"
+                    f" dual appears {partner[1]} times"
+                )
+        entry = _new(ParameterEntry)
+        _set_entry_summand(entry, summand)
+        _set_entry_multiplicity(entry, mult)
+        canonical.append(entry)
+    psi = _new(Parameter)
+    _set_parameter_entries(psi, tuple(canonical))
+    _set_parameter_checked(psi, None)
+    return psi
 
 
 class Classification(Value):
@@ -452,14 +465,26 @@ def _check_entries(psi: Parameter, group: GroupSpec) -> _Checked:
 
 
 def checked(psi: Parameter, group: GroupSpec) -> _Checked:
-    """The checking pass of ``psi`` against ``group``, run once and kept on ``psi``."""
-    done = psi._checked
-    if done is None:
-        done = {}
-        _set_parameter_checked(psi, done)
-    result = done.get(group)
-    if result is None:
-        result = done[group] = _check_entries(psi, group)
+    """The checking pass of ``psi`` against ``group``, run once per group
+    value and kept on ``psi``.
+
+    The callers of one parameter pass one group object, so the last group
+    is recognised by identity; the passes are keyed on the group's value,
+    which costs a hash, only once a second group object comes.
+    """
+    kept = psi._checked
+    if kept is not None and kept[0] is group:
+        return kept[1]
+    if kept is None:
+        passes, result = None, _check_entries(psi, group)
+    else:
+        last, last_result, passes = kept
+        if passes is None:
+            passes = {last: last_result}
+        result = passes.get(group)
+        if result is None:
+            result = passes[group] = _check_entries(psi, group)
+    _set_parameter_checked(psi, (group, result, passes))
     return result
 
 

@@ -234,6 +234,12 @@ def _enumerated_rank(
     return rank
 
 
+def _free_bound(free_total: int) -> BoundExceeded:
+    return BoundExceeded(
+        f"free factors hold {free_total} Weyl elements, above the cap {ELEMENT_CAP}"
+    )
+
+
 def weyl_quotient(desc: CentralizerDescriptor) -> ElementaryTwoGroup:
     """Rank of W/W0 for a descriptor, by finite enumeration.
 
@@ -249,7 +255,8 @@ def weyl_quotient(desc: CentralizerDescriptor) -> ElementaryTwoGroup:
     factors' Weyl groups and the liftable part of the live factors'
     product.  Both go through :func:`_enumerated_rank`: each free factor
     once per factor shape, its rank cached, and the live product on every
-    call.
+    call.  A descriptor with no live factor, as is every one from
+    :func:`~rgroups.centralizer.centralizer`, is one sum of cached ranks.
 
     Bound: the fixed :data:`ELEMENT_CAP`, read per call, counts Weyl
     elements.  Each factor's W, the sum of the free factors' orders and the
@@ -257,11 +264,21 @@ def weyl_quotient(desc: CentralizerDescriptor) -> ElementaryTwoGroup:
     closed-form orders before any group is built; an overflow raises
     :class:`BoundExceeded`.
     """
+    factors = desc.factors
+    if not desc.det_constraint:  # every factor free, as from centralizer()
+        free_total = rank = 0
+        for f in factors:
+            free_total += _weyl_order(f.kind, f.size, ELEMENT_CAP)
+        if free_total > ELEMENT_CAP:
+            raise _free_bound(free_total)
+        for f in factors:
+            rank += _free_rank(f.kind, f.size)
+        return rank_group(rank)
     live_indices = constrained_indices(desc)
     free: list[Factor] = []
     live: list[Factor] = []
     free_total, live_total = 0, 1
-    for i, f in enumerate(desc.factors):
+    for i, f in enumerate(factors):
         order = _weyl_order(f.kind, f.size, ELEMENT_CAP)
         if i in live_indices:
             live.append(f)
@@ -270,10 +287,7 @@ def weyl_quotient(desc: CentralizerDescriptor) -> ElementaryTwoGroup:
             free.append(f)
             free_total += order
     if free_total > ELEMENT_CAP:
-        raise BoundExceeded(
-            f"free factors hold {free_total} Weyl elements,"
-            f" above the cap {ELEMENT_CAP}"
-        )
+        raise _free_bound(free_total)
     if live_total > ELEMENT_CAP:
         raise BoundExceeded(
             f"constrained descriptor needs {live_total} candidate elements,"

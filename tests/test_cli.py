@@ -112,6 +112,23 @@ def test_repeated_block_exit_two(tmp_path, capsys, command):
         assert capsys.readouterr().err.startswith("parse error: block #")
 
 
+@pytest.mark.parametrize(
+    "command", [["validate"], ["rgroup", "--oracle"], ["explain"]], ids=" ".join
+)
+def test_repeated_key_exit_two(tmp_path, capsys, command):
+    """A file that repeats a key is refused, not read with its last value:
+    this one would otherwise validate as an sp instance."""
+    text = (CORPUS / "sp-mixed-valid.json").read_text()
+    assert text.count('"family": "sp",') == 1
+    path = tmp_path / "repeated-key.json"
+    path.write_text(text.replace('"family": "sp",', '"family": "so-odd",\n  "family": "sp",'))
+    for extra in ([], ["--json"]):
+        assert main([*command, *extra, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "parse error: repeated key 'family'\n"
+        assert captured.out == ""
+
+
 def test_validate_json_mode(capsys):
     assert main(["validate", "--json", str(CORPUS / "sp-steinberg-valid.json")]) == 0
     doc = json.loads(capsys.readouterr().out)

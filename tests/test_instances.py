@@ -325,6 +325,32 @@ def test_parse_error_on_bad_json():
         parse_instance("{not json")
 
 
+# json.loads alone keeps the last value of a repeated key, so each of these
+# documents would parse with one declaration silently dropped.
+REPEATED_KEYS = {
+    "top level": (minimal_doc, '"family": "sp"', '"family": "so-odd", "family": "sp"', "family"),
+    "symbol label": (
+        minimal_doc, '"st": {"dim"', '"st": {"dim": 2, "duality": "symplectic"}, "st": {"dim"',
+        "st",
+    ),
+    "symbol field": (minimal_doc, '"dim": 1', '"dim": 3, "dim": 1', "dim"),
+    "sigma field": (minimal_doc, '"rank": 1', '"rank": 1, "rank": 1', "rank"),
+    "delta field": (unitary_doc, '"mult": 1', '"mult": 2, "mult": 1', "mult"),
+}
+
+
+@pytest.mark.parametrize(
+    "make,old,new,key", REPEATED_KEYS.values(), ids=REPEATED_KEYS
+)
+def test_parse_refuses_a_repeated_key(make, old, new, key):
+    text = json.dumps(make())
+    parse_instance(text)  # the unmutated document parses
+    assert old in text
+    with pytest.raises(ParseError) as info:
+        parse_instance(text.replace(old, new, 1))
+    assert str(info.value) == f"repeated key {key!r}"
+
+
 def test_parse_error_on_missing_file():
     with pytest.raises(ParseError):
         load_instance(CORPUS / "does-not-exist.json")

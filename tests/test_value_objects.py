@@ -44,6 +44,7 @@ from rgroups import (
     descriptor_rank,
     unresolved_centralizer,
     validate_jordan,
+    validate_parameter,
     weyl_quotient,
 )
 from rgroups.centralizer import _factor, rank_group
@@ -360,6 +361,66 @@ def test_kept_checking_pass_stays_out_of_parameter_eq_hash_repr():
 
 
 # ---------------------------------------------------------------------------
+# The kept checking pass, by group
+# ---------------------------------------------------------------------------
+
+
+def _sp2_parameter():
+    """2*a (+) b, valid for Sp(2): dual group SO(3)."""
+    return canonicalize([(Summand(orth("a"), 1), 2), (Summand(orth("b"), 1), 1)])
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """The groups of every checking pass run from here on."""
+    groups = []
+    check = rgroups.params._check_entries
+
+    def counted(psi, group):
+        groups.append(group)
+        return check(psi, group)
+
+    monkeypatch.setattr(rgroups.params, "_check_entries", counted)
+    return groups
+
+
+@pytest.mark.parametrize(
+    "call", [validate_parameter, arthur_r_group, centralizer], ids=lambda f: f.__name__
+)
+def test_the_same_group_object_is_not_hashed_again(monkeypatch, passes, call):
+    hashed = []
+    real = GroupSpec.__hash__
+
+    def counted(self):
+        hashed.append(self)
+        return real(self)
+
+    psi, group = _sp2_parameter(), GroupSpec(Family.SYMPLECTIC, 1)
+    first = call(psi, group)
+    monkeypatch.setattr(GroupSpec, "__hash__", counted)
+    assert call(psi, group) == first
+    assert hashed == []
+    assert passes == [group]
+
+
+def test_an_equal_group_object_reuses_the_pass(passes):
+    psi = _sp2_parameter()
+    group, equal = GroupSpec(Family.SYMPLECTIC, 1), GroupSpec(Family.SYMPLECTIC, 1)
+    assert group is not equal
+    assert checked(psi, equal) is checked(psi, group)
+    assert passes == [equal]
+
+
+def test_alternating_groups_run_one_pass_per_group_value(passes):
+    psi = _sp2_parameter()
+    g1, g2 = GroupSpec(Family.SYMPLECTIC, 1), GroupSpec(Family.ODD_ORTHOGONAL, 1)
+    results = [checked(psi, g) for g in (g1, g2, g1, GroupSpec(Family.SYMPLECTIC, 1), g2)]
+    assert passes == [g1, g2]
+    assert results[0] is results[2] is results[3] and results[1] is results[4]
+    assert results[0][0].ok and not results[1][0].ok
+
+
+# ---------------------------------------------------------------------------
 # canonicalize against the two-pass version it replaced
 # ---------------------------------------------------------------------------
 
@@ -525,6 +586,10 @@ def test_canonicalize_matches_two_pass_reference(raw):
     new, old = _outcome(canonicalize, raw), _outcome(_reference_canonicalize, raw)
     if new != old:  # a Parameter is compared by == and describe()
         assert new in _intended_differences(raw), (new, old)
+    psi = new[0]
+    if isinstance(psi, Parameter):  # built without the constructors' checks
+        entries = tuple(ParameterEntry(e.summand, e.multiplicity) for e in psi.entries)
+        assert Parameter(entries) == psi
 
 
 def test_reference_differs_only_where_intended():

@@ -322,6 +322,23 @@ def test_free_factors_are_bounded_by_the_sum_of_their_orders(monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize("constraint", [None, ()], ids=["none", "empty"])
+def test_resolved_descriptors_keep_the_cap_checks_and_their_order(constraint):
+    """A resolved descriptor (no live factor, as from ``centralizer()``)
+    meets the checks of a live one, in the same order and words: a factor
+    above the cap first, then the sum over the free factors."""
+    sp14, o14 = Factor(SP, 14, 1), Factor(O, 14, 1)
+    over_sum = "^free factors hold 1290240 Weyl elements, above the cap 1000000$"
+    with pytest.raises(BoundExceeded, match=over_sum):
+        weyl_quotient(CentralizerDescriptor((sp14, o14), constraint))
+    with pytest.raises(BoundExceeded, match=over_sum):
+        weyl_quotient(CentralizerDescriptor((sp14, o14, Factor(O, 1, 1)), ((2, 1),)))
+    with pytest.raises(
+        BoundExceeded, match="^Weyl group of order 3628800 is above the cap 1000000$"
+    ):
+        weyl_quotient(CentralizerDescriptor((sp14, o14, Factor(GL, 10, 1)), constraint))
+
+
 def test_oracle_matches_closed_form_on_resolved_descriptors():
     cases = [
         (Family.ODD_ORTHOGONAL, [(Summand(sympl("s", 2), 1), 4)], 4),
