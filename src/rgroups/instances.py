@@ -12,7 +12,7 @@ serialize are mutually inverse on canonical form.
 
 from __future__ import annotations
 
-import json
+from json import JSONDecodeError, JSONDecoder
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Any
@@ -20,12 +20,27 @@ from typing import Any
 from .errors import ParseError
 from .jordan import JordanData
 from .levi import DeltaFactor, InducingData
+from .params import _NOT_SELF_DUAL, _ORTHOGONAL, _SYMPLECTIC, _UNITARY
 from .params import CuspidalSymbol, DualityType, Family, GroupSpec, Summand
 from .validation import Value
 
 FORMAT_VERSION = "1"
 
+# Every integer field (a symbol's dim, sigma.rank, a block's or a delta's
+# a, a delta's mult) is at most this.  Far above any instance the oracle
+# or a reader can use, and far below the interpreter's limit on the digits
+# of an int it converts to or from text (4,300 by default), which a rank
+# summed from such fields then never reaches.
+MAX_INTEGER = 10**6
+
+_FAMILIES = {f.value: f for f in Family}
 _CLASSICAL_DUALITIES = {t.value: t for t in DualityType}
+
+_INSTANCE_KEYS = frozenset(("format_version", "family", "symbols", "sigma", "deltas"))
+_CLASSICAL_SYMBOL_KEYS = frozenset(("dim", "duality", "dual"))
+_CONJUGATE_SELF_DUAL_KEYS = frozenset(("dim", "duality", "lambda", "lambda_matches"))
+_SIGMA_KEYS = frozenset(("rank", "blocks"))
+_DELTA_KEYS = frozenset(("rho", "a", "mult"))
 
 
 class Instance(Value):
@@ -44,11 +59,11 @@ _set_instance_data = Instance.data.__set__
 
 def _is_int(value: Any) -> bool:
     """A JSON integer; booleans are ints in Python but not in the schema
-    (``json.loads`` gives no other subclass of int)."""
+    (the JSON decoder gives no other subclass of int)."""
     return type(value) is int
 
 
-def _expect_keys(obj: dict, allowed: set[str], context: str, *args: Any) -> None:
+def _expect_keys(obj: dict, allowed: frozenset[str], context: str, *args: Any) -> None:
     """Refuse keys outside ``allowed``; ``context % args`` names ``obj`` in
     the message, which is formatted only when a key is refused."""
     if not obj.keys() <= allowed:
@@ -56,46 +71,51 @@ def _expect_keys(obj: dict, allowed: set[str], context: str, *args: Any) -> None
         raise ParseError(f"unknown keys {extra} in {context % args}")
 
 
+def _integer_error(value: Any, message: str, field: str) -> ParseError:
+    """The error of an integer field that failed its check: ``message``,
+    or, for an integer above :data:`MAX_INTEGER`, the bound naming ``field``."""
+    if _is_int(value) and value > MAX_INTEGER:
+        return ParseError(f"{field} is above the bound {MAX_INTEGER}")
+    return ParseError(message)
+
+
 def _parse_symbol(label: str, spec: Any) -> CuspidalSymbol:
     if not isinstance(spec, dict):
         raise ParseError(f"symbol {label!r} must be an object")
-    if not (_is_int(spec.get("dim")) and spec["dim"] >= 1):
-        raise ParseError(f"symbol {label!r} needs a positive integer dim")
+    dim = spec.get("dim")
+    if not (_is_int(dim) and 1 <= dim <= MAX_INTEGER):
+        raise _integer_error(
+            dim, f"symbol {label!r} needs a positive integer dim", f"symbol {label!r}: dim"
+        )
     duality = spec.get("duality")
     try:
         if isinstance(duality, str) and duality in _CLASSICAL_DUALITIES:
-            _expect_keys(spec, {"dim", "duality", "dual"}, "symbol %r", label)
+            _expect_keys(spec, _CLASSICAL_SYMBOL_KEYS, "symbol %r", label)
             kind = _CLASSICAL_DUALITIES[duality]
-            if kind is DualityType.NOT_SELF_DUAL:
+            if kind is _NOT_SELF_DUAL:
                 dual = spec.get("dual")
                 if not isinstance(dual, str):
                     raise ParseError(f"non-self-dual symbol {label!r} needs a dual label")
-                return CuspidalSymbol(label, spec["dim"], kind, dual)
+                return CuspidalSymbol(label, dim, kind, dual)
             if "dual" in spec:
                 raise ParseError(f"self-dual symbol {label!r} must not declare a dual")
-            return CuspidalSymbol(label, spec["dim"], kind)
+            return CuspidalSymbol(label, dim, kind)
         if duality == "conjugate-self-dual":
-            _expect_keys(
-                spec, {"dim", "duality", "lambda", "lambda_matches"}, "symbol %r", label
-            )
+            _expect_keys(spec, _CONJUGATE_SELF_DUAL_KEYS, "symbol %r", label)
             lam = spec.get("lambda")
             if not (_is_int(lam) and lam in (1, -1)):
                 raise ParseError(f"symbol {label!r} needs lambda +1 or -1")
             matches = spec.get("lambda_matches", True)
             if not isinstance(matches, bool):
                 raise ParseError(f"symbol {label!r}: lambda_matches must be a boolean")
-            kind = DualityType.ORTHOGONAL if lam == 1 else DualityType.SYMPLECTIC
-            return CuspidalSymbol(
-                label, spec["dim"], kind, conjugate=True, lambda_matches=matches
-            )
+            kind = _ORTHOGONAL if lam == 1 else _SYMPLECTIC
+            return CuspidalSymbol(label, dim, kind, conjugate=True, lambda_matches=matches)
         if duality == "not-conjugate-self-dual":
-            _expect_keys(spec, {"dim", "duality", "dual"}, "symbol %r", label)
+            _expect_keys(spec, _CLASSICAL_SYMBOL_KEYS, "symbol %r", label)
             dual = spec.get("dual")
             if not isinstance(dual, str):
                 raise ParseError(f"symbol {label!r} needs a dual label")
-            return CuspidalSymbol(
-                label, spec["dim"], DualityType.NOT_SELF_DUAL, dual, conjugate=True
-            )
+            return CuspidalSymbol(label, dim, _NOT_SELF_DUAL, dual, conjugate=True)
     except ValueError as exc:
         raise ParseError(f"symbol {label!r}: {exc}") from exc
     raise ParseError(f"symbol {label!r} has unknown duality {duality!r}")
@@ -130,32 +150,42 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     return obj
 
 
+# One decoder for every parse: ``json.loads`` with a keyword argument
+# builds a new decoder and scanner on each call.
+_decode = JSONDecoder(object_pairs_hook=_unique_keys).decode
+
+
 def parse_instance(text: str) -> Instance:
     """Parse instance JSON; raises :class:`ParseError` on any defect that
     keeps the file from denoting an instance (domain violations are left
     to validation).  No message is formatted unless its check fails."""
     try:
-        doc = json.loads(text, object_pairs_hook=_unique_keys)
-    except (json.JSONDecodeError, RecursionError) as exc:
+        if text.startswith("\ufeff"):
+            # json.loads refuses a byte order mark before decoding;
+            # JSONDecoder.decode does not
+            raise JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        doc = _decode(text)
+    except (JSONDecodeError, RecursionError) as exc:
         # RecursionError: nesting deeper than the interpreter's stack
         raise ParseError(f"not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        # an integer literal longer than the interpreter converts from text
+        raise ParseError(f"an integer is above the bound {MAX_INTEGER}") from exc
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
-    _expect_keys(
-        doc, {"format_version", "family", "symbols", "sigma", "deltas"}, "instance"
-    )
+    _expect_keys(doc, _INSTANCE_KEYS, "instance")
     if doc.get("format_version") != FORMAT_VERSION:
         raise ParseError(f"unsupported format_version {doc.get('format_version')!r}")
     try:
-        family = Family(doc.get("family"))
-    except ValueError as exc:
+        family = _FAMILIES[doc.get("family")]
+    except (KeyError, TypeError) as exc:  # TypeError: an unhashable value
         raise ParseError(f"unknown family {doc.get('family')!r}") from exc
 
     raw_symbols = doc.get("symbols")
     if not isinstance(raw_symbols, dict):
         raise ParseError("symbols must be an object")
     symbols = {label: _parse_symbol(label, spec) for label, spec in raw_symbols.items()}
-    unitary = family is Family.UNITARY
+    unitary = family is _UNITARY
     for label, sym in symbols.items():
         if sym.conjugate != unitary:
             raise ParseError(
@@ -167,10 +197,10 @@ def parse_instance(text: str) -> Instance:
     sigma_doc = doc.get("sigma")
     if not isinstance(sigma_doc, dict):
         raise ParseError("sigma must be an object")
-    _expect_keys(sigma_doc, {"rank", "blocks"}, "sigma")
+    _expect_keys(sigma_doc, _SIGMA_KEYS, "sigma")
     rank = sigma_doc.get("rank")
-    if not (_is_int(rank) and rank >= 0):
-        raise ParseError("sigma.rank must be a non-negative integer")
+    if not (_is_int(rank) and 0 <= rank <= MAX_INTEGER):
+        raise _integer_error(rank, "sigma.rank must be a non-negative integer", "sigma.rank")
     blocks_doc = sigma_doc.get("blocks")
     if not isinstance(blocks_doc, list):
         raise ParseError("sigma.blocks must be a list")
@@ -178,8 +208,10 @@ def parse_instance(text: str) -> Instance:
     def resolve(label: Any, a: Any, kind: str, i: int) -> Summand:
         if not (isinstance(label, str) and label in symbols):
             raise ParseError(f"{kind} #{i}: unknown label {label!r}")
-        if not (_is_int(a) and a >= 1):
-            raise ParseError(f"{kind} #{i}: a must be a positive integer")
+        if not (_is_int(a) and 1 <= a <= MAX_INTEGER):
+            raise _integer_error(
+                a, f"{kind} #{i}: a must be a positive integer", f"{kind} #{i}: a"
+            )
         return Summand(symbols[label], a)
 
     deltas_doc = doc.get("deltas")
@@ -189,11 +221,13 @@ def parse_instance(text: str) -> Instance:
     for i, entry in enumerate(deltas_doc):
         if not isinstance(entry, dict):
             raise ParseError(f"delta #{i} must be an object")
-        _expect_keys(entry, {"rho", "a", "mult"}, "delta #%d", i)
+        _expect_keys(entry, _DELTA_KEYS, "delta #%d", i)
         summand = resolve(entry.get("rho"), entry.get("a"), "delta", i)
         mult = entry.get("mult", 1)
-        if not (_is_int(mult) and mult >= 1):
-            raise ParseError(f"delta #{i}: mult must be a positive integer")
+        if not (_is_int(mult) and 1 <= mult <= MAX_INTEGER):
+            raise _integer_error(
+                mult, f"delta #{i}: mult must be a positive integer", f"delta #{i}: mult"
+            )
         deltas.append(DeltaFactor(summand, mult))
 
     blocks = []
@@ -218,7 +252,7 @@ def _symbol_doc(sym: CuspidalSymbol) -> dict:
     if sym.dual_label is not None:
         doc["dual"] = sym.dual_label
     elif sym.conjugate:
-        doc["lambda"] = 1 if sym.duality is DualityType.ORTHOGONAL else -1
+        doc["lambda"] = 1 if sym.duality is _ORTHOGONAL else -1
     if not sym.lambda_matches:
         doc["lambda_matches"] = False
     return doc
@@ -260,7 +294,48 @@ def dump_json(value: Any, pad: str = "\n") -> str:
     """Exactly ``json.dumps(value, indent=2)`` for documents of str, int,
     bool, None, list, tuple and dict, in one pass (the ``json`` module
     writes indented output with its pure-Python encoder).  Any other
-    type, a float or a non-str key included, raises TypeError."""
+    type, a float or a non-str key included, raises TypeError.  A list or
+    dict writes the items of the exact types str, int, bool and None
+    itself, with no call per scalar; any other item, a subclass such as an
+    ``IntEnum`` member included, goes through the tests at the end."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        items = []
+        for v in value:
+            kind = type(v)
+            if kind is str:
+                items.append(_quote(v))
+            elif kind is int:
+                items.append(int.__repr__(v))
+            elif kind is bool:
+                items.append("true" if v else "false")
+            elif v is None:
+                items.append("null")
+            else:
+                items.append(dump_json(v, inner))
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = []
+        for k, v in value.items():
+            kind = type(v)
+            if kind is str:
+                text = _quote(v)
+            elif kind is int:
+                text = int.__repr__(v)
+            elif kind is bool:
+                text = "true" if v else "false"
+            elif v is None:
+                text = "null"
+            else:
+                text = dump_json(v, inner)
+            # _quote raises TypeError on a key that is not a str
+            items.append(_quote(k) + ": " + text)
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
     if isinstance(value, str):
         return _quote(value)
     if value is None:
@@ -271,18 +346,6 @@ def dump_json(value: Any, pad: str = "\n") -> str:
         return "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    inner = pad + "  "
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [dump_json(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        # _quote raises TypeError on a key that is not a str
-        items = [_quote(k) + ": " + dump_json(v, inner) for k, v in value.items()]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
@@ -291,8 +354,14 @@ def serialize_instance(inst: Instance) -> str:
 
 
 def load_instance(path: str | Path) -> Instance:
+    """Read and parse an instance file.  It is read as bytes and decoded
+    in one call, with ``Path.read_text``'s universal newlines (CRLF and CR
+    read as LF), without the cost of a text-mode file."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, "rb", buffering=0) as file:
+            text = file.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     return parse_instance(text)

@@ -1,5 +1,6 @@
 """Tests for the command-line interface and its exit-code contract."""
 
+import errno
 import json
 import os
 import subprocess
@@ -97,6 +98,54 @@ def test_undecodable_file_exit_two(tmp_path, capsys, command, content):
     assert capsys.readouterr().err.startswith("parse error: ")
 
 
+_COMMANDS = [["validate"], ["rgroup", "--oracle"], ["explain"]]
+
+
+def _exit_two_with(argv: list[str], capsys, message: str) -> None:
+    """Every command, with and without ``--json``, exits 2 with ``message``."""
+    for command in _COMMANDS:
+        for extra in ([], ["--json"]):
+            assert main([*command, *extra, *argv]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"parse error: {message}\n"
+            assert captured.out == ""
+
+
+def test_directory_path_exit_two(tmp_path, capsys):
+    path = str(tmp_path)
+    reason = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {path!r}"
+    _exit_two_with([path], capsys, f"cannot read {path}: {reason}")
+
+
+def test_byte_order_mark_exit_two(tmp_path, capsys):
+    """A UTF-8 byte order mark is refused, as ``json.loads`` refuses it."""
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xef\xbb\xbf" + (CORPUS / "sp-mixed-valid.json").read_bytes())
+    _exit_two_with(
+        [str(path)],
+        capsys,
+        "not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig):"
+        " line 1 column 1 (char 0)",
+    )
+
+
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_line_ends_are_read_as_newlines(tmp_path, capsys, newline):
+    """A file is read with universal newlines: a syntax error's position
+    counts each CRLF or CR as one character."""
+    path = tmp_path / "line-ends.json"
+    path.write_bytes(newline.join([b"{", b'  "format_version": "1",', b'  "family" "sp"', b"}"]))
+    _exit_two_with(
+        [str(path)],
+        capsys,
+        "not valid JSON: Expecting ':' delimiter: line 3 column 12 (char 38)",
+    )
+    valid = (CORPUS / "sp-mixed-valid.json").read_bytes()
+    path.write_bytes(valid.replace(b"\n", newline))
+    assert main(["validate", "--json", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["valid"] is True
+
+
 @pytest.mark.parametrize(
     "command", [["validate"], ["rgroup", "--oracle"], ["explain"]], ids=" ".join
 )
@@ -127,6 +176,46 @@ def test_repeated_key_exit_two(tmp_path, capsys, command):
         captured = capsys.readouterr()
         assert captured.err == "parse error: repeated key 'family'\n"
         assert captured.out == ""
+
+
+def _sp_mixed_with(tmp_path, dim: int, a: int) -> str:
+    """``sp-mixed-valid.json`` with symbol x of dimension ``dim`` and its
+    delta of segment length ``a``."""
+    doc = json.loads((CORPUS / "sp-mixed-valid.json").read_text())
+    doc["symbols"]["x"]["dim"] = dim
+    (delta,) = [d for d in doc["deltas"] if d["rho"] == "x"]
+    delta["a"] = a
+    path = tmp_path / "sp-mixed.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_integer_above_the_bound_exit_two(tmp_path, capsys):
+    """An integer field above MAX_INTEGER is refused at parse time; the
+    rank it gives would otherwise have more digits than the interpreter
+    formats, and ``explain`` would crash."""
+    path = _sp_mixed_with(tmp_path, 10**3000, 10**3000)
+    _exit_two_with([path], capsys, "symbol 'x': dim is above the bound 1000000")
+
+
+def test_integer_literal_above_the_digit_limit_exit_two(tmp_path, capsys):
+    """A literal longer than the interpreter converts from text (4,300
+    digits by default) is refused, not raised out of ``main``."""
+    text = (CORPUS / "sp-mixed-valid.json").read_text()
+    assert text.count('"mult": 3') == 1
+    path = tmp_path / "long-literal.json"
+    path.write_text(text.replace('"mult": 3', '"mult": 3' + "0" * 5000))
+    _exit_two_with([str(path)], capsys, "an integer is above the bound 1000000")
+
+
+def test_integers_at_the_bound_are_answered(tmp_path, capsys):
+    path = _sp_mixed_with(tmp_path, 10**6, 10**6)
+    for command in _COMMANDS:
+        for extra in ([], ["--json"]):
+            assert main([*command, *extra, path]) == 0
+            assert capsys.readouterr().err == ""
+    assert main(["explain", path]) == 0
+    assert "ambient group: Sp(2000000000018, F)" in capsys.readouterr().out
 
 
 def test_validate_json_mode(capsys):

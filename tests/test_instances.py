@@ -2,6 +2,7 @@
 and round-tripping over the committed corpus and over generated
 documents of all four families."""
 
+import enum
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -14,6 +15,7 @@ from rgroups import Family
 from rgroups.cli import main
 from rgroups.errors import ParseError
 from rgroups.instances import (
+    MAX_INTEGER,
     Instance,
     dump_json,
     load_instance,
@@ -278,6 +280,29 @@ PARSE_ERROR_MESSAGES = {
         _mutated(lambda d: d["symbols"]["x"].update({"lambda": True}), unitary_doc),
         "symbol 'x' needs lambda +1 or -1",
     ),
+    "symbol dim bound": (
+        _with_symbol({"dim": MAX_INTEGER + 1, "duality": "orthogonal"}),
+        "symbol 'bad': dim is above the bound 1000000",
+    ),
+    "sigma.rank bound": (
+        _mutated(lambda d: d["sigma"].update(rank=MAX_INTEGER + 1)),
+        "sigma.rank is above the bound 1000000",
+    ),
+    "block a bound": (_with_block(["st", 10**3000]), "block #1: a is above the bound 1000000"),
+    "delta a bound": (
+        _with_delta({"rho": "st", "a": MAX_INTEGER + 1}),
+        "delta #1: a is above the bound 1000000",
+    ),
+    "delta mult bound": (
+        _with_delta({"rho": "st", "a": 1, "mult": 2**63}),
+        "delta #1: mult is above the bound 1000000",
+    ),
+    # longer than the interpreter converts from text (4,300 digits by default)
+    "integer literal bound": (
+        _mutated(lambda d: d["deltas"].append({"rho": "st", "a": 1, "mult": 1}))
+        .replace('"mult": 1', '"mult": 1' + "0" * 5000),
+        "an integer is above the bound 1000000",
+    ),
 }
 
 
@@ -318,6 +343,17 @@ def test_parse_rejects_booleans_in_integer_fields(make, mutate):
     mutate(doc)
     with pytest.raises(ParseError, match="integer|lambda"):
         parse_instance(json.dumps(doc))
+
+
+def test_parse_accepts_every_integer_field_at_the_bound():
+    doc = minimal_doc()
+    doc["symbols"]["st"]["dim"] = MAX_INTEGER
+    doc["sigma"] = {"rank": MAX_INTEGER, "blocks": [["st", MAX_INTEGER]]}
+    doc["deltas"] = [{"rho": "st", "a": MAX_INTEGER, "mult": MAX_INTEGER}]
+    inst = parse_instance(json.dumps(doc))
+    assert inst.data.sigma.group.rank == MAX_INTEGER
+    (delta,) = inst.data.deltas
+    assert delta.summand.rho.dim == delta.summand.a == delta.multiplicity == MAX_INTEGER
 
 
 def test_parse_error_on_bad_json():
@@ -530,6 +566,17 @@ def test_mutated_documents_are_parse_errors(family, data, tmp_path_factory):
 # The JSON writer: byte-identical to json.dumps(..., indent=2)
 # ---------------------------------------------------------------------------
 
+class _Label(str):
+    """A str subclass: written as its str value."""
+
+
+class _Kind(enum.IntEnum):
+    """Its members are an int subclass: written as their int value."""
+
+    ONE = 1
+    TWO = 2
+
+
 _TRICKY_TEXT = ["", '"', "\\", 'a"b\\c', "\x00\x1f\n\r\t\x7f", "é ß ∞", "\u2028", "😀"]
 
 _json_leaves = st.one_of(
@@ -555,6 +602,8 @@ _json_documents = st.recursive(
 @example([True, 1, False, 0, None])
 @example({"t": True, "one": 1, "empty": [], "none": {}, "tuple": ()})
 @example({"": [[], {}, [[{}]]], "é\"\\\x01": -(10**40)})
+@example({"flags": [True, 1, None], "label": _Label("a\"b"), "kind": _Kind.TWO})
+@example([_Label("x"), [_Kind.ONE], {_Label("key"): _Kind.TWO}])
 def test_dump_json_matches_json_dumps_indent_2(value):
     assert dump_json(value) == json.dumps(value, indent=2)
 
