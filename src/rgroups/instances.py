@@ -82,6 +82,8 @@ def _integer_error(value: Any, message: str, field: str) -> ParseError:
 def _parse_symbol(label: str, spec: Any) -> CuspidalSymbol:
     if not isinstance(spec, dict):
         raise ParseError(f"symbol {label!r} must be an object")
+    if not label.isascii() and any("\ud800" <= c <= "\udfff" for c in label):
+        raise ParseError(f"symbol {label!r} holds a lone surrogate, which no output can write")
     dim = spec.get("dim")
     if not (_is_int(dim) and 1 <= dim <= MAX_INTEGER):
         raise _integer_error(

@@ -35,7 +35,10 @@ class JordanData(Value):
         _set_jordan_report(self, None)
 
     def total_dimension(self) -> int:
-        return sum(b.dim for b in self.blocks)
+        total = 0
+        for b in self.blocks:
+            total += b.dim
+        return total
 
 
 _set_jordan_group = JordanData.group.__set__
@@ -94,14 +97,17 @@ def validate_jordan(sigma: JordanData) -> ValidationReport:
                 reason = f"is not of the same type as the dual group of {group.describe()}"
             violations.append(Violation("J-1", f"block {block.describe()} {reason}"))
 
-    by_label: dict[str, set[int]] = {}
-    for block in sigma.blocks:
-        by_label.setdefault(block.rho.label, set()).add(block.a % 2)
-    for label, parities in sorted(by_label.items()):
-        if len(parities) > 1 and not unitary:
-            violations.append(
-                Violation("J-1", f"mixed parity in the blocks attached to {label!r}")
-            )
+    if not unitary:
+        # The blocks are sorted by (label, a): a label's blocks are adjacent,
+        # and its parity is mixed exactly when two adjacent ones differ.
+        blocks, flagged = sigma.blocks, None
+        for prev, block in zip(blocks, blocks[1:]):
+            label = block.rho.label
+            if (block.a - prev.a) % 2 and label == prev.rho.label and label != flagged:
+                flagged = label
+                violations.append(
+                    Violation("J-1", f"mixed parity in the blocks attached to {label!r}")
+                )
 
     total = sigma.total_dimension()
     if total != group.dual_dimension:

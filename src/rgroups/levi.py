@@ -69,7 +69,9 @@ class InducingData(Value):
     def ambient_group(self) -> GroupSpec:
         """GL(k) adds k to the rank of G_m; Res GL_k(E) adds 2k to U(m)."""
         group = self.sigma.group
-        gl_rank = sum(d.summand.dim * d.multiplicity for d in self.deltas)
+        gl_rank = 0
+        for d in self.deltas:
+            gl_rank += d.summand.dim * d.multiplicity
         if group.family is _UNITARY:
             gl_rank *= 2
         return GroupSpec(group.family, group.rank + gl_rank)
@@ -220,21 +222,18 @@ def verify_theorem(pi: InducingData) -> VerificationResult:
 def _verify(pi: InducingData, phi: Parameter) -> VerificationResult:
     """:func:`verify_theorem` for validated ``pi`` whose induced parameter
     ``phi`` is already assembled."""
-    dual_type = pi.sigma.group.dual_type
-    rows = tuple(
-        WitnessRow(
-            summand=d.summand,
-            multiplicity=d.multiplicity,
-            self_dual=d.summand.self_dual,
-            same_type=d.summand.duality is dual_type,
-            in_jordan=d.summand in pi.sigma.blocks,
-            counted=_is_reducible(d.summand, pi.sigma),
-        )
-        for d in pi.deltas
-    )
-    ks = sum(row.counted for row in rows)
+    blocks, dual_type = pi.sigma.blocks, pi.sigma.group.dual_type
+    rows, ks = [], 0
+    for d in pi.deltas:
+        summand = d.summand
+        same_type = summand.duality is dual_type
+        in_jordan = summand in blocks
+        counted = same_type and not in_jordan  # `_is_reducible`, without a second scan
+        ks += counted
+        row = WitnessRow(summand, d.multiplicity, summand.self_dual, same_type, in_jordan, counted)
+        rows.append(row)
     arthur = arthur_r_group(phi, pi.ambient_group())
-    return VerificationResult(ks, arthur.rank, rows)
+    return VerificationResult(ks, arthur.rank, tuple(rows))
 
 
 class FuzzBounds(Value):
@@ -281,14 +280,19 @@ def _draw_dim(rng: random.Random, duality: DualityType, bounds: FuzzBounds) -> i
 
 
 def _draw_a(rng: random.Random, parity: int, bounds: FuzzBounds) -> int | None:
-    """A segment length of the requested parity within bounds, or None."""
-    choices = [a for a in range(1, bounds.max_a + 1) if a % 2 == parity]
+    """A segment length of the requested parity within bounds, or None.
+    ``choice`` reads only ``len`` and one item, so a range draws as a list."""
+    choices = range(2 - parity, bounds.max_a + 1, 2)
     return rng.choice(choices) if choices else None
 
 
-def _block_parity(duality: DualityType, group: GroupSpec, same_type: bool) -> int:
-    """Parity of a that makes rho (x) S_a match (or miss) the dual type."""
-    return int((duality is group.dual_type) == same_type)
+def _block_parity(duality: DualityType, dual_type: DualityType, same_type: bool) -> int:
+    """Parity of a that makes rho (x) S_a match (or miss) ``dual_type``."""
+    return int((duality is dual_type) == same_type)
+
+
+# A classical family's dual type, the same at every rank.
+_DUAL_TYPE = {f: GroupSpec(f, 1).dual_type for f in Family if f is not _UNITARY}
 
 
 def _draw_jordan(
@@ -296,7 +300,7 @@ def _draw_jordan(
 ) -> JordanData | None:
     """Propose residual Jordan data; None when the draw came out invalid."""
     family = bounds.family
-    probe = GroupSpec(family, 1)  # a block's parity reads only the dual type
+    dual_type = _DUAL_TYPE[family]
     blocks: list[Summand] = []
     for _ in range(rng.randint(0, 3)):
         reuse = blocks and rng.random() < 0.3
@@ -307,7 +311,7 @@ def _draw_jordan(
         else:
             duality = _draw_self_dual_type(rng, bounds)
             rho = CuspidalSymbol(next(fresh), _draw_dim(rng, duality, bounds), duality)
-            parity = _block_parity(duality, probe, same_type=True)
+            parity = _block_parity(duality, dual_type, same_type=True)
         a = _draw_a(rng, parity, bounds)
         if a is None:
             continue
@@ -317,7 +321,9 @@ def _draw_jordan(
 
     # The blocks fill the dual group's standard representation, of odd
     # dimension for Sp(2n) and of even dimension otherwise.
-    total = sum(b.dim for b in blocks)
+    total = 0
+    for b in blocks:
+        total += b.dim
     if total % 2 != (family is _SP_FAMILY):
         filler = CuspidalSymbol(next(fresh), 1, _ORTHOGONAL)
         blocks.append(Summand(filler, 1))
@@ -340,7 +346,7 @@ def random_instance(seed: int, bounds: FuzzBounds = FuzzBounds()) -> InducingDat
         sigma = _draw_jordan(rng, bounds, fresh)
         if sigma is None:
             continue
-        group = sigma.group
+        dual_type = sigma.group.dual_type
         deltas: list[DeltaFactor] = []
         used: set[tuple[str, int]] = set()
         for _ in range(rng.randint(0, bounds.max_deltas)):
@@ -352,24 +358,22 @@ def random_instance(seed: int, bounds: FuzzBounds = FuzzBounds()) -> InducingDat
                 rho = CuspidalSymbol(label, dim, _NOT_SELF_DUAL, dual_label=label + "t")
                 summand = Summand(rho, rng.randint(1, bounds.max_a))
             elif kind == "member":
-                candidates = [
-                    b for b in sigma.blocks if b.sort_key() not in used
-                ]
+                candidates = [b for b in sigma.blocks if (b.rho.label, b.a) not in used]
                 if candidates:
                     summand = rng.choice(candidates)
             else:
                 same_type = kind == "same"
                 duality = _draw_self_dual_type(rng, bounds)
-                parity = _block_parity(duality, group, same_type)
+                parity = _block_parity(duality, dual_type, same_type)
                 a = _draw_a(rng, parity, bounds)
                 if a is not None:
                     rho = CuspidalSymbol(
                         next(fresh), _draw_dim(rng, duality, bounds), duality
                     )
                     summand = Summand(rho, a)
-            if summand is None or summand.sort_key() in used:
+            if summand is None or (key := (summand.rho.label, summand.a)) in used:
                 continue
-            used.add(summand.sort_key())
+            used.add(key)
             deltas.append(DeltaFactor(summand, rng.randint(1, bounds.max_mult)))
         pi = InducingData(tuple(deltas), sigma)
         if validate_inducing(pi).ok:  # kept on pi; sigma's part is kept from _draw_jordan

@@ -33,12 +33,15 @@ class Value:
         names = cls.__match_args__
         get = attrgetter(*names)
         fields = get if len(names) > 1 else lambda self: (get(self),)
+        # ``==`` reads the first field before the rest: it settles most misses.
+        first = attrgetter(names[0])
+        rest = attrgetter(*names[1:]) if len(names) > 1 else lambda self: ()
 
         def __eq__(self, other):
             if self is other:
                 return True
             if type(other) is cls:
-                return fields(self) == fields(other)
+                return first(self) == first(other) and rest(self) == rest(other)
             return NotImplemented
 
         def __hash__(self):

@@ -175,6 +175,11 @@ PARSE_ERROR_MESSAGES = {
     "family": (_mutated(lambda d: d.update(family="nope")), "unknown family 'nope'"),
     "symbols": (_mutated(lambda d: d.update(symbols=[])), "symbols must be an object"),
     "symbol object": (_with_symbol([]), "symbol 'bad' must be an object"),
+    # a lone surrogate is valid JSON but no UTF-8 output can write it
+    "symbol label": (
+        _mutated(lambda d: d["symbols"].update({"b\udc80": {"dim": 1, "duality": "orthogonal"}})),
+        "symbol 'b\\udc80' holds a lone surrogate, which no output can write",
+    ),
     "symbol dim": (
         _with_symbol({"dim": 0, "duality": "orthogonal"}),
         "symbol 'bad' needs a positive integer dim",

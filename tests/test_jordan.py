@@ -60,6 +60,35 @@ def test_mixed_parity_is_flagged():
     )
 
 
+def test_mixed_parity_violations_are_listed_in_label_order():
+    # z's parity changes twice along its blocks and is reported once
+    sigma = JordanData(
+        GroupSpec(Family.SYMPLECTIC, 7),
+        (
+            Summand(orth("z"), 4),
+            Summand(orth("z"), 3),
+            Summand(orth("z"), 2),
+            Summand(sympl("b"), 1),
+            Summand(sympl("b"), 2),
+        ),
+    )
+    assert [(v.rule, v.message) for v in validate_jordan(sigma).violations] == [
+        ("J-1", "block b(x)S_1 is not of the same type as the dual group of Sp(14, F)"),
+        ("J-1", "block z(x)S_2 is not of the same type as the dual group of Sp(14, F)"),
+        ("J-1", "block z(x)S_4 is not of the same type as the dual group of Sp(14, F)"),
+        ("J-1", "mixed parity in the blocks attached to 'b'"),
+        ("J-1", "mixed parity in the blocks attached to 'z'"),
+    ]
+
+
+def test_unitary_mixed_parity_has_no_line_of_its_own():
+    chi = CuspidalSymbol("x", 1, DualityType.ORTHOGONAL, conjugate=True)
+    sigma = JordanData(GroupSpec(Family.UNITARY, 3), (Summand(chi, 1), Summand(chi, 2)))
+    assert [(v.rule, v.message) for v in validate_jordan(sigma).violations] == [
+        ("J-1", "block x(x)S_2 fails the sign condition for U(3)"),
+    ]
+
+
 def test_even_orthogonal_rank_one_is_flagged():
     sigma = JordanData(
         GroupSpec(Family.EVEN_ORTHOGONAL, 1),

@@ -190,17 +190,31 @@ def test_random_instance_is_deterministic():
 STREAM_DIGEST = "0bc1b1f2c79a23bf7d3a7984a942e06e6ff7118a24abc658e49e6f0114ff17a0"
 
 
+# And what verification returns on that stream: both ranks and every
+# witness row, through the result's repr.
+VERIFY_DIGEST = "3ef2573e7269386a480f50bfa2e517457150a4e5ac1ac2ec6bce9f4a3ea756a3"
+
+STREAM_BOUNDS = [FuzzBounds(family=family) for family in CLASSICAL_FAMILIES] + [
+    FuzzBounds(max_deltas=0, max_dim=1, max_a=1, max_mult=1),
+    FuzzBounds(max_deltas=9, max_dim=2, max_a=2, family=Family.ODD_ORTHOGONAL),
+]
+
+
 def test_random_instance_stream_is_pinned():
-    bounds = [FuzzBounds(family=family) for family in CLASSICAL_FAMILIES] + [
-        FuzzBounds(max_deltas=0, max_dim=1, max_a=1, max_mult=1),
-        FuzzBounds(max_deltas=9, max_dim=2, max_a=2, family=Family.ODD_ORTHOGONAL),
-    ]
     digest = hashlib.sha256()
-    for b in bounds:
+    for b in STREAM_BOUNDS:
         for seed in range(1000):
             inst = Instance(b.family, random_instance(seed, b))
             digest.update(serialize_instance(inst).encode())
     assert digest.hexdigest() == STREAM_DIGEST
+
+
+def test_verification_of_the_stream_is_pinned():
+    digest = hashlib.sha256()
+    for b in STREAM_BOUNDS:
+        for seed in range(1000):
+            digest.update(repr(verify_theorem(random_instance(seed, b))).encode())
+    assert digest.hexdigest() == VERIFY_DIGEST
 
 
 def test_random_instance_always_validates():

@@ -307,6 +307,60 @@ def test_equal_fields_in_another_class_are_not_equal():
     assert delta != entry and entry != delta
 
 
+# Per class: three builders of fresh arguments, nested values included: a
+# base, one that differs from it only in the first init field, and one that
+# differs only in the last.
+_EQ_CASES = [
+    (
+        Summand,
+        lambda: (orth("x", 2), 3), lambda: (orth("y", 2), 3), lambda: (orth("x", 2), 5),
+    ),
+    (
+        CuspidalSymbol,
+        lambda: ("u", 2, SYMPL, None, True, True),
+        lambda: ("v", 2, SYMPL, None, True, True),
+        lambda: ("u", 2, SYMPL, None, True, False),
+    ),
+    (
+        GroupSpec,
+        lambda: (Family.SYMPLECTIC, 3),
+        lambda: (Family.ODD_ORTHOGONAL, 3),
+        lambda: (Family.SYMPLECTIC, 4),
+    ),
+    (
+        Factor,
+        lambda: (FactorKind.SYMPLECTIC, 4, 3),
+        lambda: (FactorKind.FULL_ORTHOGONAL, 4, 3),
+        lambda: (FactorKind.SYMPLECTIC, 4, 5),
+    ),
+    (
+        ParameterEntry,
+        lambda: (Summand(orth("x"), 1), 3),
+        lambda: (Summand(orth("x"), 3), 3),
+        lambda: (Summand(orth("x"), 1), 2),
+    ),
+    (
+        DeltaFactor,
+        lambda: (Summand(pair("p", 2), 1), 3),
+        lambda: (Summand(pair("q", 2), 1), 3),
+        lambda: (Summand(pair("p", 2), 1), 1),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cls,base,first,last", _EQ_CASES, ids=[cls.__name__ for cls, *_ in _EQ_CASES]
+)
+def test_eq_compares_every_field(cls, base, first, last):
+    obj, twin = cls(*base()), cls(*base())
+    assert twin is not obj and twin == obj and obj == twin and not obj != twin
+    for other in (cls(*first()), cls(*last())):
+        assert obj != other and other != obj
+        assert not obj == other and not other == obj
+    for value in (obj, cls(*first()), cls(*last())):
+        assert hash(value) == hash(tuple(getattr(value, n) for n in cls.__match_args__))
+
+
 def test_frozen_instance_error_is_not_a_domain_error():
     assert issubclass(FrozenInstanceError, AttributeError)
     assert not issubclass(FrozenInstanceError, RGroupError)
