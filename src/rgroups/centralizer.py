@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from .errors import InvalidParameter, UnresolvedConstraint
 from .params import _NOT_SELF_DUAL, _O_EVEN, _UNITARY, GroupSpec, Parameter, checked
-from .validation import Value
+from .validation import Value, slot_setters
 
 
 class FactorKind(Enum):
@@ -62,9 +62,7 @@ class Factor(Value):
         return f"{self.kind.value}({self.size})"
 
 
-_set_factor_kind = Factor.kind.__set__
-_set_factor_size = Factor.size.__set__
-_set_factor_source_dim = Factor.source_dim.__set__
+_set_factor_kind, _set_factor_size, _set_factor_source_dim = slot_setters(Factor)
 
 
 class CentralizerDescriptor(Value):
@@ -115,8 +113,7 @@ class CentralizerDescriptor(Value):
         return body
 
 
-_set_descriptor_factors = CentralizerDescriptor.factors.__set__
-_set_descriptor_det_constraint = CentralizerDescriptor.det_constraint.__set__
+_set_descriptor_factors, _set_descriptor_det_constraint = slot_setters(CentralizerDescriptor)
 
 
 class ElementaryTwoGroup(Value):
@@ -130,7 +127,7 @@ class ElementaryTwoGroup(Value):
         _set_two_group_rank(self, rank)
 
 
-_set_two_group_rank = ElementaryTwoGroup.rank.__set__
+(_set_two_group_rank,) = slot_setters(ElementaryTwoGroup)
 
 
 # The value objects fixed by a shape, built and checked once per shape.  A

@@ -22,7 +22,7 @@ from .jordan import JordanData
 from .levi import DeltaFactor, InducingData
 from .params import _NOT_SELF_DUAL, _ORTHOGONAL, _SYMPLECTIC, _UNITARY
 from .params import CuspidalSymbol, DualityType, Family, GroupSpec, Summand
-from .validation import Value
+from .validation import Value, slot_setters
 
 FORMAT_VERSION = "1"
 
@@ -53,8 +53,7 @@ class Instance(Value):
         _set_instance_data(self, data)
 
 
-_set_instance_family = Instance.family.__set__
-_set_instance_data = Instance.data.__set__
+_set_instance_family, _set_instance_data = slot_setters(Instance)
 
 
 def _is_int(value: Any) -> bool:
@@ -292,31 +291,32 @@ def instance_document(inst: Instance) -> dict:
     }
 
 
+# The JSON writer of each scalar type, looked up by exact type (see
+# `dump_json`).
+_SCALARS = {
+    str: _quote,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
 def dump_json(value: Any, pad: str = "\n") -> str:
     """Exactly ``json.dumps(value, indent=2)`` for documents of str, int,
     bool, None, list, tuple and dict, in one pass (the ``json`` module
     writes indented output with its pure-Python encoder).  Any other
     type, a float or a non-str key included, raises TypeError.  A list or
-    dict writes the items of the exact types str, int, bool and None
-    itself, with no call per scalar; any other item, a subclass such as an
-    ``IntEnum`` member included, goes through the tests at the end."""
+    dict writes each item of an exact type in ``_SCALARS`` through its
+    writer there, with no call per scalar; any other item, a subclass such
+    as an ``IntEnum`` member included, goes through the tests at the end."""
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         inner = pad + "  "
         items = []
         for v in value:
-            kind = type(v)
-            if kind is str:
-                items.append(_quote(v))
-            elif kind is int:
-                items.append(int.__repr__(v))
-            elif kind is bool:
-                items.append("true" if v else "false")
-            elif v is None:
-                items.append("null")
-            else:
-                items.append(dump_json(v, inner))
+            write = _SCALARS.get(type(v))
+            items.append(dump_json(v, inner) if write is None else write(v))
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     if isinstance(value, dict):
         if not value:
@@ -324,17 +324,8 @@ def dump_json(value: Any, pad: str = "\n") -> str:
         inner = pad + "  "
         items = []
         for k, v in value.items():
-            kind = type(v)
-            if kind is str:
-                text = _quote(v)
-            elif kind is int:
-                text = int.__repr__(v)
-            elif kind is bool:
-                text = "true" if v else "false"
-            elif v is None:
-                text = "null"
-            else:
-                text = dump_json(v, inner)
+            write = _SCALARS.get(type(v))
+            text = dump_json(v, inner) if write is None else write(v)
             # _quote raises TypeError on a key that is not a str
             items.append(_quote(k) + ": " + text)
         return "{" + inner + ("," + inner).join(items) + pad + "}"

@@ -13,7 +13,7 @@ the dual group" (see :mod:`rgroups.params`).
 from __future__ import annotations
 
 from .params import _O_EVEN, _UNITARY, GroupSpec, Summand
-from .validation import ValidationReport, Value, Violation, report
+from .validation import ValidationReport, Value, Violation, report, slot_setters
 
 
 class JordanData(Value):
@@ -41,9 +41,7 @@ class JordanData(Value):
         return total
 
 
-_set_jordan_group = JordanData.group.__set__
-_set_jordan_blocks = JordanData.blocks.__set__
-_set_jordan_report = JordanData._report.__set__
+_set_jordan_group, _set_jordan_blocks, _set_jordan_report = slot_setters(JordanData)
 
 
 def validate_jordan(sigma: JordanData) -> ValidationReport:

@@ -34,7 +34,7 @@ from .params import (
     Summand,
     canonicalize,
 )
-from .validation import ValidationReport, Value, Violation, report
+from .validation import ValidationReport, Value, Violation, report, slot_setters
 
 
 class DeltaFactor(Value):
@@ -49,8 +49,7 @@ class DeltaFactor(Value):
         _set_delta_multiplicity(self, multiplicity)
 
 
-_set_delta_summand = DeltaFactor.summand.__set__
-_set_delta_multiplicity = DeltaFactor.multiplicity.__set__
+_set_delta_summand, _set_delta_multiplicity = slot_setters(DeltaFactor)
 
 
 class InducingData(Value):
@@ -77,9 +76,7 @@ class InducingData(Value):
         return GroupSpec(group.family, group.rank + gl_rank)
 
 
-_set_inducing_deltas = InducingData.deltas.__set__
-_set_inducing_sigma = InducingData.sigma.__set__
-_set_inducing_report = InducingData._report.__set__
+_set_inducing_deltas, _set_inducing_sigma, _set_inducing_report = slot_setters(InducingData)
 
 
 def _delta_rules(pi: InducingData) -> ValidationReport:
@@ -185,12 +182,8 @@ class WitnessRow(Value):
         _set_row_counted(self, counted)
 
 
-_set_row_summand = WitnessRow.summand.__set__
-_set_row_multiplicity = WitnessRow.multiplicity.__set__
-_set_row_self_dual = WitnessRow.self_dual.__set__
-_set_row_same_type = WitnessRow.same_type.__set__
-_set_row_in_jordan = WitnessRow.in_jordan.__set__
-_set_row_counted = WitnessRow.counted.__set__
+(_set_row_summand, _set_row_multiplicity, _set_row_self_dual, _set_row_same_type,
+ _set_row_in_jordan, _set_row_counted) = slot_setters(WitnessRow)
 
 
 class VerificationResult(Value):
@@ -208,9 +201,8 @@ class VerificationResult(Value):
         return self.ks_rank == self.arthur_rank
 
 
-_set_result_ks_rank = VerificationResult.ks_rank.__set__
-_set_result_arthur_rank = VerificationResult.arthur_rank.__set__
-_set_result_witness = VerificationResult.witness.__set__
+(_set_result_ks_rank, _set_result_arthur_rank,
+ _set_result_witness) = slot_setters(VerificationResult)
 
 
 def verify_theorem(pi: InducingData) -> VerificationResult:
@@ -256,11 +248,8 @@ class FuzzBounds(Value):
         _set_bounds_family(self, family)
 
 
-_set_bounds_max_deltas = FuzzBounds.max_deltas.__set__
-_set_bounds_max_dim = FuzzBounds.max_dim.__set__
-_set_bounds_max_a = FuzzBounds.max_a.__set__
-_set_bounds_max_mult = FuzzBounds.max_mult.__set__
-_set_bounds_family = FuzzBounds.family.__set__
+(_set_bounds_max_deltas, _set_bounds_max_dim, _set_bounds_max_a, _set_bounds_max_mult,
+ _set_bounds_family) = slot_setters(FuzzBounds)
 
 
 _MAX_ATTEMPTS = 200

@@ -22,7 +22,7 @@ from operator import lt
 from typing import Iterable
 
 from .errors import InconsistentSymbol, InvalidParameter, UnpairedDual
-from .validation import ValidationReport, Value, Violation, report
+from .validation import ValidationReport, Value, Violation, report, slot_setters
 
 
 class Family(Enum):
@@ -100,10 +100,8 @@ class GroupSpec(Value):
         return name.format(m=m * self.rank + offset)
 
 
-_set_group_family = GroupSpec.family.__set__
-_set_group_rank = GroupSpec.rank.__set__
-_set_group_dual_type = GroupSpec.dual_type.__set__
-_set_group_dual_dimension = GroupSpec.dual_dimension.__set__
+(_set_group_family, _set_group_rank, _set_group_dual_type,
+ _set_group_dual_dimension) = slot_setters(GroupSpec)
 
 
 def tensor_type(rho_type: DualityType, a: int) -> DualityType:
@@ -182,12 +180,8 @@ class CuspidalSymbol(Value):
         )
 
 
-_set_symbol_label = CuspidalSymbol.label.__set__
-_set_symbol_dim = CuspidalSymbol.dim.__set__
-_set_symbol_duality = CuspidalSymbol.duality.__set__
-_set_symbol_dual_label = CuspidalSymbol.dual_label.__set__
-_set_symbol_conjugate = CuspidalSymbol.conjugate.__set__
-_set_symbol_lambda_matches = CuspidalSymbol.lambda_matches.__set__
+(_set_symbol_label, _set_symbol_dim, _set_symbol_duality, _set_symbol_dual_label,
+ _set_symbol_conjugate, _set_symbol_lambda_matches) = slot_setters(CuspidalSymbol)
 
 
 class Summand(Value):
@@ -223,10 +217,7 @@ class Summand(Value):
         return f"{self.rho.label}(x)S_{self.a}"
 
 
-_set_summand_rho = Summand.rho.__set__
-_set_summand_a = Summand.a.__set__
-_set_summand_dim = Summand.dim.__set__
-_set_summand_duality = Summand.duality.__set__
+_set_summand_rho, _set_summand_a, _set_summand_dim, _set_summand_duality = slot_setters(Summand)
 
 
 class ParameterEntry(Value):
@@ -245,8 +236,7 @@ class ParameterEntry(Value):
         _set_entry_multiplicity(self, multiplicity)
 
 
-_set_entry_summand = ParameterEntry.summand.__set__
-_set_entry_multiplicity = ParameterEntry.multiplicity.__set__
+_set_entry_summand, _set_entry_multiplicity = slot_setters(ParameterEntry)
 
 
 class Parameter(Value):
@@ -259,9 +249,9 @@ class Parameter(Value):
 
     __match_args__ = ("entries",)
     __slots__ = (*__match_args__, "_checked")
-    # The last group, its checking pass and the passes by group once there
-    # are two (see `checked`), outside the value (see `Value`).
-    _checked: tuple[GroupSpec, _Checked, dict[GroupSpec, _Checked] | None] | None
+    # The last group and its checking pass (see `checked`), outside the
+    # value (see `Value`).
+    _checked: tuple[GroupSpec, _Checked] | None
 
     def __init__(self, entries: tuple[ParameterEntry, ...]) -> None:
         keys = [(e.summand.rho.label, e.summand.a) for e in entries]
@@ -297,8 +287,7 @@ class Parameter(Value):
         return " (+) ".join(parts) if parts else "0"
 
 
-_set_parameter_entries = Parameter.entries.__set__
-_set_parameter_checked = Parameter._checked.__set__
+_set_parameter_entries, _set_parameter_checked = slot_setters(Parameter)
 _new = object.__new__
 
 
@@ -414,10 +403,8 @@ class Classification(Value):
         )
 
 
-_set_dual_pairs = Classification.dual_pairs.__set__
-_set_opposite_type = Classification.opposite_type.__set__
-_set_same_type_odd_mult = Classification.same_type_odd_mult.__set__
-_set_same_type_even_mult = Classification.same_type_even_mult.__set__
+(_set_dual_pairs, _set_opposite_type, _set_same_type_odd_mult,
+ _set_same_type_even_mult) = slot_setters(Classification)
 
 
 _Checked = tuple[ValidationReport, Classification]
@@ -465,26 +452,14 @@ def _check_entries(psi: Parameter, group: GroupSpec) -> _Checked:
 
 
 def checked(psi: Parameter, group: GroupSpec) -> _Checked:
-    """The checking pass of ``psi`` against ``group``, run once per group
-    value and kept on ``psi``.
-
-    The callers of one parameter pass one group object, so the last group
-    is recognised by identity; the passes are keyed on the group's value,
-    which costs a hash, only once a second group object comes.
-    """
+    """The checking pass of ``psi`` against ``group``, kept on ``psi`` for
+    the last group: the callers of one parameter pass one group value, as
+    the same object or an equal one, so nothing is hashed."""
     kept = psi._checked
-    if kept is not None and kept[0] is group:
+    if kept is not None and (kept[0] is group or kept[0] == group):
         return kept[1]
-    if kept is None:
-        passes, result = None, _check_entries(psi, group)
-    else:
-        last, last_result, passes = kept
-        if passes is None:
-            passes = {last: last_result}
-        result = passes.get(group)
-        if result is None:
-            result = passes[group] = _check_entries(psi, group)
-    _set_parameter_checked(psi, (group, result, passes))
+    result = _check_entries(psi, group)
+    _set_parameter_checked(psi, (group, result))
     return result
 
 

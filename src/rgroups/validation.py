@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 from operator import attrgetter
+from typing import Any, Callable
 
 from .errors import FrozenInstanceError
 
@@ -14,8 +15,8 @@ class Value:
     A subclass declares ``__slots__``, every attribute it stores (derived
     ones and kept caches included), and ``__match_args__``, its init
     fields in order.  Its one ``__init__`` checks the arguments and stores
-    each slot through the slot descriptor's ``__set__``, fetched once into
-    a module global (``_set_*``) after the class: the frozen
+    each slot through the slot descriptor's ``__set__``, unpacked into a
+    module global (``_set_*``) from :func:`slot_setters`: the frozen
     ``__setattr__`` refuses every assignment, and the setter costs less
     than ``object.__setattr__``.  From ``__match_args__`` the base gives
     the subclass, once: ``==`` only between instances of the same class,
@@ -65,6 +66,13 @@ class Value:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
+def slot_setters(cls: type[Value]) -> tuple[Callable[[Any, Any], None], ...]:
+    """The ``__set__`` of each of ``cls``'s slots, in ``__slots__`` order,
+    to unpack into the module's ``_set_*`` globals: a slot added without
+    a binding fails at import."""
+    return tuple(vars(cls)[name].__set__ for name in cls.__slots__)
+
+
 class Violation(Value):
     """A single broken invariant, tagged with a short rule name."""
 
@@ -78,8 +86,7 @@ class Violation(Value):
         return f"{self.rule}: {self.message}"
 
 
-_set_violation_rule = Violation.rule.__set__
-_set_violation_message = Violation.message.__set__
+_set_violation_rule, _set_violation_message = slot_setters(Violation)
 
 
 class ValidationReport(Value):
@@ -108,7 +115,7 @@ class ValidationReport(Value):
         return ValidationReport(self.violations + other.violations)
 
 
-_set_violations = ValidationReport.violations.__set__
+(_set_violations,) = slot_setters(ValidationReport)
 
 CLEAN = ValidationReport()
 

@@ -52,7 +52,7 @@ from .centralizer import (
     rank_group,
 )
 from .errors import BoundExceeded, NonElementaryQuotient
-from .validation import Value
+from .validation import Value, slot_setters
 
 Perm = tuple[int, ...]
 Signs = tuple[int, ...]
@@ -88,8 +88,7 @@ class SignedPermGroup(Value):
         return len(self.elements)
 
 
-_set_perm_degree = SignedPermGroup.degree.__set__
-_set_perm_elements = SignedPermGroup.elements.__set__
+_set_perm_degree, _set_perm_elements = slot_setters(SignedPermGroup)
 
 
 def _signed_permutations(degree: int, signed: bool) -> SignedPermGroup:

@@ -191,6 +191,8 @@ _ROW_ARGS = (_X, 2, True, True, False, True)
 
 # Per class: the arguments of one build, the ``__init__`` parameters with
 # their defaults, and every slot; the first slots are the init fields.
+# For every two init fields of a class, some build gives them unequal
+# values, so that a store into the wrong slot shows.
 _VALUES = [
     (Violation, ("rule", "message"), {"rule": _REQUIRED, "message": _REQUIRED}, ()),
     (ValidationReport, ((Violation("r", "m"),),), {"violations": ()}, ()),
@@ -214,7 +216,11 @@ _VALUES = [
         {"entries": _REQUIRED}, ("_checked",),
     ),
     (
-        Classification, ((), (ParameterEntry(Summand(orth("x"), 2), 2),), (), ()),
+        Classification,
+        (
+            (), (ParameterEntry(Summand(orth("x"), 2), 2),), (ParameterEntry(_X, 1),),
+            (ParameterEntry(Summand(orth("y"), 1), 2),),
+        ),
         {"dual_pairs": _REQUIRED, "opposite_type": _REQUIRED,
          "same_type_odd_mult": _REQUIRED, "same_type_even_mult": _REQUIRED},
         (),
@@ -231,14 +237,19 @@ _VALUES = [
     (JordanData, _SIGMA_ARGS, {"group": _REQUIRED, "blocks": _REQUIRED}, ("_report",)),
     (DeltaFactor, (_X, 2), {"summand": _REQUIRED, "multiplicity": _REQUIRED}, ()),
     (InducingData, _DATUM_ARGS, {"deltas": _REQUIRED, "sigma": _REQUIRED}, ("_report",)),
-    (
-        WitnessRow, _ROW_ARGS,
-        {"summand": _REQUIRED, "multiplicity": _REQUIRED, "self_dual": _REQUIRED,
-         "same_type": _REQUIRED, "in_jordan": _REQUIRED, "counted": _REQUIRED},
-        (),
+    *(
+        (
+            WitnessRow, args,
+            {"summand": _REQUIRED, "multiplicity": _REQUIRED, "self_dual": _REQUIRED,
+             "same_type": _REQUIRED, "in_jordan": _REQUIRED, "counted": _REQUIRED},
+            (),
+        )
+        for args in (
+            _ROW_ARGS, (_X, 1, True, False, False, False), (_X, 3, False, True, False, False)
+        )
     ),
     (
-        VerificationResult, (1, 1, (WitnessRow(*_ROW_ARGS),)),
+        VerificationResult, (1, 0, (WitnessRow(*_ROW_ARGS),)),
         {"ks_rank": _REQUIRED, "arthur_rank": _REQUIRED, "witness": _REQUIRED}, (),
     ),
     (
@@ -262,8 +273,8 @@ _VALUES = [
 )
 def test_hand_written_inits_match_their_fields(cls, args, params, extra):
     """Each value object takes its init fields in order, with the
-    defaults, in one ``__init__`` that stores every slot, and keeps the
-    contract of its ``Value`` base."""
+    defaults, in one ``__init__`` that stores every slot, each init field
+    in its own, and keeps the contract of its ``Value`` base."""
     signature = list(inspect.signature(cls).parameters.values())
     assert [(p.name, p.kind, p.default) for p in signature] == [
         (name, inspect.Parameter.POSITIONAL_OR_KEYWORD, default)
@@ -275,6 +286,8 @@ def test_hand_written_inits_match_their_fields(cls, args, params, extra):
 
     obj = cls(*args)
     assert isinstance(obj, Value) and not hasattr(obj, "__dict__")
+    given = [*args, *list(params.values())[len(args):]]
+    assert [getattr(obj, name) for name in params] == given  # each store in its own slot
     values = [getattr(obj, name) for name in cls.__slots__]  # AttributeError if unset
     by_keyword = cls(**dict(zip(params, args)))
     assert by_keyword == obj and hash(by_keyword) == hash(obj)
@@ -465,13 +478,17 @@ def test_an_equal_group_object_reuses_the_pass(passes):
     assert passes == [equal]
 
 
-def test_alternating_groups_run_one_pass_per_group_value(passes):
+def test_alternating_groups_keep_only_the_last_pass(passes):
+    """Only the last group's pass is kept: a group that comes back runs
+    its pass again, and each result is its own group's."""
     psi = _sp2_parameter()
     g1, g2 = GroupSpec(Family.SYMPLECTIC, 1), GroupSpec(Family.ODD_ORTHOGONAL, 1)
-    results = [checked(psi, g) for g in (g1, g2, g1, GroupSpec(Family.SYMPLECTIC, 1), g2)]
-    assert passes == [g1, g2]
-    assert results[0] is results[2] is results[3] and results[1] is results[4]
-    assert results[0][0].ok and not results[1][0].ok
+    equal = GroupSpec(Family.SYMPLECTIC, 1)
+    results = [checked(psi, g) for g in (g1, g2, g1, equal, g2)]
+    assert passes == [g1, g2, g1, g2]
+    assert results[3] is results[2]
+    assert [r[0].ok for r in results] == [True, False, True, True, False]
+    assert results[0] == results[2] and results[1] == results[4]
 
 
 # ---------------------------------------------------------------------------
