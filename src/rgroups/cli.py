@@ -42,23 +42,28 @@ def _print_violations(report, file=None) -> None:
         print(f"violation [{violation.rule}] {violation.message}", file=file)
 
 
+def _print_document(inst: Instance, results: dict) -> None:
+    """Print the ``--json`` document: the instance with its results."""
+    doc = instance_document(inst)
+    doc["results"] = results
+    print(dump_json(doc))
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     inst = load_instance(args.path)
     report = validate_inducing(inst.data)
     if args.json:
-        doc = instance_document(inst)
-        doc["results"] = {
+        _print_document(inst, {
             "valid": report.ok,
             "violations": [
                 {"rule": v.rule, "message": v.message} for v in report.violations
             ],
-        }
-        print(dump_json(doc))
+        })
         return 0 if report.ok else 1
     if report.ok:
-        print(f"{args.path}: valid ({inst.family.value})")
+        print(f"{args.path}: valid ({inst.data.sigma.group.family.value})")
         return 0
-    print(f"{args.path}: invalid ({inst.family.value})")
+    print(f"{args.path}: invalid ({inst.data.sigma.group.family.value})")
     _print_violations(report)
     return 1
 
@@ -68,11 +73,10 @@ def _rgroup_results(inst: Instance, oracle: bool) -> tuple[dict, str | None]:
     phi = parameter_of_induced(inst.data)
     result = _verify(inst.data, phi)
     desc = centralizer(phi, inst.data.ambient_group())
-    ks, arthur, rows = result.ks_rank, result.arthur_rank, result.witness
     out = {
-        "ks_rank": ks,
-        "arthur_rank": arthur,
-        "agree": ks == arthur,
+        "ks_rank": result.ks_rank,
+        "arthur_rank": result.arthur_rank,
+        "agree": result.agree,
         "centralizer": desc.describe(),
         "witness": [
             {
@@ -83,14 +87,14 @@ def _rgroup_results(inst: Instance, oracle: bool) -> tuple[dict, str | None]:
                 "in_jordan": row.in_jordan,
                 "counted": row.counted,
             }
-            for row in rows
+            for row in result.witness
         ],
     }
     bound = None
     if oracle:
         try:
             out["oracle_rank"] = weyl_quotient(desc).rank
-            out["agree"] = out["agree"] and out["oracle_rank"] == arthur
+            out["agree"] = out["agree"] and out["oracle_rank"] == result.arthur_rank
         except BoundExceeded as exc:
             bound = str(exc)
             out["oracle_rank"] = None
@@ -116,15 +120,13 @@ def cmd_rgroup(args: argparse.Namespace) -> int:
     results, bound = _rgroup_results(inst, args.oracle)
     code = 1 if bound or (args.side == "both" and not results["agree"]) else 0
     if args.json:
-        doc = instance_document(inst)
         if args.side == "ks":
             results = {k: results[k] for k in ("ks_rank", "witness")}
         elif args.side == "arthur":
             results = {
                 k: results[k] for k in ("arthur_rank", "centralizer", "witness")
             }
-        doc["results"] = results
-        print(dump_json(doc))
+        _print_document(inst, results)
         if bound:
             print(f"oracle skipped: {bound}", file=sys.stderr)
         return code
@@ -169,7 +171,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     ambient = inst.data.ambient_group()
     desc = centralizer(phi, ambient)
     buckets = classify(phi, ambient)
-    if inst.family is Family.UNITARY:
+    if ambient.family is Family.UNITARY:
         doc = {
             "ambient": ambient.describe(),
             "summands": [
@@ -193,12 +195,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
             lines.append(f"  {row['summand']:<16} dim={row['dim']} mult={row['mult']}{lam}")
         lines += [f"centralizer: {doc['centralizer']}", f"rank = {doc['rank']}"]
     else:
-        bucket_rows = [
-            ("dual-pair", buckets.dual_pairs),
-            ("opposite-type", buckets.opposite_type),
-            ("same-type-odd", buckets.same_type_odd_mult),
-            ("same-type-even", buckets.same_type_even_mult),
-        ]
+        names = ("dual-pair", "opposite-type", "same-type-odd", "same-type-even")
+        bucket_rows = list(zip(names, buckets.buckets))
         doc = {
             "ambient": ambient.describe(),
             "parameter": phi.describe(),
@@ -225,9 +223,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
                 )
         lines += [f"rank d = {doc['d']}", f"centralizer: {doc['centralizer']}"]
     if args.json:
-        out = instance_document(inst)
-        out["results"] = doc
-        print(dump_json(out))
+        _print_document(inst, doc)
     else:
         print("\n".join(lines))
     return 0
@@ -238,11 +234,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         if args.count < 0:
             raise ValueError(f"count must be non-negative, got {args.count}")
         bounds = FuzzBounds(
-            max_deltas=args.max_deltas,
-            max_dim=args.max_dim,
-            max_a=args.max_a,
-            max_mult=args.max_mult,
-            family=Family(args.family),
+            args.max_deltas, args.max_dim, args.max_a, args.max_mult, Family(args.family)
         )
     except (BoundsInfeasible, ValueError) as exc:
         print(f"infeasible bounds: {exc}", file=sys.stderr)
@@ -261,9 +253,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         if not result.agree:
             replay_dir.mkdir(parents=True, exist_ok=True)
             path = replay_dir / f"fail-{args.family}-seed{seed}.json"
-            path.write_text(
-                serialize_instance(Instance(bounds.family, pi))
-            )
+            path.write_text(serialize_instance(Instance(pi)))
             failures.append(path)
             print(
                 f"instance {index} (seed {seed}): ks={result.ks_rank}"
@@ -289,13 +279,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_validate = sub.add_parser("validate", help="validate an instance file")
-    p_validate.add_argument("path")
-    p_validate.add_argument("--json", action="store_true", help="machine-readable output")
-    p_validate.set_defaults(func=cmd_validate)
-
-    p_rgroup = sub.add_parser("rgroup", help="compute R-groups for an instance")
-    p_rgroup.add_argument("path")
+    for name, func, text in (
+        ("validate", cmd_validate, "validate an instance file"),
+        ("rgroup", cmd_rgroup, "compute R-groups for an instance"),
+        ("explain", cmd_explain, "pretty-print the classification of the parameter"),
+    ):
+        p_file = sub.add_parser(name, help=text)
+        p_file.add_argument("path")
+        p_file.add_argument("--json", action="store_true", help="machine-readable output")
+        p_file.set_defaults(func=func)
+    p_rgroup = sub.choices["rgroup"]
     p_rgroup.add_argument(
         "--side", choices=("both", "ks", "arthur"), default="both"
     )
@@ -304,26 +297,18 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also run the brute-force Weyl quotient",
     )
-    p_rgroup.add_argument("--json", action="store_true")
-    p_rgroup.set_defaults(func=cmd_rgroup)
 
-    p_explain = sub.add_parser(
-        "explain", help="pretty-print the classification of the parameter"
-    )
-    p_explain.add_argument("path")
-    p_explain.add_argument("--json", action="store_true")
-    p_explain.set_defaults(func=cmd_explain)
-
+    defaults = FuzzBounds()
     p_fuzz = sub.add_parser("fuzz", help="fuzz the two-sided R-group check")
     p_fuzz.add_argument("--seed", type=int, default=0)
     p_fuzz.add_argument("--count", type=int, default=100)
     p_fuzz.add_argument(
-        "--family", choices=("sp", "so-odd", "o-even"), default="sp"
+        "--family", choices=("sp", "so-odd", "o-even"), default=defaults.family.value
     )
-    p_fuzz.add_argument("--max-deltas", type=int, default=5)
-    p_fuzz.add_argument("--max-dim", type=int, default=4)
-    p_fuzz.add_argument("--max-a", type=int, default=5)
-    p_fuzz.add_argument("--max-mult", type=int, default=3)
+    p_fuzz.add_argument("--max-deltas", type=int, default=defaults.max_deltas)
+    p_fuzz.add_argument("--max-dim", type=int, default=defaults.max_dim)
+    p_fuzz.add_argument("--max-a", type=int, default=defaults.max_a)
+    p_fuzz.add_argument("--max-mult", type=int, default=defaults.max_mult)
     p_fuzz.add_argument(
         "--replay-dir",
         default="fuzz-failures",

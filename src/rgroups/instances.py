@@ -1,13 +1,13 @@
 """Instance files: a JSON schema for inducing data, with round-tripping.
 
-An instance file declares a symbol table, the residual Jordan blocks and
-the delta factors.  The same schema covers the three classical families
-and the unitary family; the unitary family declares its symbols in the
+An instance file declares its family, which parses to sigma's group, a
+symbol table, the residual Jordan blocks and the delta factors.  The four
+families share the schema; the unitary family declares its symbols in the
 conjugate-duality vocabulary, which parses to conjugate symbols (see
 ``CuspidalSymbol.conjugate``).  Serialization is canonical: top-level
-keys in schema order, symbols sorted by label, blocks and deltas sorted
-by (label, a), and only referenced symbols emitted, so parse and
-serialize are mutually inverse on canonical form.
+keys in schema order, symbols sorted by label, blocks (in sigma's order)
+and deltas sorted by (label, a), and only referenced symbols emitted, so
+parse and serialize are mutually inverse on canonical form.
 """
 
 from __future__ import annotations
@@ -44,16 +44,16 @@ _DELTA_KEYS = frozenset(("rho", "a", "mult"))
 
 
 class Instance(Value):
-    """An instance file's content: the family and the inducing datum."""
+    """An instance file's content: the inducing datum.  Its family is
+    that of sigma's group, ``data.sigma.group.family``."""
 
-    __slots__ = __match_args__ = ("family", "data")
+    __slots__ = __match_args__ = ("data",)
 
-    def __init__(self, family: Family, data: InducingData) -> None:
-        _set_instance_family(self, family)
+    def __init__(self, data: InducingData) -> None:
         _set_instance_data(self, data)
 
 
-_set_instance_family, _set_instance_data = slot_setters(Instance)
+(_set_instance_data,) = slot_setters(Instance)
 
 
 def _is_int(value: Any) -> bool:
@@ -242,7 +242,7 @@ def parse_instance(text: str) -> Instance:
             raise ParseError(f"block #{i} repeats block #{first}")
 
     sigma = JordanData(GroupSpec(family, rank), tuple(blocks))
-    return Instance(family, InducingData(tuple(deltas), sigma))
+    return Instance(InducingData(tuple(deltas), sigma))
 
 
 def _symbol_doc(sym: CuspidalSymbol) -> dict:
@@ -275,14 +275,11 @@ def instance_document(inst: Instance) -> dict:
         note(d.summand.rho)
     return {
         "format_version": FORMAT_VERSION,
-        "family": inst.family.value,
+        "family": inst.data.sigma.group.family.value,
         "symbols": {k: symbols[k] for k in sorted(symbols)},
         "sigma": {
             "rank": inst.data.sigma.group.rank,
-            "blocks": [
-                [b.rho.label, b.a]
-                for b in sorted(inst.data.sigma.blocks, key=Summand.sort_key)
-            ],
+            "blocks": [[b.rho.label, b.a] for b in inst.data.sigma.blocks],
         },
         "deltas": [
             {"rho": d.summand.rho.label, "a": d.summand.a, "mult": d.multiplicity}

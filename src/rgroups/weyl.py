@@ -75,12 +75,11 @@ def sign_product(g: SignedPerm) -> int:
 
 
 class SignedPermGroup(Value):
-    """A finite group of signed permutations of fixed degree."""
+    """A finite group of signed permutations, all of one degree."""
 
-    __slots__ = __match_args__ = ("degree", "elements")
+    __slots__ = __match_args__ = ("elements",)
 
-    def __init__(self, degree: int, elements: frozenset[SignedPerm]) -> None:
-        _set_perm_degree(self, degree)
+    def __init__(self, elements: frozenset[SignedPerm]) -> None:
         _set_perm_elements(self, elements)
 
     @property
@@ -88,7 +87,7 @@ class SignedPermGroup(Value):
         return len(self.elements)
 
 
-_set_perm_degree, _set_perm_elements = slot_setters(SignedPermGroup)
+(_set_perm_elements,) = slot_setters(SignedPermGroup)
 
 
 def _signed_permutations(degree: int, signed: bool) -> SignedPermGroup:
@@ -98,7 +97,7 @@ def _signed_permutations(degree: int, signed: bool) -> SignedPermGroup:
     elements = frozenset(
         (perm, s) for perm in permutations(range(degree)) for s in signs
     )
-    return SignedPermGroup(degree, elements)
+    return SignedPermGroup(elements)
 
 
 def torus_degree(factor: Factor) -> int:
@@ -154,7 +153,6 @@ def _weyl_groups(kind: FactorKind, size: int) -> tuple[SignedPermGroup, SignedPe
     if kind in (FactorKind.GENERAL_LINEAR, FactorKind.SYMPLECTIC):
         return full, full
     ident = SignedPermGroup(
-        degree,
         frozenset(g for g in full.elements if 1 in _lift_dets(size, g)),
     )
     if kind is FactorKind.SPECIAL_ORTHOGONAL:

@@ -83,7 +83,10 @@ def is_closed(group: SignedPermGroup) -> bool:
     """Whether the element set contains the identity and is closed under
     composition and inversion."""
     els = group.elements
-    if identity_element(group.degree) not in els:
+    if not els:
+        return False
+    degree = len(next(iter(els))[0])  # every element has the group's degree
+    if identity_element(degree) not in els:
         return False
     return all(compose(g, h) in els for g in els for h in els) and all(
         invert(g) in els for g in els

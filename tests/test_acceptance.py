@@ -174,7 +174,7 @@ def test_criterion_3_main_theorem_fuzz():
             if not result.agree:
                 REPLAY_DIR.mkdir(exist_ok=True)
                 path = REPLAY_DIR / f"acceptance-{family.value}-seed{seed}.json"
-                path.write_text(serialize_instance(Instance(family, pi)))
+                path.write_text(serialize_instance(Instance(pi)))
                 failures.append((family.value, seed, path))
     assert not failures, f"replay files written: {failures}"
 

@@ -69,7 +69,7 @@ def fuzz_texts(draw) -> str:
         family=draw(st.sampled_from(CLASSICAL)),
     )
     pi = random_instance(draw(st.integers(0, 10**6)), bounds)
-    return serialize_instance(Instance(bounds.family, pi))
+    return serialize_instance(Instance(pi))
 
 
 def integer_slots(doc: dict) -> list:

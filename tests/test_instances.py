@@ -55,7 +55,7 @@ def test_corpus_validation_matches_file_name(path):
 
 def test_parse_classical_instance_fields():
     inst = load_instance(CORPUS / "sp-mixed-valid.json")
-    assert isinstance(inst, Instance) and inst.family is Family.SYMPLECTIC
+    assert isinstance(inst, Instance) and inst.data.sigma.group.family is Family.SYMPLECTIC
     data = inst.data
     assert data.sigma.group.rank == 2
     assert len(data.sigma.blocks) == 2
@@ -64,7 +64,7 @@ def test_parse_classical_instance_fields():
 
 def test_parse_unitary_instance_fields():
     inst = load_instance(CORPUS / "unitary-reducible-valid.json")
-    assert isinstance(inst, Instance) and inst.family is Family.UNITARY
+    assert isinstance(inst, Instance) and inst.data.sigma.group.family is Family.UNITARY
     assert inst.data.sigma.group.rank == 3
     assert len(inst.data.sigma.blocks) == 3
     (delta,) = inst.data.deltas
@@ -507,7 +507,7 @@ def _text(doc: dict) -> str:
 def test_generated_documents_round_trip(family, data):
     text = _text(data.draw(canonical_documents(family)))
     inst = parse_instance(text)
-    assert inst.family.value == family
+    assert inst.data.sigma.group.family.value == family
     assert serialize_instance(inst) == text
 
 

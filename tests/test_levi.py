@@ -204,7 +204,7 @@ def test_random_instance_stream_is_pinned():
     digest = hashlib.sha256()
     for b in STREAM_BOUNDS:
         for seed in range(1000):
-            inst = Instance(b.family, random_instance(seed, b))
+            inst = Instance(random_instance(seed, b))
             digest.update(serialize_instance(inst).encode())
     assert digest.hexdigest() == STREAM_DIGEST
 

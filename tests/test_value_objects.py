@@ -258,12 +258,12 @@ _VALUES = [
         (),
     ),
     (
-        SignedPermGroup, (1, frozenset({((0,), (1,)), ((0,), (-1,))})),
-        {"degree": _REQUIRED, "elements": _REQUIRED}, (),
+        SignedPermGroup, (frozenset({((0,), (1,)), ((0,), (-1,))}),),
+        {"elements": _REQUIRED}, (),
     ),
     (
-        Instance, (Family.SYMPLECTIC, InducingData(*_DATUM_ARGS)),
-        {"family": _REQUIRED, "data": _REQUIRED}, (),
+        Instance, (InducingData(*_DATUM_ARGS),),
+        {"data": _REQUIRED}, (),
     ),
 ]
 

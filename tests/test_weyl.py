@@ -362,7 +362,7 @@ def test_oracle_matches_closed_form_on_resolved_descriptors():
 
 
 def test_signed_perm_group_requires_identity_for_closure():
-    group = SignedPermGroup(1, frozenset({((0,), (-1,))}))
+    group = SignedPermGroup(frozenset({((0,), (-1,))}))
     assert not is_closed(group)
 
 
@@ -458,8 +458,8 @@ def cyclic_weyl_group(monkeypatch):
     elements = {identity_element(2), g}
     while len(elements) < 4:
         elements = {compose(x, g) for x in elements} | elements
-    full = SignedPermGroup(2, frozenset(elements))
-    trivial = SignedPermGroup(2, frozenset({identity_element(2)}))
+    full = SignedPermGroup(frozenset(elements))
+    trivial = SignedPermGroup(frozenset({identity_element(2)}))
     real = weyl._weyl_groups
 
     def patched(kind, size):
