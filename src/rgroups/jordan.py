@@ -47,7 +47,8 @@ _set_jordan_group, _set_jordan_blocks, _set_jordan_report = slot_setters(JordanD
 def validate_jordan(sigma: JordanData) -> ValidationReport:
     """Report every violated Jordan-data invariant.
 
-    Checks per block: the symbol is self-dual, its sign is usable (see
+    Checks per block: the symbol is conjugate exactly for U(m) (see
+    ``CuspidalSymbol.conjugate``), it is self-dual, its sign is usable (see
     ``CuspidalSymbol.lambda_matches``) and rho (x) S_a matches the dual
     group's type.  Globally: per-symbol segment lengths share one parity,
     the dimensions fill the dual group, and the even orthogonal family
@@ -71,6 +72,15 @@ def validate_jordan(sigma: JordanData) -> ValidationReport:
         )
 
     for block in sigma.blocks:
+        if block.rho.conjugate != unitary:
+            violations.append(
+                Violation(
+                    "vocabulary",
+                    f"block {block.describe()} has the wrong duality vocabulary for"
+                    f" family {group.family.value!r}",
+                )
+            )
+            continue
         if not block.rho.self_dual:
             violations.append(
                 Violation(

@@ -81,8 +81,8 @@ _set_inducing_deltas, _set_inducing_sigma, _set_inducing_report = slot_setters(I
 
 def _delta_rules(pi: InducingData) -> ValidationReport:
     """The delta-level rules: equivalent delta factors must be merged, or
-    for U(m) the Levi subgroup must be maximal; a delta's sign must be
-    usable."""
+    for U(m) the Levi subgroup must be maximal; a delta's symbol must be
+    conjugate exactly for U(m), and its sign usable."""
     unitary = pi.sigma.group.family is _UNITARY
     violations = []
     if unitary and len(pi.deltas) > 1:
@@ -113,6 +113,14 @@ def _delta_rules(pi: InducingData) -> ValidationReport:
                 )
             )
         seen.add(key)
+        if d.summand.rho.conjugate != unitary:
+            violations.append(
+                Violation(
+                    "vocabulary",
+                    f"delta symbol {d.summand.rho.label!r} has the wrong duality"
+                    f" vocabulary for family {pi.sigma.group.family.value!r}",
+                )
+            )
         if not d.summand.rho.lambda_matches:
             violations.append(
                 Violation(

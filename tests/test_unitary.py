@@ -8,6 +8,7 @@ lambda (-1)^(a+1) and (-1)^(n+1), independently of ``tensor_type``.
 """
 
 import json
+import re
 from itertools import combinations_with_replacement
 
 import pytest
@@ -35,9 +36,10 @@ from rgroups import (
     weyl_quotient,
 )
 from rgroups.errors import InvalidInducingData, InvalidParameter, ParseError
-from rgroups.instances import parse_instance
+from rgroups.instances import Instance, parse_instance, serialize_instance
+from rgroups.levi import validate_inducing
 
-from helpers import jordan_parity_ok
+from helpers import jordan_parity_ok, orth
 
 GL = FactorKind.GENERAL_LINEAR
 SP = FactorKind.SYMPLECTIC
@@ -220,6 +222,48 @@ def test_validate_unitary_jordan():
     no_hypothesis = JordanData(U(2), (Summand(csd("x", -1, dim=2, matches=False), 1),))
     report = validate_jordan(no_hypothesis)
     assert any(v.rule == "sign-hypothesis" for v in report.violations)
+
+
+def _vocabulary_violations(pi: InducingData) -> list[tuple[str, str]]:
+    return [(v.rule, v.message) for v in validate_inducing(pi).violations]
+
+
+def test_a_conjugate_symbol_in_a_classical_family_is_a_violation():
+    """Sp(2) on the block x(x)S_1 of a conjugate x passes every other rule;
+    the parser refuses its file for the same reason."""
+    conj = CuspidalSymbol("x", 3, DualityType.ORTHOGONAL, conjugate=True)
+    pi = InducingData((), JordanData(GroupSpec(Family.SYMPLECTIC, 1), (Summand(conj, 1),)))
+    message = "block x(x)S_1 has the wrong duality vocabulary for family 'sp'"
+    assert _vocabulary_violations(pi) == [("vocabulary", message)]
+    with pytest.raises(InvalidInducingData, match=rf"^verify_theorem: vocabulary: {re.escape(message)}$"):
+        verify_theorem(pi)
+    with pytest.raises(ParseError, match="wrong duality vocabulary for family 'sp'"):
+        parse_instance(serialize_instance(Instance(pi)))
+
+    sigma = JordanData(GroupSpec(Family.SYMPLECTIC, 1), (Summand(orth("s", 3), 1),))
+    pi = InducingData((DeltaFactor(Summand(csd("z", 1), 1), 1),), sigma)
+    assert validate_jordan(sigma).ok
+    assert _vocabulary_violations(pi) == [
+        ("vocabulary", "delta symbol 'z' has the wrong duality vocabulary for family 'sp'")
+    ]
+
+
+def test_a_classical_symbol_in_the_unitary_family_is_a_violation():
+    classical = Summand(orth("y", 1), 1)
+    pi = InducingData((), JordanData(U(1), (classical,)))
+    assert _vocabulary_violations(pi) == [
+        ("vocabulary", "block y(x)S_1 has the wrong duality vocabulary for family 'unitary'")
+    ]
+    with pytest.raises(ParseError, match="wrong duality vocabulary for family 'unitary'"):
+        parse_instance(serialize_instance(Instance(pi)))
+
+    pi = InducingData((DeltaFactor(classical, 1),), filler_sigma(1))
+    assert validate_jordan(pi.sigma).ok
+    assert _vocabulary_violations(pi) == [
+        ("vocabulary", "delta symbol 'y' has the wrong duality vocabulary for family 'unitary'")
+    ]
+    with pytest.raises(InvalidInducingData, match="^knapp_stein_r_group: vocabulary"):
+        knapp_stein_r_group(pi)
 
 
 # ---------------------------------------------------------------------------
