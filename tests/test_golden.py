@@ -2,10 +2,11 @@
 
 For every file in ``instances/`` the test runs ``validate``, ``rgroup
 --oracle`` and ``explain`` in process, each with and without ``--json``,
-and compares the exit code and standard output byte for byte with the
-files in ``tests/golden/``: ``<stem>.<command>.out`` and
-``exit_codes.json`` for ``--json``, ``<stem>.<command>.txt`` and
-``text_exit_codes.json`` for text.  Text output names the file it read,
+and compares the exit code, standard output and standard error byte
+for byte with the files in ``tests/golden/``: ``<stem>.<command>.out``
+and ``exit_codes.json`` for ``--json``, ``<stem>.<command>.txt`` and
+``text_exit_codes.json`` for text, and for both modes ``stderr.json``,
+keyed ``<stem>.<command>.<mode>``.  Text output names the file it read,
 so every command runs from the repository root on a path relative to it.
 The unitary edge cases in ``tests/edge_instances/`` are pinned the same
 way against ``tests/edge_golden/``; they live apart from ``instances/``
@@ -59,17 +60,17 @@ CASES = _cases(CORPUS)
 EDGE_CASES = _cases(EDGE)
 
 
-def _run(corpus: Path, name: str, cmd: str, mode: str) -> tuple[int, str]:
+def _run(corpus: Path, name: str, cmd: str, mode: str) -> tuple[int, str, str]:
     path = (corpus / name).relative_to(ROOT).as_posix()
-    out = io.StringIO()
+    out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(ROOT)
     try:
-        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        with redirect_stdout(out), redirect_stderr(err):
             code = main([*COMMANDS[cmd], *MODES[mode][0], path])
     finally:
         os.chdir(cwd)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def _stem(name: str, cmd: str) -> str:
@@ -77,12 +78,13 @@ def _stem(name: str, cmd: str) -> str:
 
 
 def _outcome(corpus: Path, golden: Path, name: str, cmd: str, mode: str) -> tuple[tuple, tuple]:
-    """(exit code, stdout) of the run, and the same pair from the goldens."""
+    """(exit code, stdout, stderr) of the run, and the same from the goldens."""
     _, suffix, codes = MODES[mode]
     stem = _stem(name, cmd)
     expected = (
         json.loads((golden / codes).read_text())[stem],
         (golden / f"{stem}{suffix}").read_text(),
+        json.loads((golden / "stderr.json").read_text())[f"{stem}.{mode}"],
     )
     return _run(corpus, name, cmd, mode), expected
 
@@ -111,14 +113,21 @@ if mark is not None:
         _check(EDGE, EDGE_GOLDEN, name, cmd, "text")
 
 
+def _write_json(path: Path, doc: dict) -> None:
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 def _regenerate(corpus: Path, golden: Path) -> None:
     golden.mkdir(exist_ok=True)
+    stderr = {}
     for mode, (_, suffix, codes_file) in MODES.items():
         codes = {}
         for name, cmd in _cases(corpus):
-            codes[_stem(name, cmd)], stdout = _run(corpus, name, cmd, mode)
-            (golden / f"{_stem(name, cmd)}{suffix}").write_text(stdout)
-        (golden / codes_file).write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
+            stem = _stem(name, cmd)
+            codes[stem], stdout, stderr[f"{stem}.{mode}"] = _run(corpus, name, cmd, mode)
+            (golden / f"{stem}{suffix}").write_text(stdout)
+        _write_json(golden / codes_file, codes)
+    _write_json(golden / "stderr.json", stderr)
 
 
 def _check_all() -> int:
