@@ -234,6 +234,10 @@ PARSE_ERROR_MESSAGES = {
         _with_symbol({"dim": 1, "duality": "conjugate-self-dual", "lambda": 1}),
         "symbol 'bad' has the wrong duality vocabulary for family 'sp'",
     ),
+    "wrong vocabulary, unitary": (
+        _mutated(lambda d: d["symbols"].update(x={"dim": 1, "duality": "orthogonal"}), unitary_doc),
+        "symbol 'x' has the wrong duality vocabulary for family 'unitary'",
+    ),
     "dual not declared": (
         _mutated(lambda d: d["symbols"].update(p=_NSD_PAIR["p"])),
         "dual partner 'pt' of 'p' is not declared",

@@ -266,6 +266,29 @@ def test_a_classical_symbol_in_the_unitary_family_is_a_violation():
         knapp_stein_r_group(pi)
 
 
+def test_a_symbol_breaking_both_symbol_rules_keeps_its_report_order():
+    """A conjugate symbol with an unusable sign breaks both per-symbol
+    rules in Sp(2): a delta on it reports the vocabulary, then the sign;
+    a block on it reports the vocabulary alone and no further rule."""
+    unusable = csd("x", -1, dim=2, matches=False)
+    sp = GroupSpec(Family.SYMPLECTIC, 1)
+    sigma = JordanData(sp, (Summand(orth("s", 3), 1),))
+    pi = InducingData((DeltaFactor(Summand(unusable, 1), 1),), sigma)
+    assert validate_jordan(sigma).ok
+    assert _vocabulary_violations(pi) == [
+        ("vocabulary", "delta symbol 'x' has the wrong duality vocabulary for family 'sp'"),
+        (
+            "sign-hypothesis",
+            "delta symbol 'x' has even dimension and no sign-agreement hypothesis",
+        ),
+    ]
+
+    sigma = JordanData(sp, (Summand(unusable, 1), Summand(orth("s", 1), 1)))
+    assert _vocabulary_violations(InducingData((), sigma)) == [
+        ("vocabulary", "block x(x)S_1 has the wrong duality vocabulary for family 'sp'")
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Centralizers
 # ---------------------------------------------------------------------------
