@@ -19,6 +19,7 @@ from pathlib import Path
 from .centralizer import centralizer
 from .errors import BoundExceeded, BoundsInfeasible, ParseError, RGroupError
 from .instances import (
+    _LAMBDAS,
     Instance,
     dump_json,
     instance_document,
@@ -33,7 +34,7 @@ from .levi import (
     validate_inducing,
     verify_theorem,
 )
-from .params import DualityType, Family, classify
+from .params import Family, classify
 from .weyl import weyl_quotient
 
 
@@ -180,9 +181,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
                     "dim": s.dim,
                     "mult": m,
                     "conj_self_dual": s.self_dual,
-                    "lambda": (1 if s.duality is DualityType.ORTHOGONAL else -1)
-                    if s.self_dual
-                    else None,
+                    "lambda": _LAMBDAS[s.duality],
                 }
                 for s, m in phi.expanded_entries()
             ],

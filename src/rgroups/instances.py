@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Any
 
 from .errors import ParseError
-from .jordan import JordanData
+from .jordan import JordanData, _symbol_violations
 from .levi import DeltaFactor, InducingData
 from .params import _NOT_SELF_DUAL, _ORTHOGONAL, _SYMPLECTIC, _UNITARY
 from .params import CuspidalSymbol, DualityType, Family, GroupSpec, Summand
@@ -35,6 +35,10 @@ MAX_INTEGER = 10**6
 
 _FAMILIES = {f.value: f for f in Family}
 _CLASSICAL_DUALITIES = {t.value: t for t in DualityType}
+# A conjugate-self-dual symbol's sign lambda and the type it is stored as
+# (see ``CuspidalSymbol.conjugate``); the inverse reads None for no sign.
+_LAMBDA_TYPES = {1: _ORTHOGONAL, -1: _SYMPLECTIC}
+_LAMBDAS = {_ORTHOGONAL: 1, _SYMPLECTIC: -1, _NOT_SELF_DUAL: None}
 
 _INSTANCE_KEYS = frozenset(("format_version", "family", "symbols", "sigma", "deltas"))
 _CLASSICAL_SYMBOL_KEYS = frozenset(("dim", "duality", "dual"))
@@ -89,34 +93,30 @@ def _parse_symbol(label: str, spec: Any) -> CuspidalSymbol:
             dim, f"symbol {label!r} needs a positive integer dim", f"symbol {label!r}: dim"
         )
     duality = spec.get("duality")
+    conjugate = duality == "not-conjugate-self-dual"
     try:
-        if isinstance(duality, str) and duality in _CLASSICAL_DUALITIES:
+        if conjugate or (isinstance(duality, str) and duality in _CLASSICAL_DUALITIES):
             _expect_keys(spec, _CLASSICAL_SYMBOL_KEYS, "symbol %r", label)
-            kind = _CLASSICAL_DUALITIES[duality]
+            kind = _NOT_SELF_DUAL if conjugate else _CLASSICAL_DUALITIES[duality]
             if kind is _NOT_SELF_DUAL:
                 dual = spec.get("dual")
                 if not isinstance(dual, str):
-                    raise ParseError(f"non-self-dual symbol {label!r} needs a dual label")
-                return CuspidalSymbol(label, dim, kind, dual)
+                    prefix = "" if conjugate else "non-self-dual "
+                    raise ParseError(f"{prefix}symbol {label!r} needs a dual label")
+                return CuspidalSymbol(label, dim, kind, dual, conjugate)
             if "dual" in spec:
                 raise ParseError(f"self-dual symbol {label!r} must not declare a dual")
             return CuspidalSymbol(label, dim, kind)
         if duality == "conjugate-self-dual":
             _expect_keys(spec, _CONJUGATE_SELF_DUAL_KEYS, "symbol %r", label)
             lam = spec.get("lambda")
-            if not (_is_int(lam) and lam in (1, -1)):
+            if not (_is_int(lam) and lam in _LAMBDA_TYPES):
                 raise ParseError(f"symbol {label!r} needs lambda +1 or -1")
             matches = spec.get("lambda_matches", True)
             if not isinstance(matches, bool):
                 raise ParseError(f"symbol {label!r}: lambda_matches must be a boolean")
-            kind = _ORTHOGONAL if lam == 1 else _SYMPLECTIC
+            kind = _LAMBDA_TYPES[lam]
             return CuspidalSymbol(label, dim, kind, conjugate=True, lambda_matches=matches)
-        if duality == "not-conjugate-self-dual":
-            _expect_keys(spec, _CLASSICAL_SYMBOL_KEYS, "symbol %r", label)
-            dual = spec.get("dual")
-            if not isinstance(dual, str):
-                raise ParseError(f"symbol {label!r} needs a dual label")
-            return CuspidalSymbol(label, dim, _NOT_SELF_DUAL, dual, conjugate=True)
     except ValueError as exc:
         raise ParseError(f"symbol {label!r}: {exc}") from exc
     raise ParseError(f"symbol {label!r} has unknown duality {duality!r}")
@@ -189,10 +189,7 @@ def parse_instance(text: str) -> Instance:
     unitary = family is _UNITARY
     for label, sym in symbols.items():
         if sym.conjugate != unitary:
-            raise ParseError(
-                f"symbol {label!r} has the wrong duality vocabulary for family"
-                f" {family.value!r}"
-            )
+            raise ParseError(_symbol_violations(sym, family, f"symbol {label!r}")[0].message)
     _check_dual_declarations(symbols)
 
     sigma_doc = doc.get("sigma")
@@ -253,7 +250,7 @@ def _symbol_doc(sym: CuspidalSymbol) -> dict:
     if sym.dual_label is not None:
         doc["dual"] = sym.dual_label
     elif sym.conjugate:
-        doc["lambda"] = 1 if sym.duality is _ORTHOGONAL else -1
+        doc["lambda"] = _LAMBDAS[sym.duality]
     if not sym.lambda_matches:
         doc["lambda_matches"] = False
     return doc

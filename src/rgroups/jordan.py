@@ -12,7 +12,7 @@ the dual group" (see :mod:`rgroups.params`).
 
 from __future__ import annotations
 
-from .params import _O_EVEN, _UNITARY, GroupSpec, Summand
+from .params import _O_EVEN, _UNITARY, CuspidalSymbol, Family, GroupSpec, Summand
 from .validation import ValidationReport, Value, Violation, report, slot_setters
 
 
@@ -44,6 +44,20 @@ class JordanData(Value):
 _set_jordan_group, _set_jordan_blocks, _set_jordan_report = slot_setters(JordanData)
 
 
+def _symbol_violations(rho: CuspidalSymbol, family: Family, subject: str) -> list[Violation]:
+    """The per-symbol rules that ``rho``, used as ``subject``, breaks in
+    ``family``: its duality vocabulary, then a usable sign.  Each caller
+    runs it only on a failed check, so a passing symbol formats nothing."""
+    violations = []
+    if rho.conjugate != (family is _UNITARY):
+        message = f"{subject} has the wrong duality vocabulary for family {family.value!r}"
+        violations.append(Violation("vocabulary", message))
+    if not rho.lambda_matches:
+        message = f"{subject} has even dimension and no sign-agreement hypothesis"
+        violations.append(Violation("sign-hypothesis", message))
+    return violations
+
+
 def validate_jordan(sigma: JordanData) -> ValidationReport:
     """Report every violated Jordan-data invariant.
 
@@ -72,29 +86,17 @@ def validate_jordan(sigma: JordanData) -> ValidationReport:
         )
 
     for block in sigma.blocks:
-        if block.rho.conjugate != unitary:
-            violations.append(
-                Violation(
-                    "vocabulary",
-                    f"block {block.describe()} has the wrong duality vocabulary for"
-                    f" family {group.family.value!r}",
-                )
-            )
+        rho = block.rho
+        if rho.conjugate != unitary or not rho.lambda_matches:
+            # a block reports only the first rule its symbol breaks
+            subject = f"block {block.describe()}"
+            violations.append(_symbol_violations(rho, group.family, subject)[0])
             continue
-        if not block.rho.self_dual:
+        if not rho.self_dual:
             violations.append(
                 Violation(
                     f"{conj}self-dual",
                     f"block {block.describe()} uses a non-{conj}self-dual symbol",
-                )
-            )
-            continue
-        if not block.rho.lambda_matches:
-            violations.append(
-                Violation(
-                    "sign-hypothesis",
-                    f"block {block.describe()} has even dimension and no"
-                    " sign-agreement hypothesis",
                 )
             )
             continue

@@ -23,7 +23,7 @@ from itertools import count
 
 from .centralizer import ElementaryTwoGroup, arthur_r_group, rank_group
 from .errors import BoundsInfeasible, InvalidInducingData
-from .jordan import JordanData, _is_reducible, validate_jordan
+from .jordan import JordanData, _is_reducible, _symbol_violations, validate_jordan
 from .params import _NOT_SELF_DUAL, _ORTHOGONAL, _SP_FAMILY, _SYMPLECTIC, _UNITARY
 from .params import (
     CuspidalSymbol,
@@ -113,22 +113,10 @@ def _delta_rules(pi: InducingData) -> ValidationReport:
                 )
             )
         seen.add(key)
-        if d.summand.rho.conjugate != unitary:
-            violations.append(
-                Violation(
-                    "vocabulary",
-                    f"delta symbol {d.summand.rho.label!r} has the wrong duality"
-                    f" vocabulary for family {pi.sigma.group.family.value!r}",
-                )
-            )
-        if not d.summand.rho.lambda_matches:
-            violations.append(
-                Violation(
-                    "sign-hypothesis",
-                    f"delta symbol {d.summand.rho.label!r} has even dimension"
-                    " and no sign-agreement hypothesis",
-                )
-            )
+        rho = d.summand.rho
+        if rho.conjugate != unitary or not rho.lambda_matches:
+            subject = f"delta symbol {rho.label!r}"
+            violations += _symbol_violations(rho, pi.sigma.group.family, subject)
     return report(violations)
 
 
