@@ -142,10 +142,6 @@ def rank_group(rank: int) -> ElementaryTwoGroup:
     return ElementaryTwoGroup(rank)
 
 
-def constrained_indices(desc: CentralizerDescriptor) -> tuple[int, ...]:
-    return tuple(idx for idx, _ in desc.det_constraint or ())
-
-
 _BUCKET_KINDS = (_GL, _SP, _O, _O)
 
 

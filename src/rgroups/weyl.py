@@ -48,7 +48,6 @@ from .centralizer import (
     ElementaryTwoGroup,
     Factor,
     FactorKind,
-    constrained_indices,
     rank_group,
 )
 from .errors import BoundExceeded, NonElementaryQuotient
@@ -271,7 +270,7 @@ def weyl_quotient(desc: CentralizerDescriptor) -> ElementaryTwoGroup:
         for f in factors:
             rank += _free_rank(f.kind, f.size)
         return rank_group(rank)
-    live_indices = constrained_indices(desc)
+    live_indices = {i for i, _ in desc.det_constraint}
     free: list[Factor] = []
     live: list[Factor] = []
     free_total, live_total = 0, 1

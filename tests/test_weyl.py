@@ -24,7 +24,7 @@ from rgroups import (
     weyl_quotient,
 )
 from rgroups import weyl
-from rgroups.centralizer import ElementaryTwoGroup, constrained_indices
+from rgroups.centralizer import ElementaryTwoGroup
 from rgroups.errors import BoundExceeded, NonElementaryQuotient
 from rgroups.weyl import SignedPermGroup, _lift_dets, compose, sign_product
 
@@ -371,7 +371,7 @@ def _reference_quotient(desc):
     product whenever any factor is constrained."""
     factors = desc.factors
     pairs = [weyl_of_factor(f.kind, f.size) for f in factors]
-    live = constrained_indices(desc)
+    live = [i for i, _ in desc.det_constraint or ()]
     if not live:
         rank = 0
         for full, ident in pairs:
