@@ -130,11 +130,3 @@ def validate_jordan(sigma: JordanData) -> ValidationReport:
         )
     _set_jordan_report(sigma, report(violations))
     return sigma._report
-
-
-def _is_reducible(summand: Summand, sigma: JordanData) -> bool:
-    """Whether the segment representation of ``summand`` induces reducibly
-    against a valid sigma: exactly when the summand has the dual group's
-    type and is not a Jordan block.  A non-self-dual summand never has
-    that type, so it needs no guard."""
-    return summand.duality is sigma.group.dual_type and summand not in sigma.blocks

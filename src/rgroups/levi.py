@@ -10,9 +10,9 @@ classification.  The package's central claim is that the two always
 agree; ``verify_theorem`` checks one instance and ``random_instance``
 feeds the fuzz harness.
 
-For U(m) the same code runs on conjugate-self-dual data, restricted to
-maximal Levi subgroups Res GL_k(E) x U(m): one delta factor of
-multiplicity 1, which adds 2k to the ambient rank.
+For U(m) the same code runs on conjugate-self-dual data, under the same
+delta rules: any number of delta factors of any multiplicity, each
+Res GL_k(E) block adding 2k to the ambient rank.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from itertools import count
 
 from .centralizer import ElementaryTwoGroup, arthur_r_group, rank_group
 from .errors import BoundsInfeasible, InvalidInducingData
-from .jordan import JordanData, _is_reducible, _symbol_violations, validate_jordan
+from .jordan import JordanData, _symbol_violations, validate_jordan
 from .params import _NOT_SELF_DUAL, _ORTHOGONAL, _SP_FAMILY, _SYMPLECTIC, _UNITARY
 from .params import (
     CuspidalSymbol,
@@ -80,31 +80,14 @@ _set_inducing_deltas, _set_inducing_sigma, _set_inducing_report = slot_setters(I
 
 
 def _delta_rules(pi: InducingData) -> ValidationReport:
-    """The delta-level rules: equivalent delta factors must be merged, or
-    for U(m) the Levi subgroup must be maximal; a delta's symbol must be
-    conjugate exactly for U(m), and its sign usable."""
+    """The delta-level rules: equivalent delta factors must be merged; a
+    delta's symbol must be conjugate exactly for U(m), and its sign usable."""
     unitary = pi.sigma.group.family is _UNITARY
     violations = []
-    if unitary and len(pi.deltas) > 1:
-        violations.append(
-            Violation(
-                "maximal-levi",
-                "only maximal Levi subgroups Res GL x U are supported:"
-                " at most one delta factor",
-            )
-        )
     seen: set[tuple[str, int]] = set()
     for d in pi.deltas:
         key = d.summand.sort_key()
-        if unitary and d.multiplicity != 1:
-            violations.append(
-                Violation(
-                    "maximal-levi",
-                    f"delta factor {d.summand.describe()} has multiplicity"
-                    f" {d.multiplicity}; maximal Levi subgroups carry one GL block",
-                )
-            )
-        elif key in seen and not unitary:
+        if key in seen:
             violations.append(
                 Violation(
                     "repeated-delta",
@@ -136,7 +119,7 @@ def knapp_stein_r_group(pi: InducingData) -> ElementaryTwoGroup:
     are irrelevant.
     """
     validate_inducing(pi).require(InvalidInducingData, "knapp_stein_r_group")
-    return rank_group(sum(_is_reducible(d.summand, pi.sigma) for d in pi.deltas))
+    return rank_group(_witness(pi)[1])
 
 
 def parameter_of_induced(pi: InducingData) -> Parameter:
@@ -210,18 +193,26 @@ def verify_theorem(pi: InducingData) -> VerificationResult:
 def _verify(pi: InducingData, phi: Parameter) -> VerificationResult:
     """:func:`verify_theorem` for validated ``pi`` whose induced parameter
     ``phi`` is already assembled."""
+    rows, ks = _witness(pi)
+    arthur = arthur_r_group(phi, pi.ambient_group())
+    return VerificationResult(ks, arthur.rank, rows)
+
+
+def _witness(pi: InducingData) -> tuple[tuple[WitnessRow, ...], int]:
+    """Witness rows of validated ``pi`` and the Knapp-Stein count: a delta
+    induces reducibly iff it has the dual group's type (never true when
+    not self-dual) and is not a Jordan block."""
     blocks, dual_type = pi.sigma.blocks, pi.sigma.group.dual_type
     rows, ks = [], 0
     for d in pi.deltas:
         summand = d.summand
         same_type = summand.duality is dual_type
         in_jordan = summand in blocks
-        counted = same_type and not in_jordan  # `_is_reducible`, without a second scan
+        counted = same_type and not in_jordan
         ks += counted
         row = WitnessRow(summand, d.multiplicity, summand.self_dual, same_type, in_jordan, counted)
         rows.append(row)
-    arthur = arthur_r_group(phi, pi.ambient_group())
-    return VerificationResult(ks, arthur.rank, tuple(rows))
+    return tuple(rows), ks
 
 
 class FuzzBounds(Value):

@@ -7,9 +7,12 @@ from typing import Iterator
 
 from rgroups import (
     CuspidalSymbol,
+    DeltaFactor,
     DualityType,
     Family,
     GroupSpec,
+    InducingData,
+    JordanData,
     Parameter,
     ParameterEntry,
     Summand,
@@ -46,6 +49,63 @@ def jordan_parity_ok(rho: CuspidalSymbol, a: int, group: GroupSpec) -> bool:
     block-side parity condition, read from the symbol and ``tensor_type``
     rather than from ``Summand.duality``."""
     return rho.self_dual and tensor_type(rho.duality, a) is group.dual_type
+
+
+# Unitary builders.  A conjugate-self-dual symbol of sign lambda is a
+# conjugate ``CuspidalSymbol`` of type ORTHOGONAL (lambda = +1) or
+# SYMPLECTIC (lambda = -1); the signs below come from the formulas
+# lambda (-1)^(a+1) and (-1)^(n+1), independently of ``tensor_type``.
+
+
+def parity_sign(exponent: int) -> int:
+    """(-1)**exponent."""
+    return -1 if exponent % 2 else 1
+
+
+def twisted_sign(lam: int, a: int) -> int:
+    """The sign of rho (x) S_a for rho of sign lam: lam (-1)^(a+1)."""
+    return lam * parity_sign(a + 1)
+
+
+def sign_condition(lam: int, a: int, n: int) -> bool:
+    """Block-side sign condition for U(n): the twisted sign is (-1)^(n+1)."""
+    return twisted_sign(lam, a) == parity_sign(n + 1)
+
+
+def sign_of(duality: DualityType) -> int:
+    """The sign a conjugate-self-dual symbol or summand of this type carries."""
+    return {DualityType.ORTHOGONAL: 1, DualityType.SYMPLECTIC: -1}[duality]
+
+
+def U(n: int) -> GroupSpec:
+    return GroupSpec(Family.UNITARY, n)
+
+
+def csd(label: str, lam: int, dim: int = 1, matches: bool = True) -> CuspidalSymbol:
+    duality = DualityType.ORTHOGONAL if lam == 1 else DualityType.SYMPLECTIC
+    return CuspidalSymbol(label, dim, duality, conjugate=True, lambda_matches=matches)
+
+
+def ncsd(label: str, dim: int = 1) -> CuspidalSymbol:
+    return CuspidalSymbol(label, dim, DualityType.NOT_SELF_DUAL, label + "t", conjugate=True)
+
+
+def filler_sigma(rank: int, extra: Summand | None = None) -> JordanData:
+    """Jordan data of U(rank): the optional block plus 1-dim fillers."""
+    blocks = []
+    used = 0
+    if extra is not None:
+        blocks.append(extra)
+        used = extra.dim
+    lam = parity_sign(rank + 1)
+    for i in range(rank - used):
+        blocks.append(Summand(csd(f"f{i}", lam), 1))
+    return JordanData(U(rank), tuple(blocks))
+
+
+def maximal_levi(delta: Summand, sigma: JordanData) -> InducingData:
+    """The inducing datum of Res GL(dim delta, E) x U(sigma rank)."""
+    return InducingData((DeltaFactor(delta, 1),), sigma)
 
 
 def opposite_of(duality: DualityType) -> DualityType:

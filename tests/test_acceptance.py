@@ -37,8 +37,17 @@ from rgroups.instances import (
     serialize_instance,
 )
 
-from helpers import CLASSICAL_FAMILIES, exhaustive_valid_parameters, opposite_of
-from test_unitary import csd, filler_sigma, maximal_levi, ncsd, parity_sign, sign_of
+from helpers import (
+    CLASSICAL_FAMILIES,
+    csd,
+    exhaustive_valid_parameters,
+    filler_sigma,
+    maximal_levi,
+    ncsd,
+    opposite_of,
+    parity_sign,
+    sign_of,
+)
 
 GL = FactorKind.GENERAL_LINEAR
 SP = FactorKind.SYMPLECTIC

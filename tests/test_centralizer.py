@@ -19,8 +19,7 @@ from rgroups import (
 )
 from rgroups.errors import InvalidParameter
 
-from helpers import exhaustive_valid_parameters, orth, pair, sympl, total_dimension
-from test_unitary import csd, ncsd
+from helpers import csd, exhaustive_valid_parameters, ncsd, orth, pair, sympl, total_dimension
 
 GL = FactorKind.GENERAL_LINEAR
 SP = FactorKind.SYMPLECTIC

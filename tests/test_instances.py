@@ -424,7 +424,10 @@ def test_unitary_vocabulary_is_enforced_per_family():
         parse_instance(json.dumps(doc))  # classical symbol in a unitary file
 
 
-def test_unitary_maximal_levi_rules_are_domain_violations():
+def test_unitary_delta_rules_are_the_classical_ones():
+    """A unitary Levi subgroup need not be maximal: several delta factors
+    and multiplicities validate, and only equivalent factors are refused,
+    with the classical message."""
     doc = {
         "format_version": "1",
         "family": "unitary",
@@ -435,15 +438,21 @@ def test_unitary_maximal_levi_rules_are_domain_violations():
         "sigma": {"rank": 1, "blocks": [["f0", 1]]},
         "deltas": [{"rho": "c", "a": 1, "mult": 2}],
     }
-    inst = parse_instance(json.dumps(doc))
-    report = validate_inducing(inst.data)
-    assert any(v.rule == "maximal-levi" for v in report.violations)
+    assert validate_inducing(parse_instance(json.dumps(doc)).data).ok
     doc["deltas"] = [
         {"rho": "c", "a": 1, "mult": 1},
         {"rho": "c", "a": 2, "mult": 1},
     ]
+    assert validate_inducing(parse_instance(json.dumps(doc)).data).ok
+    doc["deltas"] = [{"rho": "c", "a": 1, "mult": 1}] * 2
     report = validate_inducing(parse_instance(json.dumps(doc)).data)
-    assert any(v.rule == "maximal-levi" for v in report.violations)
+    assert [(v.rule, v.message) for v in report.violations] == [
+        (
+            "repeated-delta",
+            "delta factor c(x)S_1 appears twice;"
+            " equivalent factors must be merged into one multiplicity",
+        )
+    ]
 
 
 # ---------------------------------------------------------------------------

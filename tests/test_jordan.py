@@ -2,25 +2,33 @@
 parameter of sigma.
 
 The block-side parity condition is ``helpers.jordan_parity_ok``, a
-reference outside the product; reducibility is the product's
-``jordan._is_reducible``, and the parameter of sigma is the parameter
-induced from sigma with no delta factors."""
+reference outside the product; reducibility is read off the product's
+``knapp_stein_r_group`` on data with one delta factor, and the parameter
+of sigma is the parameter induced from sigma with no delta factors."""
 
 from rgroups import (
     CuspidalSymbol,
+    DeltaFactor,
     DualityType,
     Family,
     GroupSpec,
     InducingData,
     JordanData,
     Summand,
+    knapp_stein_r_group,
     parameter_of_induced,
     validate_jordan,
     validate_parameter,
 )
-from rgroups.jordan import _is_reducible
 
 from helpers import jordan_parity_ok, orth, pair, sympl, total_dimension
+
+
+def ks_reducible(summand: Summand, sigma: JordanData) -> bool:
+    """Whether delta(summand) induces reducibly against sigma: the
+    Knapp-Stein rank of the datum with this one delta factor."""
+    pi = InducingData((DeltaFactor(summand, 1),), sigma)
+    return knapp_stein_r_group(pi).rank == 1
 
 
 def steinberg_sigma(rank: int) -> JordanData:
@@ -143,16 +151,16 @@ def test_is_reducible_table():
     )
     assert validate_jordan(sigma).ok
     # members are irreducible
-    assert not _is_reducible(Summand(orth("a"), 1), sigma)
-    assert not _is_reducible(Summand(orth("b"), 3), sigma)
+    assert not ks_reducible(Summand(orth("a"), 1), sigma)
+    assert not ks_reducible(Summand(orth("b"), 3), sigma)
     # same type, not a member: reducible
-    assert _is_reducible(Summand(orth("a"), 3), sigma)
-    assert _is_reducible(Summand(orth("z"), 5), sigma)
+    assert ks_reducible(Summand(orth("a"), 3), sigma)
+    assert ks_reducible(Summand(orth("z"), 5), sigma)
     # opposite type: irreducible
-    assert not _is_reducible(Summand(sympl("s"), 1), sigma)
-    assert not _is_reducible(Summand(orth("a"), 2), sigma)
+    assert not ks_reducible(Summand(sympl("s"), 1), sigma)
+    assert not ks_reducible(Summand(orth("a"), 2), sigma)
     # not self-dual: never the dual group's type, so irreducible
-    assert not _is_reducible(Summand(pair("p"), 1), sigma)
+    assert not ks_reducible(Summand(pair("p"), 1), sigma)
 
 
 def test_is_reducible_formula_by_table():
@@ -166,7 +174,7 @@ def test_is_reducible_formula_by_table():
             expected = jordan_parity_ok(rho, a, sigma.group) and Summand(
                 rho, a
             ) not in sigma.blocks
-            assert _is_reducible(Summand(rho, a), sigma) == expected
+            assert ks_reducible(Summand(rho, a), sigma) == expected
 
 
 def test_blocks_always_pass_parity():

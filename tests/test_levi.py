@@ -24,8 +24,18 @@ from rgroups.errors import BoundsInfeasible, InvalidInducingData
 from rgroups.instances import Instance, serialize_instance
 from rgroups.levi import validate_inducing
 
-from helpers import CLASSICAL_FAMILIES, jordan_parity_ok, orth, pair, sympl
-from test_unitary import csd, filler_sigma, maximal_levi, ncsd, sign_condition
+from helpers import (
+    CLASSICAL_FAMILIES,
+    csd,
+    filler_sigma,
+    jordan_parity_ok,
+    maximal_levi,
+    ncsd,
+    orth,
+    pair,
+    sign_condition,
+    sympl,
+)
 
 
 def sp_sigma() -> JordanData:

@@ -1,15 +1,20 @@
 """Tests for unitary groups on the shared classical path: sign arithmetic,
-Jordan data, centralizers and the maximal-Levi two-sided check.
+Jordan data, centralizers, the maximal-Levi two-sided check and the
+two-sided check on every small Levi subgroup Res GL x ... x Res GL x U,
+several delta factors and multiplicities included, under the delta rules
+of the classical families.
 
-A conjugate-self-dual symbol of sign lambda is a conjugate
+The builders and the sign formulas are in ``helpers``: a
+conjugate-self-dual symbol of sign lambda is a conjugate
 ``CuspidalSymbol`` of type ORTHOGONAL (lambda = +1) or SYMPLECTIC
-(lambda = -1).  The expected signs here are computed from the formulas
+(lambda = -1), and the expected signs are computed from the formulas
 lambda (-1)^(a+1) and (-1)^(n+1), independently of ``tensor_type``.
 """
 
 import json
 import re
-from itertools import combinations_with_replacement
+from collections import Counter
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -39,62 +44,23 @@ from rgroups.errors import InvalidInducingData, InvalidParameter, ParseError
 from rgroups.instances import Instance, parse_instance, serialize_instance
 from rgroups.levi import validate_inducing
 
-from helpers import jordan_parity_ok, orth
+from helpers import (
+    U,
+    csd,
+    filler_sigma,
+    jordan_parity_ok,
+    maximal_levi,
+    ncsd,
+    orth,
+    parity_sign,
+    sign_condition,
+    sign_of,
+    twisted_sign,
+)
 
 GL = FactorKind.GENERAL_LINEAR
 SP = FactorKind.SYMPLECTIC
 O = FactorKind.FULL_ORTHOGONAL
-
-
-def parity_sign(exponent: int) -> int:
-    """(-1)**exponent."""
-    return -1 if exponent % 2 else 1
-
-
-def twisted_sign(lam: int, a: int) -> int:
-    """The sign of rho (x) S_a for rho of sign lam: lam (-1)^(a+1)."""
-    return lam * parity_sign(a + 1)
-
-
-def sign_condition(lam: int, a: int, n: int) -> bool:
-    """Block-side sign condition for U(n): the twisted sign is (-1)^(n+1)."""
-    return twisted_sign(lam, a) == parity_sign(n + 1)
-
-
-def sign_of(duality: DualityType) -> int:
-    """The sign a conjugate-self-dual symbol or summand of this type carries."""
-    return {DualityType.ORTHOGONAL: 1, DualityType.SYMPLECTIC: -1}[duality]
-
-
-def U(n: int) -> GroupSpec:
-    return GroupSpec(Family.UNITARY, n)
-
-
-def csd(label: str, lam: int, dim: int = 1, matches: bool = True) -> CuspidalSymbol:
-    duality = DualityType.ORTHOGONAL if lam == 1 else DualityType.SYMPLECTIC
-    return CuspidalSymbol(label, dim, duality, conjugate=True, lambda_matches=matches)
-
-
-def ncsd(label: str, dim: int = 1) -> CuspidalSymbol:
-    return CuspidalSymbol(label, dim, DualityType.NOT_SELF_DUAL, label + "t", conjugate=True)
-
-
-def filler_sigma(rank: int, extra: Summand | None = None) -> JordanData:
-    """Jordan data of U(rank): the optional block plus 1-dim fillers."""
-    blocks = []
-    used = 0
-    if extra is not None:
-        blocks.append(extra)
-        used = extra.dim
-    lam = parity_sign(rank + 1)
-    for i in range(rank - used):
-        blocks.append(Summand(csd(f"f{i}", lam), 1))
-    return JordanData(U(rank), tuple(blocks))
-
-
-def maximal_levi(delta: Summand, sigma: JordanData) -> InducingData:
-    """The inducing datum of Res GL(dim delta, E) x U(sigma rank)."""
-    return InducingData((DeltaFactor(delta, 1),), sigma)
 
 
 def induced_centralizer(delta: Summand, sigma: JordanData):
@@ -478,3 +444,84 @@ def test_maximal_levi_rejects_unusable_sign():
     delta = Summand(csd("x", 1, dim=2, matches=False), 1)
     with pytest.raises(InvalidInducingData, match="^verify_theorem: sign-hypothesis"):
         verify_theorem(maximal_levi(delta, sigma))
+
+
+# ---------------------------------------------------------------------------
+# Every small Levi subgroup: several deltas and multiplicities
+# ---------------------------------------------------------------------------
+
+# Conjugate-self-dual symbols of both signs and both dimensions, and the
+# conjugate-dual pair z / zt.
+LEVI_SYMBOLS = (csd("c", 1), csd("d", -1), csd("e", 1, dim=2), csd("g", -1, dim=2), ncsd("z"))
+
+
+def levi_sigmas():
+    """Every sigma of U(m), m <= 4, made of 1-dimensional fillers and at
+    most one block on c, d, e or g with a <= 3."""
+    for m in range(5):
+        yield filler_sigma(m)
+        for rho in LEVI_SYMBOLS[:4]:
+            for a in (1, 2, 3):
+                block = Summand(rho, a)
+                if block.dim <= m and sign_condition(sign_of(rho.duality), a, m):
+                    yield filler_sigma(m, block)
+
+
+def levi_deltas():
+    """Zero, one or two distinct delta factors on ``LEVI_SYMBOLS``, with
+    a <= 3 and multiplicity <= 2."""
+    factors = [
+        DeltaFactor(Summand(rho, a), mult)
+        for rho in LEVI_SYMBOLS
+        for a in (1, 2, 3)
+        for mult in (1, 2)
+    ]
+    yield ()
+    for f in factors:
+        yield (f,)
+    for f, g in combinations(factors, 2):
+        if f.summand != g.summand:
+            yield (f, g)
+
+
+def expected_ks_rank(pi: InducingData) -> int:
+    """The Knapp-Stein count from the sign condition: a conjugate-self-dual
+    delta counts when rho (x) S_a meets the sign condition of sigma's U(m)
+    and is not a Jordan block, matched on both rho and a."""
+    m = pi.sigma.group.rank
+    blocks = {(b.rho.label, b.a) for b in pi.sigma.blocks}
+    return sum(
+        d.summand.self_dual
+        and sign_condition(sign_of(d.summand.rho.duality), d.summand.a, m)
+        and (d.summand.rho.label, d.summand.a) not in blocks
+        for d in pi.deltas
+    )
+
+
+def test_every_small_levi_agrees_four_ways():
+    """Each sigma of :func:`levi_sigmas` against each delta set of
+    :func:`levi_deltas`: the data validate under the classical delta
+    rules, and the product's Knapp-Stein rank, the count read off the
+    sign condition, the Arthur rank and the brute-force Weyl quotient of
+    the unresolved centralizer agree.  Some deltas share their rho with a
+    Jordan block at another a, which a match on rho alone would call a
+    block."""
+    valid, shared_rho, ranks = 0, 0, Counter()
+    for sigma in levi_sigmas():
+        block_a = {b.rho.label: b.a for b in sigma.blocks}
+        for deltas in levi_deltas():
+            pi = InducingData(deltas, sigma)
+            assert validate_inducing(pi).ok, pi
+            result = verify_theorem(pi)
+            desc = unresolved_centralizer(parameter_of_induced(pi), pi.ambient_group())
+            rank = expected_ks_rank(pi)
+            assert knapp_stein_r_group(pi).rank == result.ks_rank == rank, pi
+            assert result.arthur_rank == weyl_quotient(desc).rank == rank, pi
+            valid += 1
+            ranks[rank] += 1
+            shared_rho += any(
+                block_a.get(d.summand.rho.label, d.summand.a) != d.summand.a for d in deltas
+            )
+    assert valid == 8_118
+    assert ranks == {0: 3_428, 1: 3_870, 2: 820}
+    assert shared_rho == 1_456

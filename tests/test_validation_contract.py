@@ -39,8 +39,7 @@ from rgroups.errors import InvalidInducingData, InvalidParameter
 from rgroups.levi import validate_inducing
 from rgroups.validation import CLEAN
 
-from helpers import CLASSICAL_FAMILIES, orth, pair, sympl
-from test_unitary import csd
+from helpers import CLASSICAL_FAMILIES, csd, orth, pair, sympl
 
 SP3 = GroupSpec(Family.SYMPLECTIC, 1)  # dual group SO(3, C)
 
