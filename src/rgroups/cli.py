@@ -7,14 +7,19 @@ and ``fuzz`` to run the two-sided check over randomly generated
 instances.  Exit codes: 0 success/agreement, 1 domain violation,
 disagreement or an oracle skipped at its size bound, 2 usage or parse
 errors.
+
+A plain file command such as ``rgroup --oracle --json FILE`` is answered
+without argparse (``_plain_file_command``).  Every other argv, help and
+usage errors included, goes to the parser, built on first use.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from functools import cache
 from pathlib import Path
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from .centralizer import centralizer
 from .errors import BoundExceeded, BoundsInfeasible, ParseError, RGroupError
@@ -36,6 +41,9 @@ from .levi import (
 )
 from .params import Family, classify
 from .weyl import weyl_quotient
+
+if TYPE_CHECKING:
+    import argparse
 
 
 def _print_violations(report, file=None) -> None:
@@ -262,13 +270,57 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
+# Each option's argparse keywords.
+_OPTIONS = {
+    "--json": {"action": "store_true", "help": "machine-readable output"},
+    "--side": {"choices": ("both", "ks", "arthur"), "default": "both"},
+    "--oracle": {"action": "store_true", "help": "also run the brute-force Weyl quotient"},
+}
+
+# Each file command: its handler, its help and its options, in the order
+# the parser lists them.  ``build_parser`` and ``_plain_file_command`` both
+# read this table.
+_FILE_COMMANDS = {
+    "validate": (cmd_validate, "validate an instance file", ("--json",)),
+    "rgroup": (cmd_rgroup, "compute R-groups for an instance", ("--json", "--side", "--oracle")),
+    "explain": (cmd_explain, "pretty-print the classification of the parameter", ("--json",)),
+}
+
+
+def _plain_file_command(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse builds for a plain file command: its exact
+    name, one token not starting with ``-`` (the path) and any of its
+    ``store_true`` flags, exactly spelled, in any order.  None for any
+    other argv, which argparse then decides."""
+    command = _FILE_COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    func, _, options = command
+    args = {"command": argv[0], "func": func}
+    for option in options:
+        args[option[2:]] = _OPTIONS[option].get("default", False)
+    paths = []
+    for token in argv[1:]:
+        if not token.startswith("-"):
+            paths.append(token)
+        elif token in options and _OPTIONS[token].get("action") == "store_true":
+            args[token[2:]] = True
+        else:
+            return None
+    if len(paths) != 1:
+        return None
+    return SimpleNamespace(path=paths[0], **args)
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, built on the first call rather than
-    at import and reused by every ``main`` call.  Reuse is safe because
-    parsing leaves no state on it: ``prog`` is fixed, every default is
-    immutable, and argparse looks up ``sys.stdout`` and ``sys.stderr`` only
-    when it prints."""
+    at import and reused by every ``main`` call that needs it.  Reuse is
+    safe because parsing leaves no state on it: ``prog`` is fixed, every
+    default is immutable, and argparse looks up ``sys.stdout`` and
+    ``sys.stderr`` only when it prints."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="rgroups",
         description=(
@@ -278,24 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, func, text in (
-        ("validate", cmd_validate, "validate an instance file"),
-        ("rgroup", cmd_rgroup, "compute R-groups for an instance"),
-        ("explain", cmd_explain, "pretty-print the classification of the parameter"),
-    ):
+    for name, (func, text, options) in _FILE_COMMANDS.items():
         p_file = sub.add_parser(name, help=text)
         p_file.add_argument("path")
-        p_file.add_argument("--json", action="store_true", help="machine-readable output")
+        for option in options:
+            p_file.add_argument(option, **_OPTIONS[option])
         p_file.set_defaults(func=func)
-    p_rgroup = sub.choices["rgroup"]
-    p_rgroup.add_argument(
-        "--side", choices=("both", "ks", "arthur"), default="both"
-    )
-    p_rgroup.add_argument(
-        "--oracle",
-        action="store_true",
-        help="also run the brute-force Weyl quotient",
-    )
 
     defaults = FuzzBounds()
     p_fuzz = sub.add_parser("fuzz", help="fuzz the two-sided R-group check")
@@ -318,7 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _plain_file_command(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

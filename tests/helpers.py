@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from itertools import combinations_with_replacement
 from typing import Iterator
 
@@ -10,6 +11,7 @@ from rgroups import (
     DeltaFactor,
     DualityType,
     Family,
+    FuzzBounds,
     GroupSpec,
     InducingData,
     JordanData,
@@ -17,8 +19,11 @@ from rgroups import (
     ParameterEntry,
     Summand,
     canonicalize,
+    random_instance,
     tensor_type,
+    verify_theorem,
 )
+from rgroups.instances import Instance, serialize_instance
 from rgroups.weyl import SignedPerm, SignedPermGroup, compose
 
 CLASSICAL_FAMILIES = (
@@ -227,3 +232,37 @@ def exhaustive_valid_parameters(
                     continue
                 rank = total // 2
             yield realize_parameter(family, combo), GroupSpec(family, rank)
+
+
+# The fuzz criterion and the benchmark's fuzz traffic replay this stream by
+# seed, so a refactor of the generator must leave every instance unchanged.
+STREAM_DIGEST = "0bc1b1f2c79a23bf7d3a7984a942e06e6ff7118a24abc658e49e6f0114ff17a0"
+
+
+# And what verification returns on that stream: both ranks and every
+# witness row, through the result's repr.
+VERIFY_DIGEST = "3ef2573e7269386a480f50bfa2e517457150a4e5ac1ac2ec6bce9f4a3ea756a3"
+
+STREAM_BOUNDS = [FuzzBounds(family=family) for family in CLASSICAL_FAMILIES] + [
+    FuzzBounds(max_deltas=0, max_dim=1, max_a=1, max_mult=1),
+    FuzzBounds(max_deltas=9, max_dim=2, max_a=2, family=Family.ODD_ORTHOGONAL),
+]
+
+
+def stream_digest() -> str:
+    """SHA-256 of the serialized instances of the pinned stream."""
+    digest = hashlib.sha256()
+    for b in STREAM_BOUNDS:
+        for seed in range(1000):
+            inst = Instance(random_instance(seed, b))
+            digest.update(serialize_instance(inst).encode())
+    return digest.hexdigest()
+
+
+def verify_digest() -> str:
+    """SHA-256 of the reprs of ``verify_theorem`` over the pinned stream."""
+    digest = hashlib.sha256()
+    for b in STREAM_BOUNDS:
+        for seed in range(1000):
+            digest.update(repr(verify_theorem(random_instance(seed, b))).encode())
+    return digest.hexdigest()

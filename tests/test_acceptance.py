@@ -3,8 +3,19 @@
 Every criterion is exact (group ranks and factor kinds, no tolerances) and
 runs at desk scale.  The terminal summary prints one PASS/FAIL line per
 criterion (see conftest.py).
+
+Run the criteria and the two pinned fuzz-stream digests without pytest,
+on any interpreter the package supports, with
+``PYTHONPATH=src python tests/test_acceptance.py --check``: it prints one
+PASS/FAIL line per check and exits 1 if one fails.
 """
 
+import io
+import platform
+import sys
+import time
+import traceback
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from rgroups import (
@@ -39,6 +50,8 @@ from rgroups.instances import (
 
 from helpers import (
     CLASSICAL_FAMILIES,
+    STREAM_DIGEST,
+    VERIFY_DIGEST,
     csd,
     exhaustive_valid_parameters,
     filler_sigma,
@@ -47,6 +60,8 @@ from helpers import (
     opposite_of,
     parity_sign,
     sign_of,
+    stream_digest,
+    verify_digest,
 )
 
 GL = FactorKind.GENERAL_LINEAR
@@ -297,19 +312,56 @@ def test_criterion_7_symplectic_structural_guarantee():
     assert count > 10_000
 
 
-def test_criterion_8_cli_corpus_round_trip_and_exit_codes(capsys):
+def test_criterion_8_cli_corpus_round_trip_and_exit_codes():
     """Round-trip stability and the exit-code contract over the committed
     corpus."""
     corpus = sorted(CORPUS.glob("*.json"))
     assert len(corpus) >= 12
-    for path in corpus:
-        inst = load_instance(path)
-        text = serialize_instance(inst)
-        assert parse_instance(text) == inst
-        assert text == path.read_text()
-        expected = 0 if path.name.endswith("-valid.json") else 1
-        assert main(["validate", str(path)]) == expected, path.name
-        if expected == 0:
-            assert main(["rgroup", "--oracle", str(path)]) == 0, path.name
-    capsys.readouterr()
-    assert main(["validate", str(CORPUS / "no-such-file.json")]) == 2
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        for path in corpus:
+            inst = load_instance(path)
+            text = serialize_instance(inst)
+            assert parse_instance(text) == inst
+            assert text == path.read_text()
+            expected = 0 if path.name.endswith("-valid.json") else 1
+            assert main(["validate", str(path)]) == expected, path.name
+            if expected == 0:
+                assert main(["rgroup", "--oracle", str(path)]) == 0, path.name
+        assert main(["validate", str(CORPUS / "no-such-file.json")]) == 2
+
+
+def _check_digest(compute, pinned: str) -> None:
+    assert compute() == pinned
+
+
+def _check_all() -> int:
+    """Run every criterion and both stream digests without pytest; 1 if
+    any fails."""
+    checks = []
+    for name, test in globals().items():
+        if name.startswith("test_criterion_"):
+            _, _, number, slug = name.split("_", 3)
+            checks.append((f"criterion {number} ({slug.replace('_', ' ')})", test))
+    checks += [
+        ("STREAM_DIGEST", lambda: _check_digest(stream_digest, STREAM_DIGEST)),
+        ("VERIFY_DIGEST", lambda: _check_digest(verify_digest, VERIFY_DIGEST)),
+    ]
+    failed = 0
+    for name, check in checks:
+        start = time.perf_counter()
+        try:
+            check()
+            status = "PASS"
+        except Exception:
+            traceback.print_exc()
+            failed += 1
+            status = "FAIL"
+        print(f"{name}: {status} ({time.perf_counter() - start:.1f} s)", flush=True)
+    print(f"{len(checks) - failed}/{len(checks)} checks pass (Python {platform.python_version()})")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--check"]:
+        raise SystemExit("usage: test_acceptance.py --check")
+    raise SystemExit(_check_all())

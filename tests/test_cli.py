@@ -1,6 +1,7 @@
 """Tests for the command-line interface and its exit-code contract."""
 
 import errno
+import itertools
 import json
 import os
 import subprocess
@@ -496,23 +497,25 @@ def _outcome(argv, capsys):
 def test_reused_parser_answers_like_a_fresh_one(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # the default replay directory
     mixed = str(CORPUS / "sp-mixed-valid.json")
+    # Every argv here goes to argparse: none is a plain file command.
     sequence = [
         ["rgroup", "--side", "ks", mixed],
-        ["rgroup", mixed],
-        ["rgroup", "--json", "--oracle", mixed],
-        ["rgroup", mixed],
+        ["rgroup", "--side", "both", mixed],
+        ["rgroup", "--js", "--oracle", mixed],
+        ["rgroup", "--", mixed],
         ["rgroup"],
-        ["explain", "--json", mixed],
+        ["explain", "--js", mixed],
         ["nope"],
-        ["explain", mixed],
-        ["validate", "--json", mixed],
-        ["validate", mixed],
+        ["explain", "--", mixed],
+        ["validate", "--json", "--", mixed],
+        ["validate", "--", mixed],
         [
             "fuzz", "--seed", "3", "--count", "7", "--family", "so-odd",
             "--max-deltas", "2", "--max-dim", "2", "--max-a", "3", "--max-mult", "1",
         ],
         ["fuzz"],
     ]
+    assert all(cli._plain_file_command(argv) is None for argv in sequence)
     cli.build_parser.cache_clear()
     reused = [_outcome(argv, capsys) for argv in sequence]
     assert cli.build_parser.cache_info().misses == 1
@@ -529,10 +532,51 @@ def test_reused_parser_answers_like_a_fresh_one(tmp_path, monkeypatch, capsys):
     assert not list(tmp_path.iterdir())
 
 
+# Tokens for the argv enumeration below: the commands, paths (one that
+# starts with "-"), the flags exactly spelled, abbreviated, with a value
+# or out of place, help and the end-of-options marker.
+ARGV_ALPHABET = [
+    "validate", "rgroup", "explain", "fuzz", "nope", "a.json", "b.json",
+    "-x.json", "", "-", "--json", "--oracle", "--js", "--side", "ks",
+    "--json=1", "-h", "--",
+]
+
+
+def test_plain_file_commands_parse_as_argparse_does():
+    """Over every argv of 1 to 4 tokens from ``ARGV_ALPHABET`` (111,150 of
+    them), the fast path either declines or returns exactly the namespace
+    argparse builds.  argparse runs only where the fast path answers: if it
+    exited there (2 on a usage error, 0 on help), the test would fail, so
+    every argv argparse refuses is declined."""
+    parser = cli.build_parser()
+    accepted = 0
+    for length in range(1, 5):
+        for argv in itertools.product(ARGV_ALPHABET, repeat=length):
+            fast = cli._plain_file_command(list(argv))
+            if fast is not None:
+                assert vars(fast) == vars(parser.parse_args(list(argv))), argv
+                accepted += 1
+    # Nine tokens can be a path (those that do not start with "-"); the
+    # rest of a plain argv is --json, or for rgroup also --oracle:
+    # 9 + 2*9 + 3*9 = 54 for validate and explain, 9 + 2*9*2 + 3*9*4 = 153
+    # for rgroup.
+    assert accepted == 54 + 153 + 54
+
+
 def test_importing_the_cli_builds_no_parser(tmp_path):
+    """In a fresh interpreter, importing the CLI and answering a plain file
+    command leave argparse unimported; the first argv that needs the
+    parser builds it, and later ones reuse it."""
     script = textwrap.dedent(
         """
-        import argparse, contextlib, io, sys
+        import contextlib, io, sys
+        import rgroups.cli
+        imported = ["argparse" in sys.modules]
+        with contextlib.redirect_stdout(io.StringIO()):
+            rgroups.cli.main(["rgroup", "--oracle", "--json", sys.argv[1]])
+        imported.append("argparse" in sys.modules)
+
+        import argparse
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -541,13 +585,12 @@ def test_importing_the_cli_builds_no_parser(tmp_path):
             init(self, *args, **kwargs)
 
         argparse.ArgumentParser.__init__ = counting
-        import rgroups.cli
-        counts = [len(built)]
-        for _ in range(2):
+        counts = []
+        for argv in (["validate"], ["validate", "--"], ["validate", "--"]):
             with contextlib.redirect_stdout(io.StringIO()):
-                rgroups.cli.main(["validate", sys.argv[1]])
+                rgroups.cli.main([*argv, sys.argv[1]])
             counts.append(len(built))
-        print(*counts)
+        print(*imported, *counts)
         """
     )
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -558,6 +601,7 @@ def test_importing_the_cli_builds_no_parser(tmp_path):
         [sys.executable, "-c", script, str(CORPUS / "sp-mixed-valid.json")],
         env=env, cwd=tmp_path, capture_output=True, text=True, check=True,
     )
-    at_import, first_call, second_call = map(int, run.stdout.split())
-    assert at_import == 0
-    assert first_call > 0 and second_call == first_call
+    at_import, after_rgroup, plain, first_parse, second_parse = run.stdout.split()
+    assert at_import == after_rgroup == "False"
+    assert plain == "0"
+    assert int(first_parse) > 0 and second_parse == first_parse

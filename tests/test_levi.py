@@ -1,8 +1,6 @@
 """Tests for both sides of the two-sided R-group computation on standard
 Levi subgroups, and for the instance fuzzer."""
 
-import hashlib
-
 import pytest
 
 from rgroups import (
@@ -21,11 +19,12 @@ from rgroups import (
     verify_theorem,
 )
 from rgroups.errors import BoundsInfeasible, InvalidInducingData
-from rgroups.instances import Instance, serialize_instance
 from rgroups.levi import validate_inducing
 
 from helpers import (
     CLASSICAL_FAMILIES,
+    STREAM_DIGEST,
+    VERIFY_DIGEST,
     csd,
     filler_sigma,
     jordan_parity_ok,
@@ -34,7 +33,9 @@ from helpers import (
     orth,
     pair,
     sign_condition,
+    stream_digest,
     sympl,
+    verify_digest,
 )
 
 
@@ -195,36 +196,12 @@ def test_random_instance_is_deterministic():
     assert random_instance(123, bounds) == random_instance(123, bounds)
 
 
-# The fuzz criterion and the benchmark's fuzz traffic replay this stream by
-# seed, so a refactor of the generator must leave every instance unchanged.
-STREAM_DIGEST = "0bc1b1f2c79a23bf7d3a7984a942e06e6ff7118a24abc658e49e6f0114ff17a0"
-
-
-# And what verification returns on that stream: both ranks and every
-# witness row, through the result's repr.
-VERIFY_DIGEST = "3ef2573e7269386a480f50bfa2e517457150a4e5ac1ac2ec6bce9f4a3ea756a3"
-
-STREAM_BOUNDS = [FuzzBounds(family=family) for family in CLASSICAL_FAMILIES] + [
-    FuzzBounds(max_deltas=0, max_dim=1, max_a=1, max_mult=1),
-    FuzzBounds(max_deltas=9, max_dim=2, max_a=2, family=Family.ODD_ORTHOGONAL),
-]
-
-
 def test_random_instance_stream_is_pinned():
-    digest = hashlib.sha256()
-    for b in STREAM_BOUNDS:
-        for seed in range(1000):
-            inst = Instance(random_instance(seed, b))
-            digest.update(serialize_instance(inst).encode())
-    assert digest.hexdigest() == STREAM_DIGEST
+    assert stream_digest() == STREAM_DIGEST
 
 
 def test_verification_of_the_stream_is_pinned():
-    digest = hashlib.sha256()
-    for b in STREAM_BOUNDS:
-        for seed in range(1000):
-            digest.update(repr(verify_theorem(random_instance(seed, b))).encode())
-    assert digest.hexdigest() == VERIFY_DIGEST
+    assert verify_digest() == VERIFY_DIGEST
 
 
 def test_random_instance_always_validates():
