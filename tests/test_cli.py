@@ -497,7 +497,7 @@ def _outcome(argv, capsys):
 def test_reused_parser_answers_like_a_fresh_one(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # the default replay directory
     mixed = str(CORPUS / "sp-mixed-valid.json")
-    # Every argv here goes to argparse: none is a plain file command.
+    # Plain file commands never reach the parser, so none is used here.
     sequence = [
         ["rgroup", "--side", "ks", mixed],
         ["rgroup", "--side", "both", mixed],
