@@ -9,7 +9,6 @@ from .centralizer import (
     FactorKind,
     arthur_r_group,
     centralizer,
-    descriptor_rank,
     unresolved_centralizer,
 )
 from .jordan import JordanData, validate_jordan
@@ -63,7 +62,6 @@ __all__ = [
     "canonicalize",
     "centralizer",
     "classify",
-    "descriptor_rank",
     "knapp_stein_r_group",
     "parameter_of_induced",
     "random_instance",

@@ -231,16 +231,3 @@ def arthur_r_group(psi: Parameter, group: GroupSpec) -> ElementaryTwoGroup:
     report.require(InvalidParameter, "arthur_r_group")
     return rank_group(buckets.d)
 
-
-def descriptor_rank(desc: CentralizerDescriptor) -> ElementaryTwoGroup:
-    """R-group rank read off a resolved descriptor.
-
-    Counts even-size full orthogonal factors.  Defined only when no live
-    determinant constraint remains.
-    """
-    if desc.has_live_constraint:
-        raise ValueError(
-            "descriptor rank is defined for resolved descriptors only;"
-            " use the brute-force quotient for live constraints"
-        )
-    return rank_group(sum(f.kind is _O and f.size % 2 == 0 for f in desc.factors))

@@ -14,8 +14,8 @@ from rgroups import (
     canonicalize,
     centralizer,
     classify,
-    descriptor_rank,
     unresolved_centralizer,
+    weyl_quotient,
 )
 from rgroups.errors import InvalidParameter
 
@@ -258,7 +258,7 @@ def test_source_dim_is_the_summand_dimension(
     desc = centralizer(psi, group)
     assert [(f.kind, f.size, f.source_dim) for f in desc.factors] == resolved
     assert desc.det_constraint == (None if live is None else ())
-    assert descriptor_rank(desc).rank == arthur_r_group(psi, group).rank == rank
+    assert weyl_quotient(desc).rank == arthur_r_group(psi, group).rank == rank
     desc = unresolved_centralizer(psi, group)
     assert [(f.kind, f.size, f.source_dim) for f in desc.factors] == unresolved
     assert desc.det_constraint == live
@@ -289,23 +289,19 @@ def test_arthur_rank_requires_valid_parameter():
         arthur_r_group(psi, GroupSpec(Family.SYMPLECTIC, 3))
 
 
-def test_descriptor_rank_counts_even_full_orthogonal_factors():
+def test_oracle_counts_even_full_orthogonal_factors():
     desc = CentralizerDescriptor(
         (Factor(GL, 4, 2), Factor(SP, 2, 2), Factor(O, 3, 2), Factor(O, 2, 2)),
         None,
     )
-    assert descriptor_rank(desc).rank == 1
-    with pytest.raises(ValueError):
-        descriptor_rank(
-            CentralizerDescriptor((Factor(O, 3, 1),), ((0, 1),))
-        )
+    assert weyl_quotient(desc).rank == 1
 
 
 def test_rank_equals_even_orthogonal_factor_count_on_enumerated_sets():
     for family in (Family.SYMPLECTIC, Family.ODD_ORTHOGONAL, Family.EVEN_ORTHOGONAL):
         for psi, G in exhaustive_valid_parameters(family, max_entries=2, max_dim=3, max_mult=3):
             desc = centralizer(psi, G)
-            assert arthur_r_group(psi, G) == descriptor_rank(desc)
+            assert arthur_r_group(psi, G) == weyl_quotient(desc)
             assert arthur_r_group(psi, G).rank == classify(psi, G).d
 
 

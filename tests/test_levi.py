@@ -1,6 +1,8 @@
 """Tests for both sides of the two-sided R-group computation on standard
 Levi subgroups, and for the instance fuzzer."""
 
+from collections import Counter
+
 import pytest
 
 from rgroups import (
@@ -12,11 +14,14 @@ from rgroups import (
     JordanData,
     Summand,
     arthur_r_group,
+    centralizer,
     knapp_stein_r_group,
     parameter_of_induced,
     random_instance,
+    unresolved_centralizer,
     validate_parameter,
     verify_theorem,
+    weyl_quotient,
 )
 from rgroups.errors import BoundsInfeasible, InvalidInducingData
 from rgroups.levi import validate_inducing
@@ -276,3 +281,56 @@ def test_adding_non_self_dual_delta_changes_nothing():
             base.arthur_rank,
         )
         assert result.agree
+
+
+def test_oracle_agrees_along_the_levi_chain():
+    """Levi datum -> parameter -> centralizer -> oracle on criterion 3's
+    traffic, where most parameters hold a summand with a > 1: the
+    brute-force Weyl quotient of both the unresolved and the resolved
+    centralizer equals the Arthur rank and the Knapp-Stein rank.  An
+    oracle refused by its bound fails the test."""
+    longer = 0
+    for family in CLASSICAL_FAMILIES:
+        bounds = FuzzBounds(max_deltas=5, max_dim=4, max_a=5, max_mult=3, family=family)
+        for seed in range(1_000):
+            pi = random_instance(seed, bounds)
+            phi, group = parameter_of_induced(pi), pi.ambient_group()
+            ks = knapp_stein_r_group(pi)
+            unresolved = unresolved_centralizer(phi, group)
+            assert weyl_quotient(unresolved) == arthur_r_group(phi, group) == ks, (family, seed)
+            assert weyl_quotient(centralizer(phi, group)) == ks, (family, seed)
+            # every sp parameter carries a live determinant condition, no other does
+            assert unresolved.has_live_constraint == (family is Family.SYMPLECTIC)
+            longer += any(e.summand.a > 1 for e in phi.entries)
+    assert longer == 2_737
+
+
+def test_same_rho_table_agrees_three_ways():
+    """A delta rho (x) S_a against a Jordan block rho (x) S_b of the same
+    rho with a != b, in every classical family: it is no block, so it
+    reduces exactly when it has the dual group's type.  The Knapp-Stein
+    rank, the Arthur rank and the brute-force Weyl quotient of the
+    unresolved centralizer agree on every valid datum.  A match against
+    the blocks on rho alone would call every such delta a block."""
+    valid, ranks = 0, Counter()
+    for family in CLASSICAL_FAMILIES:
+        odd_total = family is Family.SYMPLECTIC
+        for rho in (orth("r", 1), orth("r", 2), sympl("r", 2)):
+            for b in range(1, 6):
+                blocks = (Summand(rho, b),)
+                if rho.dim * b % 2 != odd_total:
+                    blocks += (Summand(orth("f"), 1),)
+                sigma = JordanData(GroupSpec(family, sum(x.dim for x in blocks) // 2), blocks)
+                for a in range(1, 6):
+                    for mult in (1, 2):
+                        pi = InducingData((DeltaFactor(Summand(rho, a), mult),), sigma)
+                        if a == b or not validate_inducing(pi).ok:
+                            continue
+                        phi, group = parameter_of_induced(pi), pi.ambient_group()
+                        ks = knapp_stein_r_group(pi)
+                        oracle = weyl_quotient(unresolved_centralizer(phi, group))
+                        assert ks == arthur_r_group(phi, group) == oracle, pi
+                        valid += 1
+                        ranks[ks.rank] += 1
+    assert valid == 168
+    assert ranks == {0: 100, 1: 68}

@@ -31,7 +31,6 @@ from rgroups import (
     arthur_r_group,
     canonicalize,
     centralizer,
-    descriptor_rank,
     knapp_stein_r_group,
     parameter_of_induced,
     unresolved_centralizer,
@@ -269,7 +268,7 @@ def test_unitary_centralizer_pair_case():
     assert len(gl_factors) == 2
     assert all(f.size == 1 for f in gl_factors)
     assert all(f.size == 1 for f in desc.factors)
-    assert descriptor_rank(desc).rank == 0
+    assert weyl_quotient(desc).rank == 0
 
 
 def test_unitary_centralizer_merged_block_gives_odd_orthogonal():
@@ -279,7 +278,7 @@ def test_unitary_centralizer_merged_block_gives_odd_orthogonal():
     desc = induced_centralizer(block, sigma)
     merged = next(f for f in desc.factors if f.size == 3)
     assert merged.kind is O
-    assert descriptor_rank(desc).rank == 0
+    assert weyl_quotient(desc).rank == 0
 
 
 def test_unitary_centralizer_sp2_case():
@@ -294,7 +293,7 @@ def test_unitary_centralizer_o2_case():
     delta = Summand(csd("x", parity_sign(3 + 1)), 1)
     desc = induced_centralizer(delta, sigma)
     assert any(f.kind is O and f.size == 2 for f in desc.factors)
-    assert descriptor_rank(desc).rank == 1
+    assert weyl_quotient(desc).rank == 1
 
 
 def test_unitary_centralizer_errors():
@@ -317,11 +316,11 @@ def unitary_alphabet():
 
 def test_unitary_closed_form_equals_oracle_exhaustively():
     """Over every unitary parameter of at most 3 canonical entries from
-    :func:`unitary_alphabet`, up to relabeling, the closed-form rank, the
-    rank read off the centralizer and the brute-force Weyl quotient agree,
-    and equal the count of entries whose sign lambda (-1)^(a+1) is
-    (-1)^(n+1) with even multiplicity.  U(n) has no determinant
-    condition, so the unresolved descriptor is the resolved one."""
+    :func:`unitary_alphabet`, up to relabeling, the closed-form rank and
+    the brute-force Weyl quotient of the centralizer agree, and equal the
+    count of entries whose sign lambda (-1)^(a+1) is (-1)^(n+1) with even
+    multiplicity.  U(n) has no determinant condition, so the unresolved
+    descriptor is the resolved one."""
     valid = 0
     seen_types, seen_ranks = set(), set()
     alphabet = unitary_alphabet()
@@ -348,7 +347,7 @@ def test_unitary_closed_form_equals_oracle_exhaustively():
             assert desc.det_constraint is None
             assert unresolved_centralizer(psi, group) == desc
             closed = arthur_r_group(psi, group)
-            assert closed == weyl_quotient(desc) == descriptor_rank(desc), psi.describe()
+            assert closed == weyl_quotient(desc), psi.describe()
             assert closed.rank == rank, psi.describe()
             valid += 1
             seen_types.add(group.dual_type)

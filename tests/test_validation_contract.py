@@ -96,7 +96,6 @@ PUBLIC_NAMES = [
     "canonicalize",
     "centralizer",
     "classify",
-    "descriptor_rank",
     "knapp_stein_r_group",
     "parameter_of_induced",
     "random_instance",
@@ -118,6 +117,7 @@ RETIRED_NAMES = [
     "arthur_r_group_of_induced",
     "NotSelfDualInput",
     "InvalidJordanData",
+    "descriptor_rank",
 ]
 
 

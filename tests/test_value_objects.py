@@ -41,7 +41,6 @@ from rgroups import (
     canonicalize,
     centralizer,
     classify,
-    descriptor_rank,
     unresolved_centralizer,
     validate_jordan,
     validate_parameter,
@@ -706,7 +705,7 @@ def test_equal_shapes_share_their_factors_and_rank_groups():
     assert resolved[0].factors[1] is not unresolved[0].factors[1]
     rank = arthur_r_group(first, SP8)
     assert rank.rank == 1
-    assert rank is arthur_r_group(second, SP8) is descriptor_rank(resolved[1])
+    assert rank is arthur_r_group(second, SP8) is weyl_quotient(resolved[1])
     assert rank is weyl_quotient(resolved[0]) is weyl_quotient(unresolved[1])
 
 
@@ -715,8 +714,8 @@ def test_shared_descriptors_keep_their_value():
     fresh = CentralizerDescriptor((Factor(GL, 2, 1), Factor(SO, 3, 1), Factor(O, 2, 1)), ())
     assert desc == fresh and hash(desc) == hash(fresh) and repr(desc) == repr(fresh)
     assert desc.describe() == fresh.describe() == "GL(2) x SO(3) x O(2)"
-    assert descriptor_rank(desc) == ElementaryTwoGroup(1)
-    assert hash(descriptor_rank(desc)) == hash(ElementaryTwoGroup(1))
+    assert weyl_quotient(desc) == ElementaryTwoGroup(1)
+    assert hash(weyl_quotient(desc)) == hash(ElementaryTwoGroup(1))
 
 
 def test_a_shared_factor_stays_frozen():
