@@ -134,12 +134,7 @@ class ElementaryTwoGroup(Value):
 # bad shape raises on every call, since ``lru_cache`` keeps no exception;
 # nothing is cached per parameter or per descriptor.
 _factor = lru_cache(maxsize=None)(Factor)
-
-
-@lru_cache(maxsize=None)
-def rank_group(rank: int) -> ElementaryTwoGroup:
-    """The one shared (Z/2)^rank."""
-    return ElementaryTwoGroup(rank)
+rank_group = lru_cache(maxsize=None)(ElementaryTwoGroup)  # one (Z/2)^rank per rank
 
 
 _BUCKET_KINDS = (_GL, _SP, _O, _O)

@@ -10,13 +10,12 @@ errors.
 
 A plain file command such as ``rgroup --oracle --json FILE`` is answered
 without argparse (``_plain_file_command``).  Every other argv, help and
-usage errors included, goes to the parser, built on first use.
+usage errors included, goes to a parser built for that call.
 """
 
 from __future__ import annotations
 
 import sys
-from functools import cache
 from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
@@ -312,13 +311,8 @@ def _plain_file_command(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(path=paths[0], **args)
 
 
-@cache
 def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process, built on the first call rather than
-    at import and reused by every ``main`` call that needs it.  Reuse is
-    safe because parsing leaves no state on it: ``prog`` is fixed, every
-    default is immutable, and argparse looks up ``sys.stdout`` and
-    ``sys.stderr`` only when it prints."""
+    """The argument parser, built on each call rather than at import."""
     import argparse
 
     parser = argparse.ArgumentParser(

@@ -168,10 +168,7 @@ def weyl_of_factor(kind: FactorKind, size: int) -> tuple[SignedPermGroup, Signed
     return _weyl_groups(kind, size)
 
 
-@lru_cache(maxsize=None)
-def _factor_weyl(kind: FactorKind, size: int) -> tuple[SignedPermGroup, SignedPermGroup]:
-    """(W, W0) of a shape the cap admitted."""
-    return _weyl_groups(kind, size)
+_factor_weyl = lru_cache(maxsize=None)(_weyl_groups)  # (W, W0) of an admitted shape
 
 
 @lru_cache(maxsize=None)

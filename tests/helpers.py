@@ -158,6 +158,42 @@ def is_closed(group: SignedPermGroup) -> bool:
     )
 
 
+# Whether r2, the second piece of the adjoint action in Shahidi's
+# L-functions for a Levi GL x G, is Sym^2 (SO(2n+1)) rather than Lambda^2
+# (Sp(2n), O(2n)).
+R2_IS_SYMMETRIC_SQUARE = {
+    Family.SYMPLECTIC: False,
+    Family.ODD_ORTHOGONAL: True,
+    Family.EVEN_ORTHOGONAL: False,
+}
+
+
+def pole_orders(pi: InducingData) -> list[int]:
+    """For each self-dual delta = rho (x) S_a of ``pi``, the order of the
+    pole at s = 0 of L(s, delta x phi_sigma) L(2s, delta, r2); delta
+    induces reducibly exactly when it is 0 (Shahidi, Ann. of Math. 132,
+    1990).  Classical families only.  Reads labels, a and rho's declared
+    type, never a summand's duality or the product's rank-one rule.
+
+    The Rankin-Selberg factor has a simple pole for each Jordan block
+    rho' (x) S_b with rho' = rho^v (for self-dual rho, the same label) and
+    b = a.  r2(rho (x) S_a) = Sym^2 rho (x) r2(S_a) + Lambda^2 rho (x)
+    r2*(S_a), r2* the other square, and only an S_1 piece gives a pole at
+    0: S_1 lies in Sym^2 S_a for odd a and in Lambda^2 S_a for even a.
+    L(s, Sym^2 rho) has a pole exactly for orthogonal rho, L(s, Lambda^2
+    rho) exactly for symplectic rho."""
+    sym = R2_IS_SYMMETRIC_SQUARE[pi.sigma.group.family]
+    orders = []
+    for d in pi.deltas:
+        rho, a = d.summand.rho, d.summand.a
+        if not rho.self_dual:
+            continue
+        blocks = sum(b.rho.label == rho.label and b.a == a for b in pi.sigma.blocks)
+        s1_in_r2 = (a % 2 == 1) == sym
+        orders.append(blocks + (s1_in_r2 == (rho.duality is DualityType.ORTHOGONAL)))
+    return orders
+
+
 EntryTemplate = tuple[str, int, int]  # (kind, summand dim, multiplicity)
 
 

@@ -37,6 +37,7 @@ from helpers import (
     ncsd,
     orth,
     pair,
+    pole_orders,
     sign_condition,
     stream_digest,
     sympl,
@@ -287,9 +288,10 @@ def test_oracle_agrees_along_the_levi_chain():
     """Levi datum -> parameter -> centralizer -> oracle on criterion 3's
     traffic, where most parameters hold a summand with a > 1: the
     brute-force Weyl quotient of both the unresolved and the resolved
-    centralizer equals the Arthur rank and the Knapp-Stein rank.  An
+    centralizer equals the Arthur rank and the Knapp-Stein rank, and so
+    does the number of self-dual deltas with no L-function pole at 0.  An
     oracle refused by its bound fails the test."""
-    longer = 0
+    longer = self_dual = 0
     for family in CLASSICAL_FAMILIES:
         bounds = FuzzBounds(max_deltas=5, max_dim=4, max_a=5, max_mult=3, family=family)
         for seed in range(1_000):
@@ -299,19 +301,24 @@ def test_oracle_agrees_along_the_levi_chain():
             unresolved = unresolved_centralizer(phi, group)
             assert weyl_quotient(unresolved) == arthur_r_group(phi, group) == ks, (family, seed)
             assert weyl_quotient(centralizer(phi, group)) == ks, (family, seed)
+            orders = pole_orders(pi)
+            assert max(orders, default=0) <= 1 and orders.count(0) == ks.rank, (family, seed)
+            self_dual += len(orders)
             # every sp parameter carries a live determinant condition, no other does
             assert unresolved.has_live_constraint == (family is Family.SYMPLECTIC)
             longer += any(e.summand.a > 1 for e in phi.entries)
     assert longer == 2_737
+    assert self_dual == 5_020
 
 
-def test_same_rho_table_agrees_three_ways():
+def test_same_rho_table_agrees_four_ways():
     """A delta rho (x) S_a against a Jordan block rho (x) S_b of the same
     rho with a != b, in every classical family: it is no block, so it
     reduces exactly when it has the dual group's type.  The Knapp-Stein
-    rank, the Arthur rank and the brute-force Weyl quotient of the
-    unresolved centralizer agree on every valid datum.  A match against
-    the blocks on rho alone would call every such delta a block."""
+    rank, the Arthur rank, the brute-force Weyl quotient of the
+    unresolved centralizer and the absence of an L-function pole at 0
+    agree on every valid datum.  A match against the blocks on rho alone
+    would call every such delta a block."""
     valid, ranks = 0, Counter()
     for family in CLASSICAL_FAMILIES:
         odd_total = family is Family.SYMPLECTIC
@@ -330,6 +337,8 @@ def test_same_rho_table_agrees_three_ways():
                         ks = knapp_stein_r_group(pi)
                         oracle = weyl_quotient(unresolved_centralizer(phi, group))
                         assert ks == arthur_r_group(phi, group) == oracle, pi
+                        orders = pole_orders(pi)
+                        assert orders in ([0], [1]) and orders.count(0) == ks.rank, pi
                         valid += 1
                         ranks[ks.rank] += 1
     assert valid == 168

@@ -27,7 +27,14 @@ from rgroups.centralizer import ElementaryTwoGroup
 from rgroups.errors import BoundExceeded, NonElementaryQuotient
 from rgroups.weyl import SignedPermGroup, _lift_dets, compose, sign_product
 
-from helpers import identity_element, invert, is_closed, orth, sympl
+from helpers import (
+    exhaustive_valid_parameters,
+    identity_element,
+    invert,
+    is_closed,
+    orth,
+    sympl,
+)
 
 GL = FactorKind.GENERAL_LINEAR
 SP = FactorKind.SYMPLECTIC
@@ -194,6 +201,7 @@ def test_factor_weyl_groups_are_closed(kind, size):
 
 
 def test_weyl_of_factor_small_cases():
+    weyl._factor_weyl.cache_clear()
     full, ident = weyl_of_factor(O, 2)
     assert full.order == 2 and ident.order == 1
     full, ident = weyl_of_factor(O, 3)
@@ -202,6 +210,8 @@ def test_weyl_of_factor_small_cases():
     assert full.order == 1
     full, ident = weyl_of_factor(SO, 2)
     assert full.order == ident.order == 1
+    # the public builder leaves the oracle's per-shape cache untouched
+    assert weyl._factor_weyl.cache_info().currsize == 0
 
 
 def test_weyl_quotient_spot_values():
@@ -236,6 +246,28 @@ def test_weyl_quotient_single_constrained_even_factor():
     # det g = 1 on O(2) cuts it down to SO(2): trivial quotient.
     desc = CentralizerDescriptor((Factor(O, 2, 1),), ((0, 1),))
     assert weyl_quotient(desc).rank == 0
+
+
+def test_even_size_factors_decide_live_conditions_on_so_2n():
+    """Every even orthogonal parameter of criterion 2's alphabet with at
+    most 3 canonical entries, read into SO(2n, C): every O factor of odd
+    source dimension enters a live determinant condition.  The oracle
+    gives the rule of Goldberg (1994): the number of even-size O factors,
+    less one when the condition is live and no live factor has odd size.
+    Only there does the condition reject Weyl elements."""
+    count = live_count = even_decided = 0
+    for psi, group in exhaustive_valid_parameters(Family.EVEN_ORTHOGONAL, max_entries=3):
+        factors = centralizer(psi, group).factors
+        live = [i for i, f in enumerate(factors) if f.kind is O and f.source_dim % 2]
+        desc = CentralizerDescriptor(factors, tuple((i, 1) for i in live))
+        rank = sum(f.kind is O and f.size % 2 == 0 for f in factors)
+        if live and all(factors[i].size % 2 == 0 for i in live):
+            rank -= 1
+            even_decided += 1
+        assert weyl_quotient(desc).rank == rank, psi.describe()
+        count += 1
+        live_count += bool(live)
+    assert (count, live_count, even_decided) == (11_478, 4_934, 4_115)
 
 
 def test_weyl_quotient_bounds(monkeypatch):
@@ -459,18 +491,16 @@ def cyclic_weyl_group(monkeypatch):
         elements = {compose(x, g) for x in elements} | elements
     full = SignedPermGroup(frozenset(elements))
     trivial = SignedPermGroup(frozenset({identity_element(2)}))
-    real = weyl._weyl_groups
+    real = weyl._factor_weyl
 
     def patched(kind, size):
         if (kind, size) == (O, 5):
             return full, trivial
         return real(kind, size)
 
-    monkeypatch.setattr(weyl, "_weyl_groups", patched)
-    weyl._factor_weyl.cache_clear()
+    monkeypatch.setattr(weyl, "_factor_weyl", patched)
     weyl._free_rank.cache_clear()
     yield
-    weyl._factor_weyl.cache_clear()
     weyl._free_rank.cache_clear()
 
 
