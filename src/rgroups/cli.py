@@ -26,7 +26,7 @@ from .instances import (
     _LAMBDAS,
     Instance,
     dump_json,
-    instance_document,
+    instance_head,
     load_instance,
     serialize_instance,
 )
@@ -51,10 +51,8 @@ def _print_violations(report, file=None) -> None:
 
 
 def _print_document(inst: Instance, results: dict) -> None:
-    """Print the ``--json`` document: the instance with its results."""
-    doc = instance_document(inst)
-    doc["results"] = results
-    print(dump_json(doc))
+    """Print the ``--json`` document: the instance, then ``results``."""
+    print(instance_head(inst) + ',\n  "results": ' + dump_json(results, "\n  ") + "\n}")
 
 
 def cmd_validate(args: argparse.Namespace) -> int:

@@ -7,7 +7,8 @@ conjugate-duality vocabulary, which parses to conjugate symbols (see
 ``CuspidalSymbol.conjugate``).  Serialization is canonical: top-level
 keys in schema order, symbols sorted by label, blocks (in sigma's order)
 and deltas sorted by (label, a), and only referenced symbols emitted, so
-parse and serialize are mutually inverse on canonical form.
+parse and serialize are mutually inverse on canonical form.  It is written
+straight from the instance; ``dump_json`` writes only ``--json`` results.
 """
 
 from __future__ import annotations
@@ -242,51 +243,55 @@ def parse_instance(text: str) -> Instance:
     return Instance(InducingData(tuple(deltas), sigma))
 
 
-def _symbol_doc(sym: CuspidalSymbol) -> dict:
+def _int(value: int) -> str:
+    """An integer field by ``dump_json``'s rule (an IntEnum by ``int.__repr__``)."""
+    return _SCALARS.get(value.__class__, int.__repr__)(value)
+
+
+def _symbol_text(sym: CuspidalSymbol) -> str:
     duality = sym.duality.value
     if sym.conjugate:
         duality = "conjugate-self-dual" if sym.self_dual else "not-conjugate-self-dual"
-    doc: dict[str, Any] = {"dim": sym.dim, "duality": duality}
+    text = f'{_quote(sym.label)}: {{\n      "dim": {_int(sym.dim)},\n      "duality": {_quote(duality)}'
     if sym.dual_label is not None:
-        doc["dual"] = sym.dual_label
+        text += f',\n      "dual": {_quote(sym.dual_label)}'
     elif sym.conjugate:
-        doc["lambda"] = _LAMBDAS[sym.duality]
+        text += f',\n      "lambda": {_LAMBDAS[sym.duality]}'
     if not sym.lambda_matches:
-        doc["lambda_matches"] = False
-    return doc
+        text += ',\n      "lambda_matches": false'
+    return text + "\n    }"
 
 
-def instance_document(inst: Instance) -> dict:
-    """Canonical JSON-ready dictionary for an instance."""
-    symbols: dict[str, dict] = {}
+def instance_head(inst: Instance) -> str:
+    """The canonical document of ``inst`` without its closing brace, as
+    ``json.dumps(doc, indent=2)`` writes it.  A label of the symbol table
+    holds its last direct use or, with none, the first partner noted there."""
+    sigma = inst.data.sigma
+    symbols: dict[str, CuspidalSymbol] = {}
+    for rho in [b.rho for b in sigma.blocks] + [d.summand.rho for d in inst.data.deltas]:
+        symbols[rho.label] = rho
+        if rho.dual_label is not None and rho.dual_label not in symbols:
+            symbols[rho.dual_label] = rho.dual_partner()
+    table = ",\n    ".join([_symbol_text(symbols[label]) for label in sorted(symbols)])
+    blocks = ",\n      ".join([f"[\n        {_quote(b.rho.label)},\n        {_int(b.a)}\n      ]"
+                                for b in sigma.blocks])
+    deltas = ",\n    ".join([
+        f'{{\n      "rho": {_quote(d.summand.rho.label)},\n      "a": {_int(d.summand.a)},'
+        f'\n      "mult": {_int(d.multiplicity)}\n    }}'
+        for d in sorted(inst.data.deltas, key=lambda d: d.summand.sort_key())
+    ])
+    table = "{\n    " + table + "\n  }" if table else "{}"
+    blocks = "[\n      " + blocks + "\n    ]" if blocks else "[]"
+    deltas = "[\n    " + deltas + "\n  ]" if deltas else "[]"
+    return (
+        f'{{\n  "format_version": {_quote(FORMAT_VERSION)},'
+        f'\n  "family": {_quote(sigma.group.family.value)},'
+        f'\n  "symbols": {table},\n  "sigma": {{\n    "rank": {_int(sigma.group.rank)},'
+        f'\n    "blocks": {blocks}\n  }},\n  "deltas": {deltas}'
+    )
 
-    def note(sym: CuspidalSymbol) -> None:
-        symbols[sym.label] = _symbol_doc(sym)
-        if sym.dual_label is not None:
-            partner = sym.dual_partner()
-            symbols.setdefault(partner.label, _symbol_doc(partner))
 
-    for block in inst.data.sigma.blocks:
-        note(block.rho)
-    for d in inst.data.deltas:
-        note(d.summand.rho)
-    return {
-        "format_version": FORMAT_VERSION,
-        "family": inst.data.sigma.group.family.value,
-        "symbols": {k: symbols[k] for k in sorted(symbols)},
-        "sigma": {
-            "rank": inst.data.sigma.group.rank,
-            "blocks": [[b.rho.label, b.a] for b in inst.data.sigma.blocks],
-        },
-        "deltas": [
-            {"rho": d.summand.rho.label, "a": d.summand.a, "mult": d.multiplicity}
-            for d in sorted(inst.data.deltas, key=lambda d: d.summand.sort_key())
-        ],
-    }
-
-
-# The JSON writer of each scalar type, looked up by exact type (see
-# `dump_json`).
+# The JSON writer of each scalar type, by exact type (see `dump_json`).
 _SCALARS = {
     str: _quote,
     int: int.__repr__,
@@ -298,7 +303,8 @@ _SCALARS = {
 def dump_json(value: Any, pad: str = "\n") -> str:
     """Exactly ``json.dumps(value, indent=2)`` for documents of str, int,
     bool, None, list, tuple and dict, in one pass (the ``json`` module
-    writes indented output with its pure-Python encoder).  Any other
+    writes indented output with its pure-Python encoder), for the results
+    block of ``--json`` output, at the indent ``pad`` holds.  Any other
     type, a float or a non-str key included, raises TypeError.  A list or
     dict writes each item of an exact type in ``_SCALARS`` through its
     writer there, with no call per scalar; any other item, a subclass such
@@ -337,7 +343,7 @@ def dump_json(value: Any, pad: str = "\n") -> str:
 
 
 def serialize_instance(inst: Instance) -> str:
-    return dump_json(instance_document(inst)) + "\n"
+    return instance_head(inst) + "\n}\n"
 
 
 def load_instance(path: str | Path) -> Instance:

@@ -31,7 +31,13 @@ class JordanData(Value):
 
     def __init__(self, group: GroupSpec, blocks: tuple[Summand, ...]) -> None:
         _set_jordan_group(self, group)
-        _set_jordan_blocks(self, tuple(sorted(set(blocks), key=Summand.sort_key)))
+        # the set, which hashes each Summand, only when two sorted keys are equal
+        ordered = sorted(blocks, key=Summand.sort_key)
+        for prev, block in zip(ordered, ordered[1:]):
+            if block.a == prev.a and block.rho.label == prev.rho.label:
+                ordered = sorted(set(blocks), key=Summand.sort_key)
+                break
+        _set_jordan_blocks(self, tuple(ordered))
         _set_jordan_report(self, None)
 
     def total_dimension(self) -> int:

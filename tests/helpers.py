@@ -23,7 +23,7 @@ from rgroups import (
     tensor_type,
     verify_theorem,
 )
-from rgroups.instances import Instance, serialize_instance
+from rgroups.instances import _LAMBDAS, FORMAT_VERSION, Instance, serialize_instance
 from rgroups.weyl import SignedPerm, SignedPermGroup, compose
 
 CLASSICAL_FAMILIES = (
@@ -302,3 +302,52 @@ def verify_digest() -> str:
         for seed in range(1000):
             digest.update(repr(verify_theorem(random_instance(seed, b))).encode())
     return digest.hexdigest()
+
+
+# The writer's reference: the instance document as a dict, which
+# ``json.dumps(doc, indent=2)`` writes as ``serialize_instance`` must
+# (without its final newline).  It builds the document apart from the
+# product's writer, which formats text straight from the instance, so
+# the parity tests compare two independent paths.
+def _symbol_doc(sym: CuspidalSymbol) -> dict:
+    duality = sym.duality.value
+    if sym.conjugate:
+        duality = "conjugate-self-dual" if sym.self_dual else "not-conjugate-self-dual"
+    doc = {"dim": sym.dim, "duality": duality}
+    if sym.dual_label is not None:
+        doc["dual"] = sym.dual_label
+    elif sym.conjugate:
+        doc["lambda"] = _LAMBDAS[sym.duality]
+    if not sym.lambda_matches:
+        doc["lambda_matches"] = False
+    return doc
+
+
+def instance_document(inst: Instance) -> dict:
+    """Canonical JSON-ready dictionary for an instance: a label holds the
+    symbol of its last direct use, and a dual partner only fills a gap."""
+    symbols: dict[str, dict] = {}
+
+    def note(sym: CuspidalSymbol) -> None:
+        symbols[sym.label] = _symbol_doc(sym)
+        if sym.dual_label is not None:
+            partner = sym.dual_partner()
+            symbols.setdefault(partner.label, _symbol_doc(partner))
+
+    for block in inst.data.sigma.blocks:
+        note(block.rho)
+    for d in inst.data.deltas:
+        note(d.summand.rho)
+    return {
+        "format_version": FORMAT_VERSION,
+        "family": inst.data.sigma.group.family.value,
+        "symbols": {k: symbols[k] for k in sorted(symbols)},
+        "sigma": {
+            "rank": inst.data.sigma.group.rank,
+            "blocks": [[b.rho.label, b.a] for b in inst.data.sigma.blocks],
+        },
+        "deltas": [
+            {"rho": d.summand.rho.label, "a": d.summand.a, "mult": d.multiplicity}
+            for d in sorted(inst.data.deltas, key=lambda d: d.summand.sort_key())
+        ],
+    }

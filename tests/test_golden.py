@@ -12,9 +12,15 @@ The unitary edge cases in ``tests/edge_instances/`` are pinned the same
 way against ``tests/edge_golden/``; they live apart from ``instances/``
 because the benchmark reads that directory.
 
+On the same files it checks the writer parity: ``serialize_instance``
+and every ``--json`` document must be ``json.dumps(doc, indent=2)`` of the
+reference dictionary ``helpers.instance_document`` (with the command's
+``results`` added), so the writer agrees with the ``json`` module and not
+only with the goldens it wrote.
+
 Regenerate both sets, after a deliberate change of output, with
-``PYTHONPATH=src python tests/test_golden.py``.  Compare them without
-pytest, on any interpreter the package supports, with
+``PYTHONPATH=src python tests/test_golden.py``.  Compare them and check
+the parity without pytest, on any interpreter the package supports, with
 ``PYTHONPATH=src python tests/test_golden.py --check``: it prints each
 mismatch and exits 1 if there is one.
 """
@@ -28,6 +34,9 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from rgroups.cli import main
+from rgroups.instances import load_instance, serialize_instance
+
+from helpers import instance_document
 
 try:
     from pytest import mark
@@ -94,6 +103,25 @@ def _check(corpus: Path, golden: Path, name: str, cmd: str, mode: str) -> None:
     assert observed == expected
 
 
+def _parity(corpus: Path, name: str) -> tuple[int, list[str]]:
+    """The number of texts compared on one file, and the writers among
+    them whose text is not ``json.dumps`` of the reference document:
+    ``serialize_instance``, and each command whose ``--json`` run printed
+    a document (an invalid file's ``rgroup`` and ``explain`` print none)."""
+    inst = load_instance(corpus / name)
+    ref = instance_document(inst)
+    compared = 1
+    differ = [] if serialize_instance(inst) == json.dumps(ref, indent=2) + "\n" else ["serialize"]
+    for cmd in COMMANDS:
+        out = _run(corpus, name, cmd, "json")[1]
+        if out:
+            compared += 1
+            doc = {**ref, "results": json.loads(out)["results"]}
+            if out != json.dumps(doc, indent=2) + "\n":
+                differ.append(cmd)
+    return compared, differ
+
+
 if mark is not None:
 
     @mark.parametrize("name,cmd", CASES)
@@ -111,6 +139,14 @@ if mark is not None:
     @mark.parametrize("name,cmd", EDGE_CASES)
     def test_edge_text_output_matches_golden(name, cmd):
         _check(EDGE, EDGE_GOLDEN, name, cmd, "text")
+
+    @mark.parametrize(
+        "corpus,name",
+        [(corpus, p.name) for corpus in (CORPUS, EDGE) for p in sorted(corpus.glob("*.json"))],
+        ids=lambda value: getattr(value, "name", value),
+    )
+    def test_writers_match_json_dumps_of_the_reference(corpus, name):
+        assert _parity(corpus, name)[1] == []
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -141,8 +177,17 @@ def _check_all() -> int:
                 if observed != expected:
                     failed += 1
                     print(f"mismatch: {corpus.name}/{name} {cmd} ({mode})")
-    print(f"{total - failed}/{total} goldens match (Python {platform.python_version()})")
-    return 1 if failed else 0
+    version = platform.python_version()
+    print(f"{total - failed}/{total} goldens match (Python {version})")
+    files = texts = wrong = 0
+    for corpus in (CORPUS, EDGE):
+        for path in sorted(corpus.glob("*.json")):
+            compared, differ = _parity(corpus, path.name)
+            files, texts, wrong = files + 1, texts + compared, wrong + bool(differ)
+            for writer in differ:
+                print(f"parity mismatch: {corpus.name}/{path.name} {writer}")
+    print(f"{files - wrong}/{files} files pass the writer parity, {texts} texts (Python {version})")
+    return 1 if failed or wrong else 0
 
 
 if __name__ == "__main__":

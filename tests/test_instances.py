@@ -11,8 +11,19 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rgroups import Family
-from rgroups.cli import main
+from rgroups import (
+    CuspidalSymbol,
+    DeltaFactor,
+    DualityType,
+    Family,
+    FuzzBounds,
+    GroupSpec,
+    InducingData,
+    JordanData,
+    Summand,
+    random_instance,
+)
+from rgroups.cli import _print_document, main
 from rgroups.errors import ParseError
 from rgroups.instances import (
     MAX_INTEGER,
@@ -23,6 +34,8 @@ from rgroups.instances import (
     serialize_instance,
 )
 from rgroups.levi import validate_inducing
+
+from helpers import CLASSICAL_FAMILIES, U, csd, filler_sigma, instance_document, maximal_levi, ncsd
 
 CORPUS = Path(__file__).resolve().parent.parent / "instances"
 CORPUS_FILES = sorted(CORPUS.glob("*.json"))
@@ -634,3 +647,164 @@ def test_dump_json_matches_json_dumps_indent_2(value):
 def test_dump_json_refuses_other_types(value):
     with pytest.raises(TypeError):
         dump_json(value)
+
+
+# ---------------------------------------------------------------------------
+# Writer parity: serialize_instance and every --json document are
+# json.dumps of the reference dictionary (helpers.instance_document)
+# ---------------------------------------------------------------------------
+
+# A results block of every scalar kind, an IntEnum member included.
+_RESULTS = {"valid": True, "rank": _Kind.TWO, "none": None, "rows": [[1, "é"], {}], "empty": []}
+
+
+def _reference(inst: Instance, results: dict | None = None) -> str:
+    doc = instance_document(inst)
+    if results is None:
+        return json.dumps(doc, indent=2) + "\n"
+    return json.dumps({**doc, "results": results}, indent=2) + "\n"
+
+
+def _printed(inst: Instance, results: dict) -> str:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        _print_document(inst, results)
+    return out.getvalue()
+
+
+def _assert_parity(inst: Instance) -> None:
+    assert serialize_instance(inst) == _reference(inst)
+    assert _printed(inst, _RESULTS) == _reference(inst, _RESULTS)
+
+
+def _assert_command_parity(inst: Instance, path: Path) -> int:
+    """Write ``inst`` to ``path`` and compare each command's ``--json``
+    document with the reference; the number of documents printed."""
+    path.write_text(serialize_instance(inst))
+    printed = 0
+    for command in (["validate"], ["rgroup", "--oracle"], ["explain"]):
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            main([*command, str(path), "--json"])
+        if out.getvalue():
+            printed += 1
+            results = json.loads(out.getvalue())["results"]
+            assert out.getvalue() == _reference(load_instance(path), results), command
+    return printed
+
+
+@pytest.mark.parametrize("family", CLASSICAL_FAMILIES, ids=lambda f: f.value)
+def test_writers_match_the_reference_on_fuzz_instances(family, tmp_path):
+    bounds = FuzzBounds(family=family)
+    for seed in range(300):
+        _assert_parity(Instance(random_instance(seed, bounds)))
+    printed = sum(
+        _assert_command_parity(Instance(random_instance(seed, bounds)), tmp_path / "doc.json")
+        for seed in range(15)
+    )
+    assert printed >= 30  # fuzz instances are mostly valid: most commands print
+
+
+def test_writers_match_the_reference_on_unitary_data(tmp_path):
+    printed = 0
+    for rank in range(4):
+        for delta in (Summand(csd("c", 1), 2), Summand(csd("d", -1, 2), 1), Summand(ncsd("p"), 3)):
+            inst = Instance(maximal_levi(delta, filler_sigma(rank)))
+            _assert_parity(inst)
+            printed += _assert_command_parity(inst, tmp_path / "doc.json")
+    assert printed >= 24
+
+
+_AWKWARD_LABELS = [*_TRICKY_TEXT, "}", ",", '"}, {"', "ĉ\u00e9", "a,b}]"]
+
+
+@pytest.mark.parametrize("label", _AWKWARD_LABELS, ids=ascii)
+def test_awkward_labels_are_written_as_json_dumps_writes_them(label, tmp_path):
+    block = Summand(CuspidalSymbol(label, 3, DualityType.ORTHOGONAL), 1)
+    pair = CuspidalSymbol(label + "p", 1, DualityType.NOT_SELF_DUAL, label + "q")
+    sp1, u1 = GroupSpec(Family.SYMPLECTIC, 1), U(1)
+    inst = Instance(InducingData((DeltaFactor(Summand(pair, 2), 1),), JordanData(sp1, (block,))))
+    delta, block = DeltaFactor(Summand(ncsd(label), 1), 1), Summand(csd(label + "c", 1), 1)
+    unitary = Instance(InducingData((delta,), JordanData(u1, (block,))))
+    for each in (inst, unitary):
+        _assert_parity(each)
+        assert _assert_command_parity(each, tmp_path / "doc.json") == 3
+
+
+def test_bool_and_intenum_integers_are_written_by_value():
+    # built in Python: no file can hold them (a JSON boolean is a parse error)
+    rho = CuspidalSymbol("a", True, DualityType.ORTHOGONAL)
+    rho2 = CuspidalSymbol("b", _Kind.TWO, DualityType.SYMPLECTIC)
+    blocks = (Summand(rho, True), Summand(rho2, _Kind.ONE))
+    deltas = (DeltaFactor(Summand(rho2, _Kind.TWO), True), DeltaFactor(Summand(rho, 3), _Kind.TWO))
+    for rank in (True, False, _Kind.ONE):
+        sigma = JordanData(GroupSpec(Family.SYMPLECTIC, rank), blocks)
+        inst = Instance(InducingData(deltas, sigma))
+        _assert_parity(inst)
+        text = serialize_instance(inst)
+        assert "true" in text and "True" not in text and "_Kind" not in text
+
+
+def test_one_label_for_two_symbols_keeps_the_last_direct_use():
+    first = CuspidalSymbol("a", 1, DualityType.ORTHOGONAL)
+    second = CuspidalSymbol("a", 2, DualityType.SYMPLECTIC)
+    pair = CuspidalSymbol("p", 1, DualityType.NOT_SELF_DUAL, "a")
+    other_pair = CuspidalSymbol("q", 3, DualityType.NOT_SELF_DUAL, "a")
+    group = GroupSpec(Family.SYMPLECTIC, 2)
+    cases = [
+        ((first,), (second,), {"dim": 2, "duality": "symplectic"}),
+        ((second,), (first,), {"dim": 1, "duality": "orthogonal"}),
+        # a dual partner fills only a gap, before or after the direct use
+        ((first,), (pair,), {"dim": 1, "duality": "orthogonal"}),
+        ((pair,), (first,), {"dim": 1, "duality": "orthogonal"}),
+        # two partners under one label: the first one noted stays
+        ((pair,), (other_pair,), {"dim": 1, "duality": "not-self-dual", "dual": "p"}),
+    ]
+    for block_symbols, delta_symbols, expected in cases:
+        sigma = JordanData(group, tuple(Summand(rho, 1) for rho in block_symbols))
+        deltas = tuple(DeltaFactor(Summand(rho, 1), 1) for rho in delta_symbols)
+        inst = Instance(InducingData(deltas, sigma))
+        _assert_parity(inst)
+        assert json.loads(serialize_instance(inst))["symbols"]["a"] == expected
+
+
+def test_empty_symbols_blocks_and_deltas():
+    for family in Family:
+        inst = Instance(InducingData((), JordanData(GroupSpec(family, 0), ())))
+        _assert_parity(inst)
+        assert '"symbols": {},' in serialize_instance(inst)
+    summand = Summand(CuspidalSymbol("a", 1, DualityType.ORTHOGONAL), 1)
+    sp0 = GroupSpec(Family.SYMPLECTIC, 0)
+    _assert_parity(Instance(InducingData((), JordanData(sp0, (summand,)))))
+    _assert_parity(Instance(InducingData((DeltaFactor(summand, 1),), JordanData(sp0, ()))))
+
+
+_integer_fields = st.sampled_from([1, 2, 3, 10**6, True, _Kind.ONE, _Kind.TWO])
+_labels = st.sampled_from(_AWKWARD_LABELS) | st.text(max_size=3)
+
+
+@st.composite
+def _symbols(draw, conjugate: bool) -> CuspidalSymbol:
+    label, dim = draw(_labels), draw(_integer_fields)
+    kind = draw(st.sampled_from(DualityType))
+    if kind is DualityType.NOT_SELF_DUAL:
+        dual = draw(_labels.filter(lambda other: other != label))
+        return CuspidalSymbol(label, dim, kind, dual, conjugate)
+    if kind is DualityType.SYMPLECTIC and not conjugate:
+        dim = 2
+    matches = not (conjugate and dim % 2 == 0 and draw(st.booleans()))
+    return CuspidalSymbol(label, dim, kind, conjugate=conjugate, lambda_matches=matches)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_hand_built_instances_are_written_as_json_dumps_writes_them(data):
+    family = data.draw(st.sampled_from(Family))
+    symbols = st.lists(_symbols(family is Family.UNITARY), max_size=4)
+    rank = data.draw(st.sampled_from([0, 1, 5, False, True, _Kind.TWO]))
+    blocks = tuple(Summand(rho, data.draw(_integer_fields)) for rho in data.draw(symbols))
+    deltas = tuple(
+        DeltaFactor(Summand(rho, data.draw(_integer_fields)), data.draw(_integer_fields))
+        for rho in data.draw(symbols)
+    )
+    _assert_parity(Instance(InducingData(deltas, JordanData(GroupSpec(family, rank), blocks))))

@@ -6,6 +6,8 @@ reference outside the product; reducibility is read off the product's
 ``knapp_stein_r_group`` on data with one delta factor, and the parameter
 of sigma is the parameter induced from sigma with no delta factors."""
 
+import itertools
+
 from rgroups import (
     CuspidalSymbol,
     DeltaFactor,
@@ -49,6 +51,18 @@ def test_blocks_are_deduplicated_and_sorted():
     other = Summand(orth("b"), 3)
     sigma = JordanData(GroupSpec(Family.SYMPLECTIC, 1), (other, block, block))
     assert sigma.blocks == (block, other)
+
+
+def test_blocks_sharing_a_sort_key_keep_the_set_order():
+    # two different summands of one (label, a), among repeats and others
+    first, second = Summand(orth("a", 1), 1), Summand(sympl("a", 2), 1)
+    other = Summand(orth("b"), 3)
+    for blocks in itertools.permutations((first, second, other, first, other)):
+        sigma = JordanData(GroupSpec(Family.SYMPLECTIC, 2), blocks)
+        assert sigma.blocks == tuple(sorted(set(blocks), key=Summand.sort_key))
+        assert len(sigma.blocks) == 3 and sigma.blocks[2] == other
+    repeats = (other, first, other, first)
+    assert JordanData(GroupSpec(Family.SYMPLECTIC, 2), repeats).blocks == (first, other)
 
 
 def test_mixed_parity_is_flagged():
